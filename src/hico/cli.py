@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import sys
@@ -43,8 +42,7 @@ def cmd_sample(args, cfg: io.ToolConfig) -> int:
         t_max=_pick(args.tmax, cfg, "sampler.t_max", 512, "get_int"),
     )
     fps = _pick(args.fps, cfg, "sampler.fps", 1.0, "get_float")
-    total_frames = max(1, math.floor(args.duration * fps + 0.5))
-    meta = sampler.VideoMeta(duration=args.duration, fps=fps, total_frames=total_frames)
+    meta = sampler.VideoMeta.from_rate(args.duration, fps)
     plan = sampler.build_plan(meta, policy)
     print(f"frame_count={plan.frame_count}")
     print(f"density={plan.density:.6f}")
@@ -81,12 +79,10 @@ def cmd_compress(args, cfg: io.ToolConfig) -> int:
     config = _connector_config(args, cfg)
     grid = io.read_embeddings(args.infile)
     context = compressor.compress_video(grid, config)
-    out_grid = compressor.TokenGrid(
-        context.vectors().reshape(1, 1, len(context.tokens), context.dim)
-    )
-    io.write_embeddings(out_grid, args.out)
+    vectors = context.vectors()
+    io.write_embeddings(compressor.TokenGrid(vectors[None, None]), args.out)
     n_in = grid.token_count
-    n_out = len(context.tokens)
+    n_out = len(vectors)
     print(f"connector={config.kind}")
     print(f"clips={len(context.clip_offsets)}")
     print(f"input_tokens={n_in}")
@@ -215,6 +211,8 @@ def _instance_paths(paths: list[str]) -> list[Path]:
 
 
 def cmd_niah_gen(args, cfg: io.ToolConfig) -> int:
+    if args.count < 1:
+        raise DomainError(f"--count must be >= 1, got {args.count}")
     library = _library(args, cfg)
     tpl = _templates(cfg)
     q1 = cfg.get_str("niah.q1_text", niah.Q1_TEXT)

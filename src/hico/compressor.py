@@ -12,15 +12,18 @@ squeezed down to a small token budget by one of four connector families:
 * ``resampler`` — a single cross-attention layer reading the clip through a
                   fixed set of query vectors.
 
-Merge, spatial and uneven outputs carry provenance: each output token
-records which (frame, row, col) source tokens it absorbed and its vector is
-the size-weighted mean of those sources, so token mass is conserved.
-Resampler outputs are attention-weighted blends of the whole clip and carry
-the full clip as provenance.
+Outputs are stored as columns (CompressedClip): vectors, sizes, and the
+output token that absorbed each (frame, row, col) input token. Merge,
+spatial and uneven vectors are size-weighted means of their sources, so
+token mass is conserved. Resampler outputs are attention-weighted blends of
+the whole clip and carry the whole clip as provenance.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +31,7 @@ import numpy as np
 from .errors import DomainError
 
 Source = tuple[int, int, int]
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray]  # (vectors, sizes, owner)
 
 
 @dataclass
@@ -85,46 +89,107 @@ class Clip:
             raise DomainError("frame_span length must match grid frames")
 
 
-@dataclass(eq=False)
-class MergedToken:
-    """A token plus how many source tokens it absorbed and which ones."""
+WHOLE_CLIP = None  # owner marker: every output token blends the whole clip
 
-    vector: np.ndarray
-    size: int
-    sources: frozenset[Source]
+
+@dataclass(eq=False)
+class CompressedClip:
+    """One clip's compressed tokens as columns: (n, dim) ``vectors``, (n,) ``sizes``.
+
+    ``owner[i]`` is the output token that absorbed input token i, counted
+    frame-major and row-major over ``frame_span`` x ``frame_shape`` (rows,
+    cols); it is WHOLE_CLIP when every output draws on the whole clip.
+    """
+
+    clip_index: int
+    vectors: np.ndarray
+    sizes: np.ndarray
+    owner: np.ndarray | None
+    frame_span: tuple[int, int]
+    frame_shape: tuple[int, int]
 
     def __post_init__(self) -> None:
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.ndim != 1:
-            raise DomainError("token vector must be 1-D")
-        if self.size < 1 or self.size != len(self.sources):
+        self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        self.sizes = np.asarray(self.sizes, dtype=np.int64)
+        n = len(self.vectors)
+        if self.vectors.ndim != 2 or self.sizes.shape != (n,) or np.any(self.sizes < 1):
+            raise DomainError("need a (tokens, dim) vector array and a size >= 1 per token")
+        inputs = (self.frame_span[1] - self.frame_span[0]) * math.prod(self.frame_shape)
+        if self.owner is WHOLE_CLIP:
+            counts = np.full(n, inputs)
+        else:
+            self.owner = np.asarray(self.owner, dtype=np.int64)
+            if self.owner.shape != (inputs,) or np.any((self.owner < 0) | (self.owner >= n)):
+                raise DomainError("owner must map every input token to an output token")
+            counts = np.bincount(self.owner, minlength=n)
+        if not np.array_equal(self.sizes, counts):
             raise DomainError("token size must equal the number of sources")
 
     @property
-    def min_source(self) -> Source:
-        return min(self.sources)
+    def tokens(self) -> TokenView:
+        return TokenView([self])
+
+    def sources(self, j: int) -> frozenset[Source]:
+        """The (frame, row, col) input tokens that output token j absorbed."""
+        start, end = self.frame_span
+        whole = self.owner is WHOLE_CLIP
+        members = np.arange(self.sizes[j]) if whole else np.flatnonzero(self.owner == j)
+        f, r, c = np.unravel_index(members, (end - start, *self.frame_shape))
+        return frozenset(zip((f + start).tolist(), r.tolist(), c.tolist()))
 
 
-@dataclass
-class CompressedClip:
-    clip_index: int
-    tokens: list[MergedToken]
-    budget: int
+@dataclass(frozen=True, eq=False)
+class MergedToken:
+    """One output token read from its clip's columns; ``sources`` built on demand."""
 
-
-@dataclass
-class VisualContext:
-    """Concatenation of per-clip compressed tokens, in clip order."""
-
-    tokens: list[MergedToken]
-    clip_offsets: list[int]
-
-    def vectors(self) -> np.ndarray:
-        return np.stack([t.vector for t in self.tokens])
+    vector: np.ndarray
+    size: int
+    clip: CompressedClip
+    index: int
 
     @property
-    def dim(self) -> int:
-        return self.tokens[0].vector.shape[0]
+    def sources(self) -> frozenset[Source]:
+        return self.clip.sources(self.index)
+
+
+class TokenView(Sequence):
+    """Read-only list of the MergedTokens of some clips, each built when read."""
+
+    def __init__(self, clips: list[CompressedClip]):
+        self._at = [(c, j) for c in clips for j in range(len(c.sizes))]
+
+    def __len__(self) -> int:
+        return len(self._at)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [MergedToken(c.vectors[j], int(c.sizes[j]), c, j) for c, j in self._at[i]]
+        c, j = self._at[i]
+        return MergedToken(c.vectors[j], int(c.sizes[j]), c, j)
+
+
+@dataclass(eq=False)
+class VisualContext:
+    """Compressed clips in clip order, read as joined columns: ``vectors()``
+    (n, dim) and ``sizes`` (n,). Provenance stays with each clip; ``tokens``
+    is a view that builds MergedTokens when read."""
+
+    clips: list[CompressedClip]
+
+    def vectors(self) -> np.ndarray:
+        return np.concatenate([c.vectors for c in self.clips])
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.concatenate([c.sizes for c in self.clips])
+
+    @property
+    def clip_offsets(self) -> list[int]:
+        return list(itertools.accumulate((len(c.sizes) for c in self.clips[:-1]), initial=0))
+
+    @property
+    def tokens(self) -> TokenView:
+        return TokenView(self.clips)
 
 
 CONNECTOR_KINDS = ("merge", "spatial", "uneven", "resampler")
@@ -164,22 +229,6 @@ class ConnectorConfig:
             raise DomainError("st_temperature must be positive")
         if self.temperature <= 0:
             raise DomainError("temperature must be positive")
-
-
-def grid_tokens(grid: TokenGrid, frame_offset: int = 0) -> list[MergedToken]:
-    """Unpack a grid into size-1 tokens in frame-major, row-major order."""
-    out = []
-    for f in range(grid.frames):
-        for r in range(grid.rows):
-            for c in range(grid.cols):
-                out.append(
-                    MergedToken(
-                        vector=grid.data[f, r, c],
-                        size=1,
-                        sources=frozenset({(f + frame_offset, r, c)}),
-                    )
-                )
-    return out
 
 
 def segment_clips(grid: TokenGrid, clip_len: int) -> list[Clip]:
@@ -233,105 +282,89 @@ def st_mix(clip: Clip, temperature: float = 1.0) -> Clip:
 def _unit_rows(vecs: np.ndarray) -> np.ndarray:
     # Zero-norm rows stay zero, giving them cosine similarity 0 to everything.
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-    safe = np.where(norms > 0, norms, 1.0)
-    return vecs / safe
+    return vecs / np.where(norms > 0, norms, 1.0)
 
 
-def tome_merge(tokens: list[MergedToken], target: int) -> list[MergedToken]:
-    """Reduce a token list to exactly `target` tokens by similarity merging.
+def tome_merge(vectors: np.ndarray, target: int, sizes: np.ndarray | None = None) -> Columns:
+    """Reduce (n, dim) token vectors to exactly `target` rows by similarity merging.
 
+    Input rows are in source order with the given sizes (1 when omitted).
     Each round splits the current tokens by index parity into sets A and B,
     matches every A-token to its most cosine-similar B-token, and merges the
     r = min(count // 2, surplus) highest-similarity pairs into their B-token
     by size-weighted averaging. Ties prefer the smaller index. Survivors are
     re-ordered by smallest source before the next round, which is also the
-    final output order.
+    final output order. owner[i] is the output row that absorbed input row i.
     """
-    if target < 1:
-        raise DomainError("target must be >= 1")
-    if target > len(tokens):
-        raise DomainError(f"target {target} exceeds token count {len(tokens)}")
-
-    current = sorted(tokens, key=lambda t: t.min_source)
-    while len(current) > target:
-        n = len(current)
+    vecs = np.array(vectors, dtype=np.float64)
+    n = len(vecs)
+    if not 1 <= target <= n:
+        raise DomainError(f"target {target} must be between 1 and the token count {n}")
+    sizes = np.ones(n, np.int64) if sizes is None else np.array(sizes, dtype=np.int64)
+    first = np.arange(n)  # smallest source of each current token
+    owner = np.arange(n)
+    while n > target:
         r = min(n // 2, n - target)
-        a_pos = list(range(0, n, 2))
-        b_pos = list(range(1, n, 2))
-        a_vecs = _unit_rows(np.stack([current[i].vector for i in a_pos]))
-        b_vecs = _unit_rows(np.stack([current[i].vector for i in b_pos]))
-        sims = a_vecs @ b_vecs.T
-        best_b = np.argmax(sims, axis=1)
-        best_sim = sims[np.arange(len(a_pos)), best_b]
-
-        ranked = sorted(range(len(a_pos)), key=lambda i: (-best_sim[i], i))
-        merged_a = ranked[:r]
-
-        survivors = {i: current[i] for i in b_pos}
-        for ai in merged_a:
-            src = current[a_pos[ai]]
-            dst_pos = b_pos[best_b[ai]]
-            dst = survivors[dst_pos]
-            total = src.size + dst.size
-            survivors[dst_pos] = MergedToken(
-                vector=(src.size * src.vector + dst.size * dst.vector) / total,
-                size=total,
-                sources=src.sources | dst.sources,
-            )
-        for ai in ranked[r:]:
-            survivors[a_pos[ai]] = current[a_pos[ai]]
-
-        current = sorted(survivors.values(), key=lambda t: t.min_source)
-    return sorted(current, key=lambda t: t.min_source)
+        sims = _unit_rows(vecs[0::2]) @ _unit_rows(vecs[1::2]).T
+        best = np.argmax(sims, axis=1)
+        best_sim = sims[np.arange(len(best)), best]
+        ranked = np.argsort(-best_sim, kind="stable")[:r]
+        src, dst = 2 * ranked, 2 * best[ranked] + 1
+        # Merges into one destination must run in rank order to reproduce the
+        # running average bit for bit: wave k applies each destination's k-th.
+        order = np.argsort(dst, kind="stable")
+        wave = np.empty(r, np.int64)
+        wave[order] = np.arange(r) - np.searchsorted(dst[order], dst[order])
+        for k in range(wave.max() + 1):
+            s, d = src[wave == k], dst[wave == k]
+            total = sizes[s] + sizes[d]
+            vecs[d] = (sizes[s, None] * vecs[s] + sizes[d, None] * vecs[d]) / total[:, None]
+            sizes[d] = total
+        np.minimum.at(first, dst, first[src])
+        first[src] = len(owner)  # merged-away rows sort last and are dropped
+        order = np.argsort(first)
+        position = np.argsort(order)
+        position[src] = position[dst]
+        owner = position[owner]
+        n -= r
+        vecs, sizes, first = vecs[order[:n]], sizes[order[:n]], first[order[:n]]
+    return vecs, sizes, owner
 
 
-def spatial_downsample(
-    frame: np.ndarray, factor: int, frame_index: int = 0
-) -> list[MergedToken]:
-    """Block-mean pool one frame's (rows, cols, dim) grid by `factor`.
+def spatial_downsample(frames: np.ndarray, factor: int) -> Columns:
+    """Block-mean pool each (rows, cols, dim) frame of `frames` by `factor`.
 
-    Produces (rows/factor) * (cols/factor) tokens of size factor², in
-    row-major block order.
+    Produces (rows/factor) * (cols/factor) tokens of size factor² per frame,
+    frame by frame in row-major block order.
     """
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 3:
-        raise DomainError("frame must have shape (rows, cols, dim)")
-    rows, cols, _ = frame.shape
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 4:
+        raise DomainError("frames must have shape (frames, rows, cols, dim)")
+    count, rows, cols, dim = frames.shape
     if rows % factor or cols % factor:
-        raise DomainError(
-            f"factor {factor} does not divide frame grid {rows}x{cols}"
-        )
-    out = []
-    for br in range(rows // factor):
-        for bc in range(cols // factor):
-            block = frame[
-                br * factor : (br + 1) * factor, bc * factor : (bc + 1) * factor
-            ]
-            sources = frozenset(
-                (frame_index, br * factor + i, bc * factor + j)
-                for i in range(factor)
-                for j in range(factor)
-            )
-            out.append(
-                MergedToken(
-                    vector=block.reshape(-1, frame.shape[2]).mean(axis=0),
-                    size=factor * factor,
-                    sources=sources,
-                )
-            )
-    return out
+        raise DomainError(f"factor {factor} does not divide frame grid {rows}x{cols}")
+    br, bc = rows // factor, cols // factor
+    blocks = (
+        frames.reshape(count, br, factor, bc, factor, dim)
+        .transpose(0, 1, 3, 2, 4, 5)
+        .reshape(count * br * bc, factor * factor, dim)
+    )
+    f, r, c = np.indices((count, rows, cols)).reshape(3, -1)
+    owner = (f * br + r // factor) * bc + c // factor
+    return blocks.mean(axis=1), np.full(len(blocks), factor * factor), owner
 
 
-def uneven_downsample(clip: Clip, f_first: int, f_rest: int) -> list[MergedToken]:
+def uneven_downsample(clip: Clip, f_first: int, f_rest: int) -> Columns:
     """Pool the clip's first frame by f_first and remaining frames by f_rest."""
     if f_first > f_rest:
         raise DomainError("f_first must not exceed f_rest")
-    g = clip.grid
-    start = clip.frame_span[0]
-    out = spatial_downsample(g.data[0], f_first, frame_index=start)
-    for f in range(1, g.frames):
-        out.extend(spatial_downsample(g.data[f], f_rest, frame_index=start + f))
-    return out
+    head = spatial_downsample(clip.grid.data[:1], f_first)
+    if clip.grid.frames == 1:
+        return head  # f_rest never applies, so it need not divide the grid
+    tail = spatial_downsample(clip.grid.data[1:], f_rest)
+    vectors, sizes, owner = (np.concatenate(pair) for pair in zip(head, tail))
+    owner[len(head[2]) :] += len(head[1])
+    return vectors, sizes, owner
 
 
 def resampler_forward(
@@ -381,68 +414,38 @@ def _resampler_weights(
     return queries, None, None
 
 
-def _clip_sources(clip: Clip) -> frozenset[Source]:
-    start = clip.frame_span[0]
-    g = clip.grid
-    return frozenset(
-        (start + f, r, c)
-        for f in range(g.frames)
-        for r in range(g.rows)
-        for c in range(g.cols)
-    )
-
-
-def compress_clip(clip: Clip, config: ConnectorConfig) -> CompressedClip:
+def compress_clip(clip: Clip, config: ConnectorConfig, weights=None) -> CompressedClip:
     """Compress one clip with the configured connector.
 
     For merge and resampler the output length equals the budget exactly; for
-    the downsampling kinds it equals the analytic block count.
+    the downsampling kinds it equals the analytic block count. `weights` maps
+    a query count to the resampler's (queries, wk, wv), shared across clips.
     """
+    g = clip.grid
     if config.kind == "merge":
-        source = clip
-        if config.st_temperature is not None:
-            source = st_mix(clip, config.st_temperature)
-        tokens = grid_tokens(source.grid, frame_offset=clip.frame_span[0])
-        merged = tome_merge(tokens, config.budget)
-        return CompressedClip(clip.clip_index, merged, config.budget)
-
-    if config.kind == "spatial":
-        start = clip.frame_span[0]
-        tokens = []
-        for f in range(clip.grid.frames):
-            tokens.extend(
-                spatial_downsample(clip.grid.data[f], config.factor, start + f)
-            )
-        return CompressedClip(clip.clip_index, tokens, len(tokens))
-
-    if config.kind == "uneven":
-        tokens = uneven_downsample(clip, config.f_first, config.f_rest)
-        return CompressedClip(clip.clip_index, tokens, len(tokens))
-
-    # resampler: the query count is the token budget
-    flat = clip.grid.data.reshape(-1, clip.grid.dim)
-    queries, wk, wv = _resampler_weights(config, clip.grid.dim, config.queries)
-    out = resampler_forward(flat, queries, wk, wv, config.temperature)
-    sources = _clip_sources(clip)
-    tokens = [
-        MergedToken(vector=row, size=len(sources), sources=sources) for row in out
-    ]
-    return CompressedClip(clip.clip_index, tokens, config.queries)
+        mixed = clip if config.st_temperature is None else st_mix(clip, config.st_temperature)
+        columns = tome_merge(mixed.grid.data.reshape(-1, g.dim), config.budget)
+    elif config.kind == "spatial":
+        columns = spatial_downsample(g.data, config.factor)
+    elif config.kind == "uneven":
+        columns = uneven_downsample(clip, config.f_first, config.f_rest)
+    else:
+        # resampler: the query count is the token budget
+        load = weights or functools.partial(_resampler_weights, config, g.dim)
+        queries, wk, wv = load(config.queries)
+        vectors = resampler_forward(g.data.reshape(-1, g.dim), queries, wk, wv, config.temperature)
+        columns = vectors, np.full(config.queries, g.token_count), WHOLE_CLIP
+    return CompressedClip(clip.clip_index, *columns, clip.frame_span, (g.rows, g.cols))
 
 
 def concat_context(clips: list[CompressedClip]) -> VisualContext:
-    """Concatenate compressed clips in clip order, recording start offsets."""
+    """Concatenate compressed clips in clip order."""
     if not clips:
         raise DomainError("cannot concatenate zero clips")
     indices = [c.clip_index for c in clips]
     if indices != sorted(indices) or len(set(indices)) != len(indices):
         raise DomainError("clips must be ordered by strictly increasing clip_index")
-    tokens: list[MergedToken] = []
-    offsets = []
-    for c in clips:
-        offsets.append(len(tokens))
-        tokens.extend(c.tokens)
-    return VisualContext(tokens=tokens, clip_offsets=offsets)
+    return VisualContext(clips=list(clips))
 
 
 def scaled_budget(budget: int, frames_in_clip: int, clip_len: int) -> int:
@@ -456,18 +459,16 @@ def compress_video(grid: TokenGrid, config: ConnectorConfig) -> VisualContext:
     A short final clip gets a proportionally smaller budget so the average
     tokens-per-frame rate stays constant across the video.
     """
+    weights = functools.cache(functools.partial(_resampler_weights, config, grid.dim))
     compressed = []
     for clip in segment_clips(grid, config.clip_len):
         frames = clip.grid.frames
-        if config.kind in ("merge", "resampler") and frames < config.clip_len:
-            key = "budget" if config.kind == "merge" else "queries"
-            clip_cfg = replace(
-                config,
-                **{key: scaled_budget(getattr(config, key), frames, config.clip_len)},
-            )
-        else:
-            clip_cfg = config
-        compressed.append(compress_clip(clip, clip_cfg))
+        clip_cfg = replace(
+            config,
+            budget=scaled_budget(config.budget, frames, config.clip_len),
+            queries=scaled_budget(config.queries, frames, config.clip_len),
+        )
+        compressed.append(compress_clip(clip, clip_cfg, weights))
     return concat_context(compressed)
 
 
@@ -477,8 +478,6 @@ def conservation_residual(inputs: TokenGrid, context: VisualContext) -> float:
     Zero (up to float noise) for provenance-preserving connectors.
     """
     in_sum = inputs.data.reshape(-1, inputs.dim).sum(axis=0)
-    out_sum = np.zeros(context.dim)
-    for t in context.tokens:
-        out_sum += t.size * t.vector
+    out_sum = (context.sizes[:, None] * context.vectors()).sum(axis=0)
     denom = max(float(np.linalg.norm(in_sum)), 1e-30)
     return float(np.linalg.norm(out_sum - in_sum)) / denom

@@ -142,8 +142,7 @@ def attention_select(scores, keep_ratio: float) -> list[int]:
     if not (0.0 < keep_ratio <= 1.0):
         raise DomainError("keep_ratio must be in (0, 1]")
     m = min(scores.size, math.ceil(keep_ratio * scores.size))
-    order = sorted(range(scores.size), key=lambda i: (-scores[i], i))
-    return sorted(order[:m])
+    return np.sort(np.argsort(-scores, kind="stable")[:m]).tolist()
 
 
 def plan_schedule(

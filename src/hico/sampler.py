@@ -23,6 +23,11 @@ _PROMPT_RE = re.compile(
 )
 
 
+def _check_duration(duration: float) -> None:
+    if not (math.isfinite(duration) and duration > 0):
+        raise DomainError("duration must be a positive finite number of seconds")
+
+
 @dataclass(frozen=True)
 class SamplingPolicy:
     """Frame-count clamp window, in frames."""
@@ -46,16 +51,24 @@ class VideoMeta:
     total_frames: int
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise DomainError("duration must be positive")
-        if self.fps <= 0:
-            raise DomainError("fps must be positive")
+        _check_duration(self.duration)
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise DomainError("fps must be a positive finite number")
         if self.total_frames < 1:
             raise DomainError("total_frames must be >= 1")
         if abs(self.total_frames - self.duration * self.fps) > 1.0:
             raise DomainError(
                 "total_frames must match duration*fps within one frame"
             )
+
+    @classmethod
+    def from_rate(cls, duration: float, fps: float) -> VideoMeta:
+        """A video of `duration` seconds at `fps`, its frame count rounded half-up."""
+        _check_duration(duration)
+        frames = duration * fps
+        if not math.isfinite(frames):
+            raise DomainError("duration * fps must be finite")
+        return cls(duration=duration, fps=fps, total_frames=max(1, math.floor(frames + 0.5)))
 
 
 @dataclass(frozen=True)
@@ -75,8 +88,7 @@ def compute_frame_count(duration: float, policy: SamplingPolicy) -> int:
     [t_min, t_max]. The result is always within those bounds and is
     non-decreasing in duration.
     """
-    if duration <= 0:
-        raise DomainError("duration must be positive")
+    _check_duration(duration)
     return min(policy.t_max, max(math.floor(duration), policy.t_min))
 
 
@@ -109,8 +121,7 @@ def timestamp_prompt(duration: float, frame_count: int) -> str:
     The duration is rounded half-up to an integer; the template text is
     byte-exact and never pluralized ("1 seconds" is intentional).
     """
-    if duration <= 0:
-        raise DomainError("duration must be positive")
+    _check_duration(duration)
     if frame_count < 1:
         raise DomainError("frame_count must be >= 1")
     n = math.floor(duration + 0.5)

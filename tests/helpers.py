@@ -1,5 +1,9 @@
-"""Shared test oracles: exact merge-tree enumeration and cluster fixtures."""
+"""Shared test oracles: exact merge-tree enumeration, cluster fixtures, and
+per-token reference implementations of the four connectors."""
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,12 +50,8 @@ def best_merge_variance(vecs: np.ndarray, k: int) -> float:
 
 
 def tome_groups(vecs: np.ndarray, target: int):
-    tokens = [
-        compressor.MergedToken(vector=v, size=1, sources=frozenset({(0, 0, i)}))
-        for i, v in enumerate(vecs)
-    ]
-    merged = compressor.tome_merge(tokens, target)
-    return [[src[2] for src in t.sources] for t in merged]
+    _, _, owner = compressor.tome_merge(vecs, target)
+    return [np.flatnonzero(owner == j).tolist() for j in range(target)]
 
 
 def cluster_vectors(rng: np.random.Generator, n: int, d: int, k: int, noise: float):
@@ -65,3 +65,127 @@ def cluster_vectors(rng: np.random.Generator, n: int, d: int, k: int, noise: flo
     if noise:
         vecs = vecs + noise * rng.standard_normal((n, d))
     return vecs
+
+
+# ---------------------------------------------------------------------------
+# Reference connectors: one Python object per token, one loop per merge.
+# The array implementations in hico.compressor must reproduce these exactly:
+# equal vectors bit for bit, equal sizes, order and sources.
+
+
+@dataclass(eq=False)
+class RefToken:
+    vector: np.ndarray
+    size: int
+    sources: frozenset
+
+    @property
+    def min_source(self):
+        return min(self.sources)
+
+
+def ref_grid_tokens(data: np.ndarray, frame_offset: int = 0) -> list[RefToken]:
+    frames, rows, cols, _ = data.shape
+    return [
+        RefToken(data[f, r, c], 1, frozenset({(f + frame_offset, r, c)}))
+        for f in range(frames)
+        for r in range(rows)
+        for c in range(cols)
+    ]
+
+
+def _unit_rows(vecs: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+    return vecs / np.where(norms > 0, norms, 1.0)
+
+
+def ref_tome_merge(tokens: list[RefToken], target: int) -> list[RefToken]:
+    """Bipartite merging as a per-token loop; ties prefer the smaller index."""
+    current = sorted(tokens, key=lambda t: t.min_source)
+    while len(current) > target:
+        n = len(current)
+        r = min(n // 2, n - target)
+        a_pos = list(range(0, n, 2))
+        b_pos = list(range(1, n, 2))
+        a_vecs = _unit_rows(np.stack([current[i].vector for i in a_pos]))
+        b_vecs = _unit_rows(np.stack([current[i].vector for i in b_pos]))
+        sims = a_vecs @ b_vecs.T
+        best_b = np.argmax(sims, axis=1)
+        best_sim = sims[np.arange(len(a_pos)), best_b]
+        ranked = sorted(range(len(a_pos)), key=lambda i: (-best_sim[i], i))
+        survivors = {i: current[i] for i in b_pos}
+        for ai in ranked[:r]:
+            src = current[a_pos[ai]]
+            dst_pos = b_pos[best_b[ai]]
+            dst = survivors[dst_pos]
+            total = src.size + dst.size
+            survivors[dst_pos] = RefToken(
+                (src.size * src.vector + dst.size * dst.vector) / total,
+                total,
+                src.sources | dst.sources,
+            )
+        for ai in ranked[r:]:
+            survivors[a_pos[ai]] = current[a_pos[ai]]
+        current = sorted(survivors.values(), key=lambda t: t.min_source)
+    return current
+
+
+def ref_spatial(frame: np.ndarray, factor: int, frame_index: int) -> list[RefToken]:
+    rows, cols, dim = frame.shape
+    out = []
+    for br in range(rows // factor):
+        for bc in range(cols // factor):
+            block = frame[br * factor : (br + 1) * factor, bc * factor : (bc + 1) * factor]
+            sources = frozenset(
+                (frame_index, br * factor + i, bc * factor + j)
+                for i in range(factor)
+                for j in range(factor)
+            )
+            out.append(RefToken(block.reshape(-1, dim).mean(axis=0), factor * factor, sources))
+    return out
+
+
+def ref_compress_clip(clip: compressor.Clip, config: compressor.ConnectorConfig) -> list[RefToken]:
+    """The tokens one clip compresses to, built one object at a time."""
+    data, start = clip.grid.data, clip.frame_span[0]
+    if config.kind == "merge":
+        if config.st_temperature is not None:
+            data = compressor.st_mix(clip, config.st_temperature).grid.data
+        return ref_tome_merge(ref_grid_tokens(data, start), config.budget)
+    if config.kind in ("spatial", "uneven"):
+        first, rest = (
+            (config.factor, config.factor)
+            if config.kind == "spatial"
+            else (config.f_first, config.f_rest)
+        )
+        out = ref_spatial(data[0], first, start)
+        for f in range(1, len(data)):
+            out.extend(ref_spatial(data[f], rest, start + f))
+        return out
+    dim = clip.grid.dim
+    rng = np.random.default_rng(config.query_seed)
+    queries = rng.standard_normal((config.queries, dim)) / math.sqrt(dim)
+    outputs = compressor.resampler_forward(
+        data.reshape(-1, dim), queries, temperature=config.temperature
+    )
+    frames, rows, cols, _ = data.shape
+    sources = frozenset(
+        (start + f, r, c) for f in range(frames) for r in range(rows) for c in range(cols)
+    )
+    return [RefToken(vector, len(sources), sources) for vector in outputs]
+
+
+def ref_compress_video(grid: compressor.TokenGrid, config) -> list[list[RefToken]]:
+    """Per-clip reference tokens, with the short final clip's budget scaled."""
+    out = []
+    for clip in compressor.segment_clips(grid, config.clip_len):
+        frames = clip.grid.frames
+        cfg = config
+        if frames < config.clip_len:
+            cfg = replace(
+                config,
+                budget=compressor.scaled_budget(config.budget, frames, config.clip_len),
+                queries=compressor.scaled_budget(config.queries, frames, config.clip_len),
+            )
+        out.append(ref_compress_clip(clip, cfg))
+    return out

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from hico import io
 from hico.cli import main
@@ -43,6 +46,16 @@ def test_sample_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "sample", "--duration", "-5")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--duration", "nan"), ("--duration", "inf"), ("--fps", "inf"), ("--fps", "nan"),
+])
+def test_sample_non_finite_is_domain_error(capsys, flag, value):
+    argv = {"--duration": "60", "--fps": "1", flag: value}
+    code, _, err = run(capsys, "sample", *[x for kv in argv.items() for x in kv])
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +109,54 @@ def test_compress_resampler_skips_residual(tmp_path, capsys):
     assert code == 0
     assert "conservation_residual=n/a" in out
     assert "output_tokens=5" in out
+
+
+# sha256 of the output file and of stdout, produced by the per-token
+# implementation that preceded the columnar one. Any change to merge order,
+# tie-breaking, summation order or the report breaks them.
+GOLDEN = {
+    "merge": (
+        ["--connector", "merge", "--budget", "12"],
+        "a09b248177db1db79817eb19d8e43b261caea0d628f92c59589fbb5af2da39a8",
+        "60ebae1c98322c11759ec1af5bd03fbb754be3d2ac3dcad9152be8dcdc1df046",
+    ),
+    "merge-st": (
+        ["--connector", "merge", "--budget", "12", "--st-temperature", "0.5"],
+        "2dbf6056c0c111ef4278f7764363084c888ae2639703254cb83bcdf51b94410f",
+        "072b93daa33c95ebcb06d15adc10a476fbab3d9dc9a146f91897f6b2a0bda809",
+    ),
+    "spatial": (
+        ["--connector", "spatial", "--factor", "2"],
+        "59fa6413a0b662c64fdbce97301fe0b4b7ed6569c2ac1474d34660c46fd7390a",
+        "a94119ae26ffb9fa1735018277908cf6f0c8c88ef62db221594dbd9704cc76e4",
+    ),
+    "uneven": (
+        ["--connector", "uneven", "--f-first", "2", "--f-rest", "4"],
+        "4a9f738e75ef2c49df2d155da2d7c3d7ece61021b2514f894cb1a5d397f748ed",
+        "ccf9474a36fecc2e0a782505521b657124cef72694720f96ffd16fd130b93007",
+    ),
+    "resampler": (
+        ["--connector", "resampler", "--queries", "6", "--seed", "7"],
+        "73bfc680255c1ad47d86ec55044cee70e74121e072f6260673200d3ed33cab40",
+        "3542eaf4e1fc99583aa1dc91c5777a4de5e3211db4a7549e42fc26ea7a32dc1f",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_compress_golden_digests(tmp_path, capsys, case):
+    # 10 frames in clips of 4: the last clip is short and gets a scaled budget.
+    grid = synth(tmp_path, kind="clusters", shape="10x8x8x16", seed="3", k=4, noise=0.1)
+    digest = hashlib.sha256(grid.read_bytes()).hexdigest()
+    assert digest == "9233a3c040cf414c15f07aee617a6d129a936701ecda1aac7df5ae2bdb19a97b"
+    flags, file_digest, stdout_digest = GOLDEN[case]
+    out_path = tmp_path / "c.bin"
+    code, out, _ = run(
+        capsys, "compress", "--in", str(grid), "--out", str(out_path), "--clip-len", "4", *flags
+    )
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == file_digest
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
 
 
 def test_compress_missing_input_is_io_error(tmp_path, capsys):
@@ -282,6 +343,16 @@ def test_niah_gen_requires_library(tmp_path, capsys):
         "--out-dir", str(tmp_path / "x"),
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_niah_gen_rejects_non_positive_count(tmp_path, capsys, count):
+    code, _, err = run(
+        capsys, "niah", "gen", "--length", "100", "--synth-library", "20",
+        "--count", count, "--out-dir", str(tmp_path / "x"),
+    )
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import best_merge_variance, cluster_vectors, tome_groups, within_merge_variance
+from helpers import (
+    best_merge_variance,
+    cluster_vectors,
+    ref_compress_video,
+    ref_tome_merge,
+    RefToken,
+    tome_groups,
+    within_merge_variance,
+)
 from hico import compressor as cp
 from hico.errors import DomainError
 
 
-def token(vec, src):
-    return cp.MergedToken(
-        vector=np.asarray(vec, dtype=float), size=1, sources=frozenset({src})
-    )
-
-
-def fresh_tokens(vecs):
-    return [token(v, (0, 0, i)) for i, v in enumerate(vecs)]
+def merged_tokens(vecs, target):
+    """tome_merge on a single-row clip of unit tokens, read back as tokens."""
+    vecs = np.asarray(vecs, dtype=float)
+    vectors, sizes, owner = cp.tome_merge(vecs, target)
+    clip = cp.CompressedClip(0, vectors, sizes, owner, (0, 1), (1, len(vecs)))
+    return list(clip.tokens)
 
 
 def rand_grid(seed, shape=(4, 4, 4, 8)):
@@ -104,7 +112,7 @@ def test_st_mix_rejects_bad_temperature():
 
 
 def test_tome_identical_vectors_collapse():
-    out = cp.tome_merge(fresh_tokens([[2.0, 3.0]] * 4), 1)
+    out = merged_tokens([[2.0, 3.0]] * 4, 1)
     assert len(out) == 1
     assert out[0].size == 4
     assert np.allclose(out[0].vector, [2.0, 3.0])
@@ -112,7 +120,7 @@ def test_tome_identical_vectors_collapse():
 
 def test_tome_pairs_by_similarity():
     vecs = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
-    out = cp.tome_merge(fresh_tokens(vecs), 2)
+    out = merged_tokens(vecs, 2)
     assert [t.size for t in out] == [2, 2]
     assert np.allclose(out[0].vector, [1.0, 0.0])
     assert np.allclose(out[1].vector, [0.0, 1.0])
@@ -121,34 +129,32 @@ def test_tome_pairs_by_similarity():
 
 
 def test_tome_size_weighted_mean():
-    a = cp.MergedToken(np.array([0.0]), 1, frozenset({(0, 0, 0)}))
-    b = cp.MergedToken(
-        np.array([4.0]), 3, frozenset({(0, 0, 1), (0, 0, 2), (0, 0, 3)})
-    )
-    out = cp.tome_merge([a, b], 1)
-    assert out[0].size == 4
-    assert np.allclose(out[0].vector, [3.0])
+    # a holds one source and b three, so the merged mean is (0 + 3 * 4) / 4.
+    vectors, sizes, owner = cp.tome_merge(np.array([[0.0], [4.0]]), 1, sizes=[1, 3])
+    assert sizes[0] == 4
+    assert np.allclose(vectors[0], [3.0])
+    assert owner.tolist() == [0, 0]
 
 
 def test_tome_identity_when_target_equals_count():
-    tokens = fresh_tokens(np.random.default_rng(5).standard_normal((6, 3)))
-    out = cp.tome_merge(tokens, 6)
-    assert [t.min_source for t in out] == [t.min_source for t in tokens]
-    for before, after in zip(tokens, out):
-        assert np.array_equal(before.vector, after.vector)
-        assert before.size == after.size
+    vecs = np.random.default_rng(5).standard_normal((6, 3))
+    out = merged_tokens(vecs, 6)
+    assert [min(t.sources) for t in out] == [(0, 0, i) for i in range(6)]
+    for before, after in zip(vecs, out):
+        assert np.array_equal(before, after.vector)
+        assert after.size == 1
 
 
 def test_tome_zero_norm_vectors_score_zero():
     vecs = [[0.0, 0.0], [0.0, 0.0], [3.0, 0.0], [3.0, 0.0]]
-    out = cp.tome_merge(fresh_tokens(vecs), 2)
+    out = merged_tokens(vecs, 2)
     assert [t.size for t in out] == [2, 2]
     assert np.allclose(out[0].vector, [0.0, 0.0])
     assert np.allclose(out[1].vector, [3.0, 0.0])
 
 
 def test_tome_rejects_bad_targets():
-    tokens = fresh_tokens([[1.0], [2.0]])
+    tokens = np.array([[1.0], [2.0]])
     with pytest.raises(DomainError):
         cp.tome_merge(tokens, 3)
     with pytest.raises(DomainError):
@@ -158,9 +164,8 @@ def test_tome_rejects_bad_targets():
 def test_tome_output_sorted_by_min_source():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        tokens = fresh_tokens(rng.standard_normal((12, 4)))
-        out = cp.tome_merge(tokens, int(rng.integers(1, 12)))
-        keys = [t.min_source for t in out]
+        out = merged_tokens(rng.standard_normal((12, 4)), int(rng.integers(1, 12)))
+        keys = [min(t.sources) for t in out]
         assert keys == sorted(keys)
 
 
@@ -168,7 +173,7 @@ def test_tome_conserves_mass():
     rng = np.random.default_rng(7)
     for _ in range(25):
         vecs = rng.standard_normal((24, 5))
-        out = cp.tome_merge(fresh_tokens(vecs), int(rng.integers(1, 24)))
+        out = merged_tokens(vecs, int(rng.integers(1, 24)))
         merged_sum = sum(t.size * t.vector for t in out)
         assert np.allclose(merged_sum, vecs.sum(axis=0), rtol=1e-9, atol=1e-9)
         assert sum(t.size for t in out) == 24
@@ -192,7 +197,8 @@ def test_tome_tracks_variance_oracle_on_clustered_tokens():
 
 def test_spatial_block_means():
     frame = np.arange(4 * 4 * 2, dtype=float).reshape(4, 4, 2)
-    out = cp.spatial_downsample(frame, 2, frame_index=3)
+    clip = cp.Clip(0, cp.TokenGrid(frame[None]), (3, 4))
+    out = cp.compress_clip(clip, cp.ConnectorConfig(kind="spatial", factor=2)).tokens
     assert len(out) == 4
     for t, (br, bc) in zip(out, [(0, 0), (0, 1), (1, 0), (1, 1)]):
         block = frame[br * 2 : br * 2 + 2, bc * 2 : bc * 2 + 2].reshape(-1, 2)
@@ -202,51 +208,48 @@ def test_spatial_block_means():
 
 
 def test_spatial_sixteen_tokens_per_frame():
-    frame = np.random.default_rng(0).standard_normal((16, 16, 6))
-    out = cp.spatial_downsample(frame, 4)
-    assert len(out) == 16
-    assert all(t.size == 16 for t in out)
+    frame = np.random.default_rng(0).standard_normal((1, 16, 16, 6))
+    vectors, sizes, _ = cp.spatial_downsample(frame, 4)
+    assert len(vectors) == 16
+    assert all(size == 16 for size in sizes)
 
 
 def test_spatial_constant_grid():
-    frame = np.full((4, 4, 3), 2.5)
-    out = cp.spatial_downsample(frame, 2)
-    assert all(np.allclose(t.vector, 2.5) for t in out)
-    assert all(t.size == 4 for t in out)
+    frame = np.full((1, 4, 4, 3), 2.5)
+    vectors, sizes, _ = cp.spatial_downsample(frame, 2)
+    assert all(np.allclose(v, 2.5) for v in vectors)
+    assert all(size == 4 for size in sizes)
 
 
 def test_spatial_rejects_nondivisible_factor():
     with pytest.raises(DomainError):
-        cp.spatial_downsample(np.zeros((4, 4, 2)), 3)
+        cp.spatial_downsample(np.zeros((1, 4, 4, 2)), 3)
 
 
 def test_uneven_token_count():
     grid = cp.TokenGrid(np.random.default_rng(1).standard_normal((4, 16, 16, 3)))
     clip = cp.Clip(0, grid, (0, 4))
-    out = cp.uneven_downsample(clip, 2, 8)
-    assert len(out) == 64 + 3 * 4
+    vectors, sizes, owner = cp.uneven_downsample(clip, 2, 8)
+    assert len(vectors) == len(sizes) == 64 + 3 * 4
 
 
 def test_uneven_equal_factors_matches_spatial():
     grid = rand_grid(2, (3, 4, 4, 5))
     clip = cp.Clip(0, grid, (0, 3))
     uneven = cp.uneven_downsample(clip, 2, 2)
-    spatial = []
-    for f in range(3):
-        spatial.extend(cp.spatial_downsample(grid.data[f], 2, frame_index=f))
-    assert len(uneven) == len(spatial)
-    for a, b in zip(uneven, spatial):
-        assert np.allclose(a.vector, b.vector)
-        assert a.sources == b.sources
+    spatial = cp.spatial_downsample(grid.data, 2)
+    assert len(uneven[0]) == len(spatial[0])
+    assert np.allclose(uneven[0], spatial[0])
+    assert np.array_equal(uneven[2], spatial[2])
 
 
 def test_uneven_single_frame_matches_spatial():
     grid = rand_grid(4, (1, 4, 4, 3))
     clip = cp.Clip(0, grid, (0, 1))
-    uneven = cp.uneven_downsample(clip, 2, 4)
-    spatial = cp.spatial_downsample(grid.data[0], 2, frame_index=0)
+    uneven, _, _ = cp.uneven_downsample(clip, 2, 4)
+    spatial, _, _ = cp.spatial_downsample(grid.data, 2)
     for a, b in zip(uneven, spatial):
-        assert np.allclose(a.vector, b.vector)
+        assert np.allclose(a, b)
 
 
 def test_uneven_rejects_inverted_factors():
@@ -368,3 +371,97 @@ def test_compress_video_conserves_mass(kind):
 def test_compression_ratio_strings():
     assert f"{100 * 16 / 729:.2f}" == "2.19"
     assert f"{100 * 64 / 1024:.2f}" == "6.25"
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the per-token reference connectors
+
+
+def oracle_grid(seed, kind, shape):
+    """Grids that stress tie-breaking: duplicates, zero rows and clusters."""
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        data = rng.integers(-1, 2, size=shape).astype(float)
+    elif kind == "clusters":
+        centroids = rng.standard_normal((3, shape[-1]))
+        data = centroids[rng.integers(0, 3, size=shape[:-1])]
+        data += 1e-3 * rng.standard_normal(shape) * rng.integers(0, 2)
+    else:
+        data = rng.standard_normal(shape)
+    data[rng.random(shape[:-1]) < 0.15] = 0.0
+    return cp.TokenGrid(data)
+
+
+def assert_same_tokens(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.vector, b.vector)
+        assert a.size == b.size
+        assert a.sources == b.sources
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["ties", "clusters", "gaussian"]),
+    frames=st.integers(1, 7),
+    side=st.sampled_from([2, 4]),
+    dim=st.integers(1, 5),
+    clip_len=st.integers(1, 4),
+    budget_frac=st.floats(0.0, 1.0),
+    st_temperature=st.sampled_from([None, 0.5, 3.0]),
+    queries=st.integers(1, 5),
+)
+@example(seed=1, kind="ties", frames=5, side=2, dim=2, clip_len=2, budget_frac=1.0,
+         st_temperature=None, queries=1)
+@example(seed=2, kind="clusters", frames=3, side=4, dim=3, clip_len=2, budget_frac=0.0,
+         st_temperature=0.5, queries=2)
+def test_connectors_match_reference(
+    seed, kind, frames, side, dim, clip_len, budget_frac, st_temperature, queries
+):
+    grid = oracle_grid(seed, kind, (frames, side, side, dim))
+    budget = 1 + round(budget_frac * (clip_len * side * side - 1))
+    configs = [
+        cp.ConnectorConfig(kind="merge", budget=budget, clip_len=clip_len,
+                           st_temperature=st_temperature),
+        cp.ConnectorConfig(kind="spatial", factor=side // 2 or 1, clip_len=clip_len),
+        # One-frame clips never apply f_rest, so it need not divide the grid.
+        cp.ConnectorConfig(kind="uneven", f_first=1, f_rest=side * (1 + (clip_len == 1)),
+                           clip_len=clip_len),
+        cp.ConnectorConfig(kind="resampler", queries=queries, clip_len=clip_len,
+                           query_seed=seed % 7, temperature=0.5 + budget_frac),
+    ]
+    for config in configs:
+        ctx = cp.compress_video(grid, config)
+        want = ref_compress_video(grid, config)
+        assert ctx.clip_offsets == list(np.cumsum([0] + [len(c) for c in want[:-1]]))
+        assert_same_tokens(list(ctx.tokens), [t for clip in want for t in clip])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    dim=st.integers(1, 4),
+    target_frac=st.floats(0.0, 1.0),
+    levels=st.integers(1, 3),
+)
+def test_tome_merge_matches_reference_with_sizes(seed, n, dim, target_frac, levels):
+    rng = np.random.default_rng(seed)
+    vecs = rng.integers(-levels, levels + 1, size=(n, dim)).astype(float)
+    sizes = rng.integers(1, 4, size=n)
+    target = 1 + round(target_frac * (n - 1))
+    # Input row i holds the consecutive sources starting at first[i].
+    first = np.cumsum(np.r_[0, sizes[:-1]])
+    tokens = [
+        RefToken(v, int(s), frozenset((0, 0, int(f) + k) for k in range(s)))
+        for v, s, f in zip(vecs, sizes, first)
+    ]
+    want = ref_tome_merge(tokens, target)
+    vectors, out_sizes, owner = cp.tome_merge(vecs, target, sizes=sizes)
+    assert len(vectors) == len(want)
+    for j, t in enumerate(want):
+        assert np.array_equal(vectors[j], t.vector)
+        assert out_sizes[j] == t.size
+        members = np.flatnonzero(owner == j)
+        assert t.sources == frozenset((0, 0, int(first[i]) + k) for i in members for k in range(sizes[i]))

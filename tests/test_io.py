@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hico import io
-from hico.compressor import MergedToken, TokenGrid, tome_merge
+from hico.compressor import TokenGrid, tome_merge
 from hico.errors import ConfigError, DomainError
 
 
@@ -110,18 +110,14 @@ def test_synth_deterministic():
 def test_synth_clusters_recoverable_by_merging():
     grid = io.synth_grid("clusters", (1, 2, 2, 4), seed=7, k=2)
     flat = grid.data.reshape(-1, 4)
-    tokens = [
-        MergedToken(vector=v, size=1, sources=frozenset({(0, 0, i)}))
-        for i, v in enumerate(flat)
-    ]
-    merged = tome_merge(tokens, 2)
+    vectors, sizes, _ = tome_merge(flat, 2)
     centroids = {tuple(np.round(v, 6)) for v in flat}
     assert len(centroids) == 2
-    for t in merged:
+    for v in vectors:
         assert any(
-            np.linalg.norm(t.vector - np.array(c)) < 1e-5 for c in centroids
+            np.linalg.norm(v - np.array(c)) < 1e-5 for c in centroids
         )
-    assert {t.size for t in merged} == {2}
+    assert set(sizes.tolist()) == {2}
 
 
 def test_synth_rejects_bad_args():
