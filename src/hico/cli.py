@@ -359,7 +359,10 @@ def _parse_shape(text: str) -> tuple[int, int, int, int]:
     parts = text.lower().split("x")
     if len(parts) != 4:
         raise DomainError("shape must be FRAMESxROWSxCOLSxDIM, e.g. 4x16x16x32")
-    return tuple(int(p) for p in parts)  # type: ignore[return-value]
+    try:
+        return tuple(int(p) for p in parts)  # type: ignore[return-value]
+    except ValueError:
+        raise DomainError(f"shape entries must be integers, got {text!r}") from None
 
 
 def cmd_synth(args, cfg: io.ToolConfig) -> int:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import zipfile
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -386,6 +387,11 @@ def resampler_forward(
         raise DomainError("tokens and queries must be 2-D")
     if temperature <= 0:
         raise DomainError("temperature must be positive")
+    for name, w in (("wk", wk), ("wv", wv)):
+        if w is not None and (np.ndim(w) != 2 or np.shape(w)[0] != tokens.shape[1]):
+            raise DomainError(
+                f"{name} must have shape ({tokens.shape[1]}, d), got {np.shape(w)}"
+            )
     k = tokens if wk is None else tokens @ np.asarray(wk, dtype=np.float64)
     v = tokens if wv is None else tokens @ np.asarray(wv, dtype=np.float64)
     if queries.shape[1] != k.shape[1]:
@@ -396,17 +402,34 @@ def resampler_forward(
     return _softmax(scores) @ v
 
 
+def _read_weights(path: str) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(queries, wk, wv) from an .npz archive; wk and wv may be absent."""
+    try:
+        archive = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        archive = None  # pickled, empty or corrupt
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise DomainError(f"weights file {path} is not an .npz archive")
+    with archive:
+        if "queries" not in archive.files:
+            raise DomainError(f"weights file {path} has no 'queries' array")
+        try:
+            return tuple(
+                np.asarray(archive[key], dtype=np.float64) if key in archive.files else None
+                for key in ("queries", "wk", "wv")
+            )
+        except ValueError:
+            raise DomainError(f"weights file {path} holds non-numeric arrays") from None
+
+
 def _resampler_weights(
     config: ConnectorConfig, dim: int, budget: int
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     if config.weights_path is not None:
-        loaded = np.load(config.weights_path)
-        queries = np.asarray(loaded["queries"], dtype=np.float64)
-        wk = np.asarray(loaded["wk"], dtype=np.float64) if "wk" in loaded else None
-        wv = np.asarray(loaded["wv"], dtype=np.float64) if "wv" in loaded else None
-        if queries.shape[0] != budget:
+        queries, wk, wv = _read_weights(config.weights_path)
+        if queries.ndim != 2 or queries.shape[0] != budget:
             raise DomainError(
-                f"weights file provides {queries.shape[0]} queries, need {budget}"
+                f"weights file queries have shape {queries.shape}, need ({budget}, d)"
             )
         return queries, wk, wv
     rng = np.random.default_rng(config.query_seed)

@@ -4,6 +4,19 @@ FLOPs convention: one multiply-accumulate = 2 FLOPs; the linear stack costs
 2 * nonembed_params per token and attention costs 4 * T^2 * hidden_dim per
 layer (score and value products, full square, no causal halving). The KV
 cache grows as 2 * layers * kv_heads * head_dim bytes-per-value per token.
+
+The convention leaves out the attention softmax. Its scale, mask, max,
+subtract, exp, sum and divide touch heads * T^2 scores per layer, a cost
+that grows as T^2 * heads like the score and value products, yet counts for
+nothing here. At a small head_dim it is not negligible: in the toy decoder
+(head_dim 16, T near 1000) the full-square softmax took most of each
+layer's time, so a drop schedule's measured speed-up ran ahead of the
+predicted one (2.72x against 2.13x for the paper's schedule on 1024 tokens
+and 28 layers, one BLAS thread on a 2-vCPU Xeon). The toy decoder's
+row-blocked softmax now runs exp on the causal lower triangle plus its
+diagonal blocks only, about half the square; the row sums and the divide
+still cover full rows. The same run then measured 2.05x, 4% under the
+prediction.
 """
 from __future__ import annotations
 

@@ -145,6 +145,14 @@ def attention_select(scores, keep_ratio: float) -> list[int]:
     return np.sort(np.argsort(-scores, kind="stable")[:m]).tolist()
 
 
+def _check_depth(schedule: DropSchedule, total_layers: int) -> None:
+    for e in schedule.entries:
+        if e.layer >= total_layers:
+            raise ConfigError(
+                f"schedule layer {e.layer} outside decoder of {total_layers} layers"
+            )
+
+
 def plan_schedule(
     initial_count: int, schedule: DropSchedule, total_layers: int
 ) -> list[int]:
@@ -153,11 +161,7 @@ def plan_schedule(
         raise DomainError("initial_count must be >= 1")
     if total_layers < 1:
         raise DomainError("total_layers must be >= 1")
-    for e in schedule.entries:
-        if e.layer >= total_layers:
-            raise ConfigError(
-                f"schedule layer {e.layer} outside decoder of {total_layers} layers"
-            )
+    _check_depth(schedule, total_layers)
     counts = []
     current = initial_count
     entries = iter(schedule.entries)
@@ -203,10 +207,30 @@ def _layer_norm(x: np.ndarray) -> np.ndarray:
     return (x - mean) / np.sqrt(var + 1e-5)
 
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+# Rows of the score matrix per softmax step. A block of rows [r0, r1) only
+# works on columns [:r1], so exp never runs on the masked upper triangle.
+_ROW_BLOCK = 64
+_BLOCK_UPPER = np.triu(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool), k=1)
+
+
+def _causal_softmax(scores: np.ndarray, scale: float) -> None:
+    """softmax(scores / scale + causal mask) over the last axis, in place.
+
+    `scores` is a contiguous (heads, T, T) array. Bit-identical to the
+    full-square form: masked entries become exact zeros, and the row sums
+    and the normalising divide run over full rows, because the order of
+    numpy's pairwise summation depends on the row length.
+    """
+    seq = scores.shape[-1]
+    for r0 in range(0, seq, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, seq)
+        block = scores[:, r0:r1, :r1]
+        np.divide(block, scale, out=block)
+        np.copyto(block[:, :, r0:], -np.inf, where=_BLOCK_UPPER[: r1 - r0, : r1 - r0])
+        np.subtract(block, block.max(axis=-1, keepdims=True), out=block)
+        np.exp(block, out=block)
+        scores[:, r0:r1, r1:] = 0.0
+    np.divide(scores, scores.sum(axis=-1, keepdims=True), out=scores)
 
 
 class _ToyWeights:
@@ -248,13 +272,9 @@ def toy_decoder_run(
     vis = np.asarray(vis, dtype=np.float64)
     if vis.ndim != 2 or vis.shape[0] < 1:
         raise DomainError("visual context must be a non-empty (tokens, dim) array")
-    for e in schedule.entries:
-        if e.layer >= geometry.layers:
-            raise ConfigError(
-                f"schedule layer {e.layer} outside decoder of {geometry.layers} layers"
-            )
-        if e.method == ATTENTION and e.layer == 0:
-            raise ConfigError("attention drop at layer 0 has no prior snapshot")
+    _check_depth(schedule, geometry.layers)
+    if any(e.method == ATTENTION and e.layer == 0 for e in schedule.entries):
+        raise ConfigError("attention drop at layer 0 has no prior snapshot")
 
     rng = np.random.default_rng(seed)
     weights = _ToyWeights(rng, geometry, vis.shape[1])
@@ -268,6 +288,8 @@ def toy_decoder_run(
     head_dim = geometry.hidden_dim // heads
     snapshots: list[AttentionSnapshot] = []
     kept_per_layer: list[list[int]] = []
+    # Sequence length never grows, so the first layer's scores fit every layer.
+    buffer = np.empty(heads * states.shape[0] ** 2)
 
     for layer in range(geometry.layers):
         entry = by_layer.get(layer)
@@ -286,9 +308,9 @@ def toy_decoder_run(
         q = (normed @ w["wq"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
         k = (normed @ w["wk"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
         v = (normed @ w["wv"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
-        scores = q @ k.transpose(0, 2, 1) / math.sqrt(head_dim)
-        causal = np.triu(np.full((seq, seq), -np.inf), k=1)
-        probs = _softmax(scores + causal)
+        probs = buffer[: heads * seq * seq].reshape(heads, seq, seq)
+        np.matmul(q, k.transpose(0, 2, 1), out=probs)
+        _causal_softmax(probs, math.sqrt(head_dim))
         attn = (probs @ v).transpose(1, 0, 2).reshape(seq, geometry.hidden_dim)
         states = states + attn @ w["wo"]
         states = states + np.maximum(_layer_norm(states) @ w["w1"], 0.0) @ w["w2"]

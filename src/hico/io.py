@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compressor import TokenGrid
+from .compressor import CONNECTOR_KINDS, TokenGrid
 from .errors import ConfigError, DomainError
 
 MAGIC = b"HICO"
@@ -95,15 +95,19 @@ def write_embeddings(grid: TokenGrid, path: str | os.PathLike) -> None:
     """Write atomically: temp file in the same directory, then rename."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(encode_embeddings(grid))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(encode_embeddings(grid))
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # Name the target, not the temp file the failure happened on.
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 GRID_KINDS = ("constant", "clusters", "gaussian")
@@ -264,7 +268,7 @@ def _validate_values(cfg: ToolConfig) -> None:
     for key in _BOOL_KEYS:
         cfg.get_bool(key)
     kind = cfg.get_str("connector.kind")
-    if kind is not None and kind not in ("merge", "spatial", "uneven", "resampler"):
+    if kind is not None and kind not in CONNECTOR_KINDS:
         raise ConfigError(f"config key 'connector.kind' has unknown value {kind!r}")
     shape = cfg.get_str("costmodel.shape")
     if shape is not None and shape not in PRESETS:
@@ -289,18 +293,22 @@ def load_config(path: str | os.PathLike) -> ToolConfig:
     loudly before any command runs.
     """
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key not in KNOWN_CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = list(f)
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: config file is not UTF-8 text") from None
+    for lineno, line in enumerate(lines, 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key not in KNOWN_CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value.strip()
     cfg = ToolConfig(values)
     _validate_values(cfg)
     return cfg

@@ -1,5 +1,6 @@
-"""Shared test oracles: exact merge-tree enumeration, cluster fixtures, and
-per-token reference implementations of the four connectors."""
+"""Shared test oracles: exact merge-tree enumeration, cluster fixtures,
+per-token reference implementations of the four connectors, and the
+full-square reference of the toy decoder."""
 from __future__ import annotations
 
 import math
@@ -7,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from hico import compressor
+from hico import compressor, dropout
 
 
 def partitions_into_k(n: int, k: int):
@@ -189,3 +190,72 @@ def ref_compress_video(grid: compressor.TokenGrid, config) -> list[list[RefToken
             )
         out.append(ref_compress_clip(clip, cfg))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference toy decoder: full-square masked softmax with fresh temporaries.
+# dropout.toy_decoder_run must reproduce it exactly: equal states, kept
+# indices and snapshot scores, bit for bit.
+
+
+def _ref_softmax(scores: np.ndarray) -> np.ndarray:
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_toy_decoder_run(
+    text_tokens: int,
+    visual: np.ndarray,
+    geometry: dropout.DecoderGeometry = dropout.DecoderGeometry(),
+    schedule: dropout.DropSchedule = dropout.DropSchedule(),
+    seed: int = 0,
+) -> dropout.DecoderRun:
+    vis = np.asarray(visual, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    weights = dropout._ToyWeights(rng, geometry, vis.shape[1])
+    text = rng.standard_normal((text_tokens, geometry.hidden_dim))
+
+    states = np.concatenate([vis @ weights.w_in, text], axis=0)
+    kept = list(range(vis.shape[0]))
+    by_layer = {e.layer: e for e in schedule.entries}
+
+    heads = geometry.heads
+    head_dim = geometry.hidden_dim // heads
+    snapshots: list[dropout.AttentionSnapshot] = []
+    kept_per_layer: list[list[int]] = []
+
+    for layer in range(geometry.layers):
+        entry = by_layer.get(layer)
+        if entry is not None:
+            if entry.method == dropout.UNIFORM:
+                sel = dropout.uniform_drop(len(kept), entry.keep_ratio)
+            else:
+                sel = dropout.attention_select(snapshots[layer - 1].scores, entry.keep_ratio)
+            kept = [kept[i] for i in sel]
+            states = np.concatenate([states[sel], states[len(states) - text_tokens :]])
+        kept_per_layer.append(list(kept))
+
+        w = weights.layers[layer]
+        seq = states.shape[0]
+        normed = dropout._layer_norm(states)
+        q = (normed @ w["wq"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
+        k = (normed @ w["wk"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
+        v = (normed @ w["wv"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
+        scores = q @ k.transpose(0, 2, 1) / math.sqrt(head_dim)
+        causal = np.triu(np.full((seq, seq), -np.inf), k=1)
+        probs = _ref_softmax(scores + causal)
+        attn = (probs @ v).transpose(1, 0, 2).reshape(seq, geometry.hidden_dim)
+        states = states + attn @ w["wo"]
+        states = states + np.maximum(dropout._layer_norm(states) @ w["w1"], 0.0) @ w["w2"]
+
+        last_row = probs[:, -1, :].mean(axis=0)
+        snapshots.append(
+            dropout.AttentionSnapshot(
+                layer=layer,
+                scores=last_row[: len(kept)].copy(),
+                text_scores=last_row[len(kept) :].copy(),
+            )
+        )
+
+    return dropout.DecoderRun(states=states, snapshots=snapshots, kept=kept_per_layer)

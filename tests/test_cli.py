@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from hico import io
@@ -177,6 +178,41 @@ def test_compress_corrupt_input_is_io_error(tmp_path, capsys):
     assert code == 3
 
 
+def test_compress_missing_out_dir_names_target(tmp_path, capsys):
+    grid = synth(tmp_path, shape="2x4x4x8")
+    target = tmp_path / "no" / "such" / "dir" / "o.bin"
+    code, _, err = run(capsys, "compress", "--in", str(grid), "--out", str(target))
+    assert code == 3
+    assert err.startswith("io error:") and len(err.splitlines()) == 1
+    assert str(target) in err and ".tmp" not in err
+
+
+def resampler_with_weights(tmp_path, capsys, **arrays):
+    grid = synth(tmp_path, shape="4x4x4x8")
+    weights = tmp_path / "w.npz"
+    np.savez(weights, **arrays)
+    return run(
+        capsys, "compress", "--in", str(grid), "--out", str(tmp_path / "c.bin"),
+        "--connector", "resampler", "--queries", "5", "--weights", str(weights),
+    )
+
+
+def test_resampler_weights_without_queries(tmp_path, capsys):
+    code, _, err = resampler_with_weights(tmp_path, capsys, wk=np.eye(8))
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "'queries'" in err
+
+
+def test_resampler_weights_wk_shape_mismatch(tmp_path, capsys):
+    code, _, err = resampler_with_weights(
+        tmp_path, capsys, queries=np.ones((5, 8)), wk=np.ones((5, 8))
+    )
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "wk" in err
+
+
 # ---------------------------------------------------------------------------
 # estimate
 
@@ -241,6 +277,27 @@ def test_dropout_scale_from(tmp_path, capsys):
     )
     assert code == 0
     assert out.splitlines()[1] == "0,24"  # ceil(32 * 0.75) at scaled layer 0
+
+
+# sha256 of stdout, produced by the full-square attention that preceded the
+# row-blocked softmax. kept_final depends on every attention-guided drop.
+DROPOUT_GOLDEN = {
+    "uni:4:0.75,attn:18:0.25": "519a935b3d63c8771f3cb45da4c244606b4f13b5e47a20f28b6e2cc4b88d2dde",
+    "uni:2:0.6,attn:3:0.5,attn:20:0.3": "dae61f0d7d8b240959af19f5d51bda27528d03ecb3b8ce18fe658cbe805cd12c",
+}
+
+
+@pytest.mark.parametrize("layers", [["--layers", "28"], []], ids=["layers-28", "default-layers"])
+@pytest.mark.parametrize("schedule", sorted(DROPOUT_GOLDEN))
+def test_dropout_golden_digests(tmp_path, capsys, schedule, layers):
+    grid = synth(tmp_path, kind="clusters", shape="10x8x8x16", seed="3", k=4, noise=0.1)
+    digest = hashlib.sha256(grid.read_bytes()).hexdigest()
+    assert digest == "9233a3c040cf414c15f07aee617a6d129a936701ecda1aac7df5ae2bdb19a97b"
+    code, out, _ = run(
+        capsys, "dropout", "--in", str(grid), "--schedule", schedule, "--seed", "5", *layers
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DROPOUT_GOLDEN[schedule]
 
 
 def test_dropout_bad_schedule(tmp_path, capsys):
@@ -355,6 +412,14 @@ def test_niah_gen_rejects_non_positive_count(tmp_path, capsys, count):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_synth_non_integer_shape(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "synth", "--shape", "4x4xAx8", "--out", str(tmp_path / "g.bin")
+    )
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # config file and environment
 
@@ -394,6 +459,14 @@ def test_bad_config_key_exit_code(tmp_path, capsys):
     cfg.write_text("sampler.wat = 1\n", encoding="utf-8")
     code, _, err = run(capsys, "--config", str(cfg), "sample", "--duration", "10")
     assert code == 2
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "tool.cfg"
+    cfg.write_bytes(b"seed = 1\n\xff\xfe = 2\n")
+    code, _, err = run(capsys, "--config", str(cfg), "sample", "--duration", "10")
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hico import dropout as dp
 from hico.errors import ConfigError, DomainError
+
+from helpers import ref_toy_decoder_run
 
 TABLE_SCHEDULE = dp.DropSchedule.parse("uni:4:0.75,attn:18:0.25")
 
@@ -236,3 +238,64 @@ def test_decoder_rejects_schedule_beyond_depth():
 def test_decoder_needs_text_token():
     with pytest.raises(DomainError):
         dp.toy_decoder_run(0, visual(), seed=0)
+
+
+BLOCK = dp._ROW_BLOCK
+
+
+@st.composite
+def decoder_cases(draw):
+    heads = draw(st.sampled_from([1, 2, 4, 8]))
+    head_dim = draw(st.integers(min_value=1, max_value=4))
+    text = draw(st.integers(min_value=1, max_value=12))
+    # Visual counts, and whole sequence lengths, below, equal to, a multiple
+    # of, and off a multiple of the softmax row block.
+    edges = st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK])
+    visual = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=3 * BLOCK + 5),
+            edges,
+            edges.map(lambda seq: seq - text),
+        )
+    )
+    layers = draw(st.integers(min_value=2, max_value=4))
+    kind = draw(st.sampled_from(["empty", "uniform", "uniform+attention"]))
+    ratio = st.floats(min_value=0.05, max_value=1.0)
+    entries = []
+    if kind != "empty":
+        uni = draw(st.integers(min_value=0, max_value=layers - 2))
+        entries.append(f"uni:{uni}:{draw(ratio)}")
+        if kind == "uniform+attention":
+            attn = draw(st.integers(min_value=uni + 1, max_value=layers - 1))
+            entries.append(f"attn:{attn}:{draw(ratio)}")
+    return dict(
+        heads=heads,
+        head_dim=head_dim,
+        text=text,
+        visual=visual,
+        dim=draw(st.integers(min_value=1, max_value=6)),
+        scale=draw(st.floats(min_value=1e-3, max_value=30.0)),
+        layers=layers,
+        schedule=dp.DropSchedule.parse(",".join(entries)),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=decoder_cases())
+def test_decoder_bit_exact_against_full_square_reference(case):
+    vis = np.random.default_rng(case["seed"]).standard_normal((case["visual"], case["dim"]))
+    vis *= case["scale"]
+    geometry = dp.DecoderGeometry(
+        layers=case["layers"], hidden_dim=case["heads"] * case["head_dim"], heads=case["heads"]
+    )
+    args = (case["text"], vis, geometry, case["schedule"])
+    got = dp.toy_decoder_run(*args, seed=case["seed"])
+    want = ref_toy_decoder_run(*args, seed=case["seed"])
+    assert np.array_equal(got.states, want.states)
+    assert got.kept == want.kept
+    assert len(got.snapshots) == len(want.snapshots)
+    for a, b in zip(got.snapshots, want.snapshots):
+        assert a.layer == b.layer
+        assert np.array_equal(a.scores, b.scores)
+        assert np.array_equal(a.text_scores, b.text_scores)
