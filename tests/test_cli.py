@@ -484,3 +484,172 @@ def test_synth_and_compress_deterministic(tmp_path, capsys):
         ]) == 0
     capsys.readouterr()
     assert (tmp_path / "ca.bin").read_bytes() == (tmp_path / "cb.bin").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# goldens for the commands whose defaults come from the config schema: sha256
+# of stdout, then of each output file (a directory's files in name order).
+# Pinned from the code that wrote each default as a literal at its call site.
+
+
+def digests(out, *paths):
+    files = []
+    for path in paths:
+        files.extend(sorted(path.iterdir()) if path.is_dir() else [path])
+    return [hashlib.sha256(out.encode()).hexdigest()] + [
+        hashlib.sha256(p.read_bytes()).hexdigest() for p in files
+    ]
+
+
+def config_file(tmp_path, body):
+    path = tmp_path / "tool.cfg"
+    path.write_text(body, encoding="utf-8")
+    return str(path)
+
+
+ESTIMATE_GOLDEN = {
+    "default": (
+        ["--frames", "64"],
+        "9cf7136e4db160bbf047c2d76e6cb1014c5c4c7ff20129e31a5082a6fa03a17f",
+    ),
+    "schedule-text-64": (
+        ["--frames", "10000", "--schedule", "uni:4:0.75,attn:18:0.25", "--text-tokens", "64"],
+        "6344ad1f28c07d07d66a21650959cb81f80c8132af068690a808226b079a1fae",
+    ),
+    # No --text-tokens: counts the 8 text tokens `hico dropout` runs with, so
+    # this is the digest of the same command with --text-tokens 8. It counted
+    # 0 before the schema gave dropout.text_tokens one default.
+    "schedule-default-text": (
+        ["--frames", "10000", "--schedule", "uni:4:0.75,attn:18:0.25"],
+        "4d61236136dc41a2d0a2fc52bfbecb53935111f9c87e90d1d4d9de83f07e11a2",
+    ),
+}
+
+
+def test_sample_default_golden(capsys):
+    code, out, _ = run(capsys, "sample", "--duration", "90")
+    assert code == 0
+    assert digests(out) == ["d9b24df5e0d1849507b6e8d54aba8656b46ce8bdc61abb5777e4af5b64a6e22c"]
+
+
+@pytest.mark.parametrize("case", sorted(ESTIMATE_GOLDEN))
+def test_estimate_default_goldens(capsys, case):
+    flags, stdout_digest = ESTIMATE_GOLDEN[case]
+    code, out, _ = run(capsys, "estimate", *flags)
+    assert code == 0
+    assert digests(out) == [stdout_digest]
+
+
+def test_niah_gen_default_hops_golden(tmp_path, capsys):
+    out_dir = tmp_path / "inst"
+    code, out, _ = run(
+        capsys, "niah", "gen", "--mode", "multi", "--length", "300", "--count", "3",
+        "--seed", "4", "--synth-library", "40", "--out-dir", str(out_dir),
+    )
+    assert code == 0
+    assert digests(out, out_dir) == [
+        "01e2fc02c4bb4e45e8a506b2666c813c93d397b9172755e194df041af22c644c",
+        "10dc7f6ec63e715559b13b1497d5280b12f68b34a59ab23382969aaf2f4960db",
+        "b186a087cadf78f52bb0c8434b8ac214c34b26bf44ac5fb0c875cb68a004881c",
+        "07ceae05a3a7b699a8d3ec7eca90ca021203ce244ebc07c12ff15e06f3140404",
+    ]
+
+
+NIAH_CONFIG = """\
+seed = 11
+niah.clue_template = Next, look for '{next_caption}'.
+niah.start_template = Begin at '{caption}'.
+niah.q1_text = Which item ends the chain?
+niah.hops = 4
+niah.distractors = 2
+niah.ordered = yes
+"""
+
+
+def test_niah_gen_config_golden(tmp_path, capsys):
+    out_dir = tmp_path / "inst"
+    code, out, _ = run(
+        capsys, "--config", config_file(tmp_path, NIAH_CONFIG), "niah", "gen",
+        "--length", "300", "--count", "2", "--synth-library", "40",
+        "--out-dir", str(out_dir),
+    )
+    assert code == 0
+    assert digests(out, out_dir) == [
+        "503f449a8b36eb577e58c5aefb4892af03371c88d3dd8e6d876a1dac99cab597",
+        "d3f1b69c7b6d5de6e1ecb95b8acbbd6da5f514e2c717c1499996874595fc40bf",
+        "d65a8088380c2f76c0b6f176362f532c1cec423a0031ee5871d68ac6d77c56bb",
+    ]
+
+
+CONNECTOR_CONFIG = """\
+seed = 9
+connector.kind = {kind}
+connector.budget = 10
+connector.clip_len = 3
+connector.st_temperature = 0.25
+connector.factor = 4
+connector.f_first = 1
+connector.f_rest = 2
+connector.queries = 7
+connector.temperature = 0.5
+"""
+CONNECTOR_CONFIG_GOLDEN = {
+    "merge": [
+        "795edc023bde3569fb5c07a42a5598bdc2030a9cb4a005b2514b433882aacdc4",
+        "323488e04c8599c19cd77fe5c6a7ab4fbbf9470afc2101003ef2f6c2b67b1c49",
+    ],
+    "resampler": [
+        "0bfad13f64397d9ca0deb530f27325e2b160911e27f45ce8083a19c99969f2b0",
+        "7c680c91000b6c27d8d4e944da96f210471707f474b1bc17d3edd0afca572f41",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONNECTOR_CONFIG_GOLDEN))
+def test_compress_config_golden(tmp_path, capsys, kind):
+    grid = synth(tmp_path, kind="clusters", shape="10x8x8x16", seed="3", k=4, noise=0.1)
+    out_path = tmp_path / "c.bin"
+    code, out, _ = run(
+        capsys, "--config", config_file(tmp_path, CONNECTOR_CONFIG.format(kind=kind)),
+        "compress", "--in", str(grid), "--out", str(out_path),
+    )
+    assert code == 0
+    assert digests(out, out_path) == CONNECTOR_CONFIG_GOLDEN[kind]
+
+
+def test_niah_heatmap_score_golden(tmp_path, capsys):
+    lib = tmp_path / "lib.json"
+    main(["niah", "synth-library", "--size", "40", "--seed", "2", "--out", str(lib)])
+    cells, grid_csv = tmp_path / "cells", tmp_path / "grid.csv"
+    code, out, _ = run(
+        capsys, "niah", "heatmap", "--lengths", "60,120", "--depths", "0,0.25,1",
+        "--library", str(lib), "--out-dir", str(cells), "--grid", str(grid_csv),
+    )
+    assert code == 0
+    assert digests(out, grid_csv, cells) == [
+        "e1e6869d9753fcf2567179dc299584fc493d1ca3e985dc2d3ef10ede7b2e2812",
+        "48510aa2818e1b8fd65afa5da38dbaa4a7224f10bc35b975098d497ac697f4e2",
+        "dc16b51f1ff94e8a070e59fd9624676f8710b8484f3859c89028d03763c29943",
+        "f4995d332412bf8dc3a6cfbcc158ca79656ae6520f3bb60c7e98a81bfb19fa3d",
+        "eeeb3175eda52a6dbe783a6ddb267797184cc4299db95b28f7ebc421226c26b9",
+        "ae4afe325d61645b0ec637756484db56d795abb97949fd693dcf31fbf5f315d6",
+        "f0b8f8c8be1043d561ca72b49d9a11fc5b8aa7becba68a0ed7d384e8d75540f8",
+        "f9ee0ffb0e1a0899ff0222fd5220ce91c243b16769f7eaec7bef76020f53c4f7",
+    ]
+    # A wrong needle id in one response makes its cell score 0.
+    responses = tmp_path / "resp.jsonl"
+    main(["niah", "solve", str(cells), "--library", str(lib), "--out", str(responses)])
+    lines = responses.read_text().splitlines()
+    first = json.loads(lines[0])
+    first["needle_id"] = "nope"
+    responses.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+    heat_csv = tmp_path / "heat.csv"
+    code, out, _ = run(
+        capsys, "niah", "heatmap-score", str(cells), "--grid", str(grid_csv),
+        "--responses", str(responses), "--out", str(heat_csv),
+    )
+    assert code == 0
+    assert digests(out, heat_csv) == [
+        "db5e06e54c499f063e756ec04af5dc0655ddf88d7056ab5ce5e89200edebe193",
+        "ad8b04b314a73c57613b65c3e4106020cd9f7c9f1b88d87f99fb1d5e028ab36a",
+    ]
