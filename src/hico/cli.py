@@ -26,10 +26,11 @@ def _load_config(args) -> io.ToolConfig:
     return io.ToolConfig({})
 
 
-def _pick(flag, cfg: io.ToolConfig, key: str, default, getter: str):
-    if flag is not None:
-        return flag
-    return getattr(cfg, getter)(key, default)
+def _pick(flag, cfg: io.ToolConfig, key: str):
+    """The flag if given, else the config value or schema default, checked."""
+    if flag is None:
+        return cfg.get(key)
+    return io.check_value(key, flag)
 
 
 # ---------------------------------------------------------------------------
@@ -38,10 +39,10 @@ def _pick(flag, cfg: io.ToolConfig, key: str, default, getter: str):
 
 def cmd_sample(args, cfg: io.ToolConfig) -> int:
     policy = sampler.SamplingPolicy(
-        t_min=_pick(args.tmin, cfg, "sampler.t_min", 64, "get_int"),
-        t_max=_pick(args.tmax, cfg, "sampler.t_max", 512, "get_int"),
+        t_min=_pick(args.tmin, cfg, "sampler.t_min"),
+        t_max=_pick(args.tmax, cfg, "sampler.t_max"),
     )
-    fps = _pick(args.fps, cfg, "sampler.fps", 1.0, "get_float")
+    fps = _pick(args.fps, cfg, "sampler.fps")
     meta = sampler.VideoMeta.from_rate(args.duration, fps)
     plan = sampler.build_plan(meta, policy)
     print(f"frame_count={plan.frame_count}")
@@ -57,21 +58,18 @@ def cmd_sample(args, cfg: io.ToolConfig) -> int:
 
 
 def _connector_config(args, cfg: io.ToolConfig) -> compressor.ConnectorConfig:
-    st_temp = args.st_temperature
-    if st_temp is None:
-        st_temp = cfg.get_float("connector.st_temperature")
     return compressor.ConnectorConfig(
-        kind=_pick(args.connector, cfg, "connector.kind", "merge", "get_str"),
-        budget=_pick(args.budget, cfg, "connector.budget", 64, "get_int"),
-        clip_len=_pick(args.clip_len, cfg, "connector.clip_len", 4, "get_int"),
-        st_temperature=st_temp,
-        factor=_pick(args.factor, cfg, "connector.factor", 2, "get_int"),
-        f_first=_pick(args.f_first, cfg, "connector.f_first", 2, "get_int"),
-        f_rest=_pick(args.f_rest, cfg, "connector.f_rest", 4, "get_int"),
-        queries=_pick(args.queries, cfg, "connector.queries", 64, "get_int"),
-        query_seed=_pick(args.seed, cfg, "seed", 0, "get_int"),
-        weights_path=_pick(args.weights, cfg, "connector.weights_path", None, "get_str"),
-        temperature=_pick(args.temperature, cfg, "connector.temperature", 1.0, "get_float"),
+        kind=_pick(args.connector, cfg, "connector.kind"),
+        budget=_pick(args.budget, cfg, "connector.budget"),
+        clip_len=_pick(args.clip_len, cfg, "connector.clip_len"),
+        st_temperature=_pick(args.st_temperature, cfg, "connector.st_temperature"),
+        factor=_pick(args.factor, cfg, "connector.factor"),
+        f_first=_pick(args.f_first, cfg, "connector.f_first"),
+        f_rest=_pick(args.f_rest, cfg, "connector.f_rest"),
+        queries=_pick(args.queries, cfg, "connector.queries"),
+        query_seed=_pick(args.seed, cfg, "seed"),
+        weights_path=_pick(args.weights, cfg, "connector.weights_path"),
+        temperature=_pick(args.temperature, cfg, "connector.temperature"),
     )
 
 
@@ -100,32 +98,26 @@ def cmd_compress(args, cfg: io.ToolConfig) -> int:
 # estimate
 
 
-def _model_shape(args, cfg: io.ToolConfig) -> costmodel.ModelShape:
-    name = _pick(args.shape, cfg, "costmodel.shape", "7b", "get_str")
+def _model_shape(name: str, cfg: io.ToolConfig) -> costmodel.ModelShape:
     overrides = {}
-    nonembed = cfg.get_float("costmodel.nonembed_params")
+    nonembed = cfg.get("costmodel.nonembed_params")
     if nonembed is not None:
         overrides["nonembed_params"] = int(nonembed)
-    bpp = cfg.get_int("costmodel.bytes_per_param")
+    bpp = cfg.get("costmodel.bytes_per_param")
     if bpp is not None:
         overrides["bytes_per_param"] = bpp
     return costmodel.preset(name, **overrides)
 
 
 def cmd_estimate(args, cfg: io.ToolConfig) -> int:
-    shape = _model_shape(args, cfg)
-    tokens_per_frame = _pick(
-        args.tokens_per_frame, cfg, "costmodel.tokens_per_frame", 16, "get_int"
-    )
+    name = _pick(args.shape, cfg, "costmodel.shape")
+    shape = _model_shape(name, cfg)
+    tokens_per_frame = _pick(args.tokens_per_frame, cfg, "costmodel.tokens_per_frame")
     tokens = costmodel.tokens_for_video(args.frames, tokens_per_frame)
-    cache_bytes = _pick(
-        args.cache_bytes, cfg, "costmodel.cache_bytes_per_value", 2, "get_int"
-    )
-    overhead = _pick(
-        args.overhead_bytes, cfg, "costmodel.overhead_bytes", 2 * costmodel.GIB, "get_int"
-    )
+    cache_bytes = _pick(args.cache_bytes, cfg, "costmodel.cache_bytes_per_value")
+    overhead = _pick(args.overhead_bytes, cfg, "costmodel.overhead_bytes")
     report = costmodel.memory_estimate(tokens, shape, cache_bytes, overhead)
-    print(f"shape={_pick(args.shape, cfg, 'costmodel.shape', '7b', 'get_str')}")
+    print(f"shape={name}")
     print(f"frames={args.frames}")
     print(f"tokens_per_frame={tokens_per_frame}")
     print(f"tokens={tokens}")
@@ -136,10 +128,10 @@ def cmd_estimate(args, cfg: io.ToolConfig) -> int:
     print(f"overhead_bytes={report.overhead_bytes}")
     print(f"total_infer_bytes={report.total_infer_bytes}")
     print(f"total_infer_gb={report.total_infer_bytes / 1e9:.2f}")
-    schedule_text = args.schedule or cfg.get_str("dropout.schedule")
+    schedule_text = _pick(args.schedule, cfg, "dropout.schedule")
     if schedule_text:
         schedule = dropout.DropSchedule.parse(schedule_text)
-        text_tokens = _pick(args.text_tokens, cfg, "dropout.text_tokens", 0, "get_int")
+        text_tokens = _pick(args.text_tokens, cfg, "dropout.text_tokens")
         flops = costmodel.flops_with_schedule(tokens, schedule, shape, text_tokens)
         print(f"schedule={schedule.format()}")
         print(f"schedule_flops={flops:.6e}")
@@ -152,23 +144,22 @@ def cmd_estimate(args, cfg: io.ToolConfig) -> int:
 
 
 def cmd_dropout(args, cfg: io.ToolConfig) -> int:
-    schedule_text = _pick(args.schedule, cfg, "dropout.schedule", "", "get_str")
-    schedule = dropout.DropSchedule.parse(schedule_text)
+    schedule = dropout.DropSchedule.parse(_pick(args.schedule, cfg, "dropout.schedule"))
     geometry = dropout.DecoderGeometry(
-        layers=_pick(args.layers, cfg, "dropout.layers", 28, "get_int"),
-        hidden_dim=_pick(args.hidden_dim, cfg, "dropout.hidden_dim", 64, "get_int"),
-        heads=_pick(args.heads, cfg, "dropout.heads", 4, "get_int"),
+        layers=_pick(args.layers, cfg, "dropout.layers"),
+        hidden_dim=_pick(args.hidden_dim, cfg, "dropout.hidden_dim"),
+        heads=_pick(args.heads, cfg, "dropout.heads"),
     )
     if args.scale_from is not None:
         schedule = dropout.scale_schedule(schedule, geometry.layers, args.scale_from)
     grid = io.read_embeddings(args.infile)
     visual = grid.data.reshape(-1, grid.dim)
     run = dropout.toy_decoder_run(
-        text_tokens=_pick(args.text_tokens, cfg, "dropout.text_tokens", 8, "get_int"),
+        text_tokens=_pick(args.text_tokens, cfg, "dropout.text_tokens"),
         visual=visual,
         geometry=geometry,
         schedule=schedule,
-        seed=_pick(args.seed, cfg, "seed", 0, "get_int"),
+        seed=_pick(args.seed, cfg, "seed"),
     )
     print("layer,count")
     for layer, kept in enumerate(run.kept):
@@ -183,7 +174,7 @@ def cmd_dropout(args, cfg: io.ToolConfig) -> int:
 
 def _library(args, cfg: io.ToolConfig) -> list[niah.NeedleItem]:
     if getattr(args, "synth_library", None):
-        seed = _pick(getattr(args, "seed", None), cfg, "seed", 0, "get_int")
+        seed = _pick(getattr(args, "seed", None), cfg, "seed")
         return niah.synth_library(args.synth_library, seed=seed)
     if getattr(args, "library", None):
         return niah.load_library(args.library)
@@ -192,8 +183,8 @@ def _library(args, cfg: io.ToolConfig) -> list[niah.NeedleItem]:
 
 def _templates(cfg: io.ToolConfig) -> dict[str, str]:
     return {
-        "clue_template": cfg.get_str("niah.clue_template", niah.CLUE_TEMPLATE),
-        "start_template": cfg.get_str("niah.start_template", niah.START_TEMPLATE),
+        "clue_template": cfg.get("niah.clue_template"),
+        "start_template": cfg.get("niah.start_template"),
     }
 
 
@@ -215,8 +206,8 @@ def cmd_niah_gen(args, cfg: io.ToolConfig) -> int:
         raise DomainError(f"--count must be >= 1, got {args.count}")
     library = _library(args, cfg)
     tpl = _templates(cfg)
-    q1 = cfg.get_str("niah.q1_text", niah.Q1_TEXT)
-    seed = _pick(args.seed, cfg, "seed", 0, "get_int")
+    q1 = cfg.get("niah.q1_text")
+    seed = _pick(args.seed, cfg, "seed")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng_pick = random.Random(seed)
@@ -235,13 +226,11 @@ def cmd_niah_gen(args, cfg: io.ToolConfig) -> int:
         else:
             inst = niah.gen_multi_hop(
                 args.length,
-                _pick(args.hops, cfg, "niah.hops", 3, "get_int"),
-                _pick(args.distractors, cfg, "niah.distractors", 1, "get_int"),
+                _pick(args.hops, cfg, "niah.hops"),
+                _pick(args.distractors, cfg, "niah.distractors"),
                 library,
                 seed=inst_seed,
-                ordered=bool(
-                    args.ordered or cfg.get_bool("niah.ordered", False)
-                ),
+                ordered=args.ordered or cfg.get("niah.ordered"),
                 clue_template=tpl["clue_template"],
                 start_template=tpl["start_template"],
                 q1_text=q1,
@@ -294,18 +283,22 @@ def cmd_niah_score(args, cfg: io.ToolConfig) -> int:
     return 0
 
 
-def _csv_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _number(text: str, kind: type, what: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise DomainError(f"{what} must be {kind.__name__}, got {text!r}") from None
 
 
-def _csv_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _csv(text: str, kind: type, what: str) -> list:
+    return [_number(x, kind, what) for x in text.split(",") if x.strip()]
 
 
 def cmd_niah_heatmap(args, cfg: io.ToolConfig) -> int:
     library = _library(args, cfg)
-    seed = _pick(args.seed, cfg, "seed", 0, "get_int")
-    cells = niah.heatmap_grid(_csv_ints(args.lengths), _csv_floats(args.depths), library, seed)
+    seed = _pick(args.seed, cfg, "seed")
+    lengths = _csv(args.lengths, int, "--lengths entry")
+    cells = niah.heatmap_grid(lengths, _csv(args.depths, float, "--depths entry"), library, seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["length,depth,instance"]
@@ -322,29 +315,32 @@ def cmd_niah_heatmap_score(args, cfg: io.ToolConfig) -> int:
     if not grid_lines or grid_lines[0] != "length,depth,instance":
         raise DomainError("grid file must start with 'length,depth,instance'")
     instances = {p.stem: p for p in _instance_paths(args.paths)}
-    responses = niah.load_responses(args.responses)
-    by_id: dict[str, list[niah.Response]] = {}
-    for r in responses:
-        by_id.setdefault(r.instance_id, []).append(r)
-    rows = ["length,depth,accuracy"]
+    cells = []
     for line in grid_lines[1:]:
-        length, depth, instance_id = line.split(",")
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise DomainError(f"grid row {line!r} must be length,depth,instance")
+        length, depth, instance_id = fields
         path = instances.get(instance_id)
         if path is None:
             raise DomainError(f"grid references missing instance {instance_id}")
-        inst = niah.load_instance(path)
-        got = by_id.get(instance_id)
-        if not got:
-            raise DomainError(f"no response for instance {instance_id}")
-        hits = sum(1 for r in got if r.needle_id == inst.ground_truth[0])
-        rows.append(f"{length},{depth},{hits / len(got):.4f}")
+        cells.append(
+            niah.HeatmapCell(
+                _number(length, int, "grid length"),
+                _number(depth, float, "grid depth"),
+                niah.load_instance(path),
+            )
+        )
+    scores = niah.heatmap_scores(cells, niah.load_responses(args.responses))
+    rows = ["length,depth,accuracy"]
+    rows += [f"{length},{depth:g},{acc:.4f}" for length, depth, acc in scores]
     Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(f"rows={len(rows) - 1}")
     return 0
 
 
 def cmd_niah_synth_library(args, cfg: io.ToolConfig) -> int:
-    seed = _pick(args.seed, cfg, "seed", 0, "get_int")
+    seed = _pick(args.seed, cfg, "seed")
     items = niah.synth_library(args.size, seed=seed)
     niah.save_library(items, args.out)
     print(f"items={len(items)}")
@@ -359,14 +355,11 @@ def _parse_shape(text: str) -> tuple[int, int, int, int]:
     parts = text.lower().split("x")
     if len(parts) != 4:
         raise DomainError("shape must be FRAMESxROWSxCOLSxDIM, e.g. 4x16x16x32")
-    try:
-        return tuple(int(p) for p in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise DomainError(f"shape entries must be integers, got {text!r}") from None
+    return tuple(_number(p, int, "shape entry") for p in parts)  # type: ignore[return-value]
 
 
 def cmd_synth(args, cfg: io.ToolConfig) -> int:
-    seed = _pick(args.seed, cfg, "seed", 0, "get_int")
+    seed = _pick(args.seed, cfg, "seed")
     grid = io.synth_grid(
         args.kind, _parse_shape(args.shape), seed=seed, k=args.k, noise=args.noise
     )

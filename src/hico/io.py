@@ -14,15 +14,21 @@ into place, so readers never observe a partial file.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .compressor import CONNECTOR_KINDS, TokenGrid
+from .compressor import CONNECTOR_KINDS, ConnectorConfig, TokenGrid
+from .costmodel import GIB, PRESETS
+from .dropout import DecoderGeometry, DropSchedule
 from .errors import ConfigError, DomainError
+from .niah import CLUE_TEMPLATE, Q1_TEXT, START_TEMPLATE
+from .sampler import SamplingPolicy
 
 MAGIC = b"HICO"
 VERSION = 1
@@ -165,124 +171,116 @@ def synth_grid(
     return TokenGrid(data)
 
 
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", _parse_bool: "a boolean"}
+
+
+def _at_least(low: int):
+    return lambda value: None if value >= low else f"must be >= {low}"
+
+
+def _one_of(names):
+    return lambda value: None if value in names else f"must be one of {', '.join(sorted(names))}"
+
+
+def _finite(value: float) -> str | None:
+    return None if math.isfinite(value) else "must be finite"
+
+
+def _schedule(text: str) -> str | None:
+    try:
+        DropSchedule.parse(text)
+    except ConfigError as exc:
+        return f"must be a drop schedule ({exc})"
+    return None
+
+
+def _placeholder_once(marker: str):
+    return lambda text: None if text.count(marker) == 1 else f"must contain {marker} exactly once"
+
+
+class ConfigRow(NamedTuple):
+    """How one config key's text is parsed, its value when unset, and a check
+    that returns a complaint about a bad value, or None."""
+
+    parse: Callable[[str], Any]
+    default: Any
+    check: Callable[[Any], str | None] = lambda value: None
+
+
+# The one list of config keys. Command-line flags for the same knobs take
+# their defaults from here too, and pass the same check.
+CONFIG_SCHEMA: dict[str, ConfigRow] = {
+    "seed": ConfigRow(int, 0, _at_least(0)),
+    "sampler.t_min": ConfigRow(int, SamplingPolicy.t_min),
+    "sampler.t_max": ConfigRow(int, SamplingPolicy.t_max),
+    "sampler.fps": ConfigRow(float, 1.0),
+    "connector.kind": ConfigRow(str, ConnectorConfig.kind, _one_of(CONNECTOR_KINDS)),
+    "connector.budget": ConfigRow(int, ConnectorConfig.budget),
+    "connector.clip_len": ConfigRow(int, ConnectorConfig.clip_len),
+    "connector.st_temperature": ConfigRow(float, ConnectorConfig.st_temperature),
+    "connector.factor": ConfigRow(int, ConnectorConfig.factor),
+    "connector.f_first": ConfigRow(int, ConnectorConfig.f_first),
+    "connector.f_rest": ConfigRow(int, ConnectorConfig.f_rest),
+    "connector.queries": ConfigRow(int, ConnectorConfig.queries),
+    "connector.temperature": ConfigRow(float, ConnectorConfig.temperature),
+    "connector.weights_path": ConfigRow(str, ConnectorConfig.weights_path),
+    "dropout.schedule": ConfigRow(str, "", _schedule),
+    # The paper's 28-layer decoders, not DecoderGeometry's 4-layer toy.
+    "dropout.layers": ConfigRow(int, 28),
+    "dropout.hidden_dim": ConfigRow(int, DecoderGeometry.hidden_dim),
+    "dropout.heads": ConfigRow(int, DecoderGeometry.heads),
+    # An attention drop ranks tokens by a text query, so keep some text.
+    "dropout.text_tokens": ConfigRow(int, 8),
+    "costmodel.shape": ConfigRow(str, "7b", _one_of(PRESETS)),
+    # Unset: the preset's own parameter count and bytes per parameter.
+    "costmodel.nonembed_params": ConfigRow(float, None, _finite),
+    "costmodel.bytes_per_param": ConfigRow(int, None),
+    "costmodel.cache_bytes_per_value": ConfigRow(int, 2),
+    "costmodel.overhead_bytes": ConfigRow(int, 2 * GIB),
+    "costmodel.tokens_per_frame": ConfigRow(int, 16),
+    "niah.clue_template": ConfigRow(str, CLUE_TEMPLATE, _placeholder_once("{next_caption}")),
+    "niah.start_template": ConfigRow(str, START_TEMPLATE, _placeholder_once("{caption}")),
+    "niah.q1_text": ConfigRow(str, Q1_TEXT),
+    "niah.hops": ConfigRow(int, 3),
+    "niah.distractors": ConfigRow(int, 1),
+    "niah.ordered": ConfigRow(_parse_bool, False),
+}
+
+
+def check_value(key: str, value: Any) -> Any:
+    """Return `value`, or raise ConfigError if it fails `key`'s check."""
+    complaint = CONFIG_SCHEMA[key].check(value)
+    if complaint:
+        raise ConfigError(f"{key} {complaint}, got {value!r}")
+    return value
+
+
 @dataclass
 class ToolConfig:
-    """Flat dotted-key configuration with typed accessors."""
+    """Flat dotted-key configuration, typed and checked by CONFIG_SCHEMA."""
 
     values: dict[str, str]
 
-    def get_str(self, key: str, default: str | None = None) -> str | None:
-        return self.values.get(key, default)
-
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
+    def get(self, key: str) -> Any:
+        """The typed, checked value of `key`, or its schema default when unset."""
+        row = CONFIG_SCHEMA[key]
+        text = self.values.get(key)
+        if text is None:
+            return row.default
         try:
-            return int(raw)
+            value = row.parse(text)
         except ValueError:
-            raise ConfigError(f"config key {key!r} must be an integer, got {raw!r}")
-
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key!r} must be a number, got {raw!r}")
-
-    def get_bool(self, key: str, default: bool | None = None) -> bool | None:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        lowered = raw.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"config key {key!r} must be a boolean, got {raw!r}")
-
-
-KNOWN_CONFIG_KEYS = frozenset(
-    {
-        "seed",
-        "sampler.t_min",
-        "sampler.t_max",
-        "sampler.fps",
-        "connector.kind",
-        "connector.budget",
-        "connector.clip_len",
-        "connector.st_temperature",
-        "connector.factor",
-        "connector.f_first",
-        "connector.f_rest",
-        "connector.queries",
-        "connector.temperature",
-        "connector.weights_path",
-        "dropout.schedule",
-        "dropout.layers",
-        "dropout.hidden_dim",
-        "dropout.heads",
-        "dropout.text_tokens",
-        "costmodel.shape",
-        "costmodel.nonembed_params",
-        "costmodel.bytes_per_param",
-        "costmodel.cache_bytes_per_value",
-        "costmodel.overhead_bytes",
-        "costmodel.tokens_per_frame",
-        "niah.clue_template",
-        "niah.start_template",
-        "niah.q1_text",
-        "niah.hops",
-        "niah.distractors",
-        "niah.ordered",
-    }
-)
-
-
-_INT_KEYS = (
-    "seed", "sampler.t_min", "sampler.t_max", "connector.budget",
-    "connector.clip_len", "connector.factor", "connector.f_first",
-    "connector.f_rest", "connector.queries", "dropout.layers",
-    "dropout.hidden_dim", "dropout.heads", "dropout.text_tokens",
-    "costmodel.bytes_per_param", "costmodel.cache_bytes_per_value",
-    "costmodel.overhead_bytes", "costmodel.tokens_per_frame",
-    "niah.hops", "niah.distractors",
-)
-_FLOAT_KEYS = (
-    "sampler.fps", "connector.st_temperature", "connector.temperature",
-    "costmodel.nonembed_params",
-)
-_BOOL_KEYS = ("niah.ordered",)
-
-
-def _validate_values(cfg: ToolConfig) -> None:
-    from .costmodel import PRESETS
-    from .dropout import DropSchedule
-
-    for key in _INT_KEYS:
-        cfg.get_int(key)
-    for key in _FLOAT_KEYS:
-        cfg.get_float(key)
-    for key in _BOOL_KEYS:
-        cfg.get_bool(key)
-    kind = cfg.get_str("connector.kind")
-    if kind is not None and kind not in CONNECTOR_KINDS:
-        raise ConfigError(f"config key 'connector.kind' has unknown value {kind!r}")
-    shape = cfg.get_str("costmodel.shape")
-    if shape is not None and shape not in PRESETS:
-        raise ConfigError(f"config key 'costmodel.shape' names unknown preset {shape!r}")
-    schedule = cfg.get_str("dropout.schedule")
-    if schedule is not None:
-        DropSchedule.parse(schedule)
-    for key, marker in (
-        ("niah.clue_template", "{next_caption}"),
-        ("niah.start_template", "{caption}"),
-    ):
-        template = cfg.get_str(key)
-        if template is not None and template.count(marker) != 1:
-            raise ConfigError(f"config key {key!r} must contain {marker} exactly once")
+            raise ConfigError(f"{key} must be {_TYPE_NAMES[row.parse]}, got {text!r}") from None
+        return check_value(key, value)
 
 
 def load_config(path: str | os.PathLike) -> ToolConfig:
@@ -292,7 +290,7 @@ def load_config(path: str | os.PathLike) -> ToolConfig:
     fail their key's validation are rejected at load time, so typos fail
     loudly before any command runs.
     """
-    values: dict[str, str] = {}
+    cfg = ToolConfig({})
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = list(f)
@@ -306,9 +304,11 @@ def load_config(path: str | os.PathLike) -> ToolConfig:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in KNOWN_CONFIG_KEYS:
+        if key not in CONFIG_SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
-    cfg = ToolConfig(values)
-    _validate_values(cfg)
+        cfg.values[key] = value.strip()
+        try:
+            cfg.get(key)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return cfg

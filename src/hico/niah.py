@@ -580,25 +580,55 @@ def instance_to_dict(instance: NiahInstance) -> dict:
     }
 
 
-def instance_from_dict(raw: dict) -> NiahInstance:
-    def path_from(d: dict) -> ReasoningPath:
-        return ReasoningPath(
-            hops=tuple(
-                Hop(item_id=h["item_id"], position=h["position"], clue=h["clue"])
-                for h in d["hops"]
-            ),
-            is_correct=bool(d["is_correct"]),
-        )
+_JSON_NAMES = {
+    int: "an integer", str: "a string", bool: "true or false", list: "a list",
+    dict: "an object", type(None): "null",
+}
 
-    gt = raw["ground_truth"]
+
+def _field(d: object, key: str, kind: type | tuple[type, ...], where: str):
+    """d[key] when d is a JSON object holding a `kind` there; DomainError otherwise."""
+    if not isinstance(d, dict):
+        raise DomainError(f"{where} must be a JSON object, got {type(d).__name__}")
+    if key not in d:
+        raise DomainError(f"{where} lacks key {key!r}")
+    value = d[key]
+    # JSON true/false must not pass for an integer.
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is int):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        expected = " or ".join(_JSON_NAMES[k] for k in kinds)
+        raise DomainError(f"{where} key {key!r} must be {expected}, got {type(value).__name__}")
+    return value
+
+
+def instance_from_dict(raw: dict) -> NiahInstance:
+    """Inverse of instance_to_dict; DomainError on a missing key or a wrong type."""
+
+    def path_from(d: object, where: str) -> ReasoningPath:
+        hops = []
+        for i, h in enumerate(_field(d, "hops", list, where)):
+            at = f"{where} hop {i}"
+            hops.append(
+                Hop(
+                    item_id=_field(h, "item_id", str, at),
+                    position=_field(h, "position", int, at),
+                    clue=_field(h, "clue", (str, type(None)), at),
+                )
+            )
+        return ReasoningPath(hops=tuple(hops), is_correct=_field(d, "is_correct", bool, where))
+
+    gt = _field(raw, "ground_truth", list, "instance")
+    if len(gt) != 2 or not all(isinstance(x, str) for x in gt):
+        raise DomainError("instance key 'ground_truth' must be [needle id, answer] strings")
+    distractors = _field(raw, "distractors", list, "instance")
     return NiahInstance(
-        seed=int(raw["seed"]),
-        haystack_len=int(raw["haystack_len"]),
-        correct_path=path_from(raw["correct_path"]),
-        distractors=tuple(path_from(p) for p in raw["distractors"]),
-        start_hint=raw["start_hint"],
-        q1=raw["q1"],
-        q2=raw["q2"],
+        seed=_field(raw, "seed", int, "instance"),
+        haystack_len=_field(raw, "haystack_len", int, "instance"),
+        correct_path=path_from(_field(raw, "correct_path", dict, "instance"), "correct path"),
+        distractors=tuple(path_from(p, f"distractor {i}") for i, p in enumerate(distractors)),
+        start_hint=_field(raw, "start_hint", str, "instance"),
+        q1=_field(raw, "q1", str, "instance"),
+        q2=_field(raw, "q2", str, "instance"),
         ground_truth=(gt[0], gt[1]),
     )
 
@@ -620,16 +650,17 @@ def write_instance(instance: NiahInstance, path: str | os.PathLike) -> None:
 def load_responses(path: str | os.PathLike) -> list[Response]:
     responses = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
             raw = json.loads(line)
+            where = f"{path}:{lineno}"
             responses.append(
                 Response(
-                    instance_id=str(raw["instance_id"]),
-                    needle_id=str(raw["needle_id"]),
-                    answer=str(raw["answer"]),
+                    instance_id=_field(raw, "instance_id", str, where),
+                    needle_id=_field(raw, "needle_id", str, where),
+                    answer=_field(raw, "answer", str, where),
                 )
             )
     return responses

@@ -653,3 +653,89 @@ def test_niah_heatmap_score_golden(tmp_path, capsys):
         "db5e06e54c499f063e756ec04af5dc0655ddf88d7056ab5ce5e89200edebe193",
         "ad8b04b314a73c57613b65c3e4106020cd9f7c9f1b88d87f99fb1d5e028ab36a",
     ]
+
+
+# ---------------------------------------------------------------------------
+# inputs that used to end in a traceback: exit 2 with one stderr line
+
+
+def one_line_error(code, err):
+    return code == 2 and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["synth", "dropout", "compress", "niah-gen"])
+def test_negative_seed_flag_is_domain_error(tmp_path, capsys, command):
+    grid = synth(tmp_path, shape="2x4x4x8")
+    argv = {
+        "synth": ["synth", "--shape", "2x4x4x8", "--out", str(tmp_path / "g.bin")],
+        "dropout": ["dropout", "--in", str(grid)],
+        "compress": ["compress", "--in", str(grid), "--out", str(tmp_path / "c.bin"),
+                     "--connector", "resampler"],
+        # Random(-1) seeds exactly like Random(1), so -1 would repeat seed 1.
+        "niah-gen": ["niah", "gen", "--length", "100", "--synth-library", "20",
+                     "--out-dir", str(tmp_path / "n")],
+    }[command]
+    code, _, err = run(capsys, *argv, "--seed", "-1")
+    assert one_line_error(code, err)
+    assert "seed must be >= 0" in err
+
+
+def test_negative_seed_config_is_domain_error(tmp_path, capsys):
+    cfg = config_file(tmp_path, "seed = -1\n")
+    code, _, err = run(
+        capsys, "--config", cfg, "synth", "--shape", "2x4x4x8", "--out", str(tmp_path / "g.bin")
+    )
+    assert one_line_error(code, err)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_nonembed_params_is_domain_error(tmp_path, capsys, value):
+    cfg = config_file(tmp_path, f"costmodel.nonembed_params = {value}\n")
+    code, _, err = run(capsys, "--config", cfg, "estimate", "--frames", "64")
+    assert one_line_error(code, err)
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("document", ['{"id": "x"}', "[1, 2]"])
+def test_niah_validate_malformed_instance(tmp_path, capsys, document):
+    path = tmp_path / "bad.json"
+    path.write_text(document, encoding="utf-8")
+    code, _, err = run(capsys, "niah", "validate", str(path), "--synth-library", "20")
+    assert one_line_error(code, err)
+
+
+def test_niah_score_malformed_response(tmp_path, capsys):
+    out_dir = tmp_path / "inst"
+    main(["niah", "gen", "--length", "100", "--synth-library", "20", "--out-dir", str(out_dir)])
+    responses = tmp_path / "r.jsonl"
+    responses.write_text('{"instance_id": 1}\n', encoding="utf-8")
+    code, _, err = run(capsys, "niah", "score", str(out_dir), "--responses", str(responses))
+    assert one_line_error(code, err)
+
+
+@pytest.mark.parametrize("flag,value", [("--lengths", "50,a"), ("--depths", "x")])
+def test_niah_heatmap_non_numeric_axis(tmp_path, capsys, flag, value):
+    argv = {"--lengths": "50", "--depths": "0.5", flag: value}
+    code, _, err = run(
+        capsys, "niah", "heatmap", *[x for kv in argv.items() for x in kv],
+        "--synth-library", "20", "--out-dir", str(tmp_path / "c"), "--grid", str(tmp_path / "g.csv"),
+    )
+    assert one_line_error(code, err)
+
+
+@pytest.mark.parametrize("row", ["60,0", "60,0,x,y", "a,0,{id}", "60,deep,{id}"])
+def test_niah_heatmap_score_malformed_grid(tmp_path, capsys, row):
+    cells, grid_csv = tmp_path / "cells", tmp_path / "grid.csv"
+    main([
+        "niah", "heatmap", "--lengths", "60", "--depths", "0", "--synth-library", "20",
+        "--out-dir", str(cells), "--grid", str(grid_csv),
+    ])
+    responses = tmp_path / "r.jsonl"
+    main(["niah", "solve", str(cells), "--synth-library", "20", "--out", str(responses)])
+    instance_id = grid_csv.read_text().splitlines()[1].split(",")[2]
+    grid_csv.write_text("length,depth,instance\n" + row.format(id=instance_id) + "\n")
+    code, _, err = run(
+        capsys, "niah", "heatmap-score", str(cells), "--grid", str(grid_csv),
+        "--responses", str(responses), "--out", str(tmp_path / "heat.csv"),
+    )
+    assert one_line_error(code, err)

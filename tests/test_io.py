@@ -1,7 +1,11 @@
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hico import io
 from hico.compressor import TokenGrid, tome_merge
@@ -153,11 +157,11 @@ niah.ordered = true
         encoding="utf-8",
     )
     cfg = io.load_config(path)
-    assert cfg.get_int("sampler.t_min") == 32
-    assert cfg.get_int("sampler.t_max") == 128
-    assert cfg.get_str("connector.kind") == "spatial"
-    assert cfg.get_bool("niah.ordered") is True
-    assert cfg.get_int("dropout.layers", 28) == 28
+    assert cfg.get("sampler.t_min") == 32
+    assert cfg.get("sampler.t_max") == 128
+    assert cfg.get("connector.kind") == "spatial"
+    assert cfg.get("niah.ordered") is True
+    assert cfg.get("dropout.layers") == 28
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -169,17 +173,17 @@ def test_config_rejects_unknown_key(tmp_path):
 
 def test_config_rejects_bad_types_at_load(tmp_path):
     path = tmp_path / "tool.cfg"
-    path.write_text("sampler.t_min = lots\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
+    path.write_text("\nsampler.t_min = lots\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=":2: sampler.t_min must be an integer"):
         io.load_config(path)
 
 
 def test_config_typed_getters_reject_bad_values():
     cfg = io.ToolConfig({"sampler.t_min": "lots", "niah.ordered": "maybe"})
     with pytest.raises(ConfigError):
-        cfg.get_int("sampler.t_min")
+        cfg.get("sampler.t_min")
     with pytest.raises(ConfigError):
-        cfg.get_bool("niah.ordered")
+        cfg.get("niah.ordered")
 
 
 def test_config_validates_presets_and_schedules(tmp_path):
@@ -188,6 +192,9 @@ def test_config_validates_presets_and_schedules(tmp_path):
         "dropout.schedule = uni:4\n",
         "connector.kind = sparkle\n",
         "niah.clue_template = no placeholder here\n",
+        "seed = -1\n",
+        "costmodel.nonembed_params = nan\n",
+        "costmodel.nonembed_params = 1e400\n",
     ):
         path = tmp_path / "tool.cfg"
         path.write_text(body, encoding="utf-8")
@@ -200,3 +207,49 @@ def test_config_rejects_missing_equals(tmp_path):
     path.write_text("just some words\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         io.load_config(path)
+
+
+@pytest.mark.parametrize("key", sorted(io.CONFIG_SCHEMA))
+def test_config_schema_defaults_pass_their_checks(key):
+    default = io.ToolConfig({}).get(key)
+    assert default == io.CONFIG_SCHEMA[key].default
+    if default is not None:
+        assert io.check_value(key, default) == default
+
+
+CONFIG_LINES = st.one_of(
+    st.tuples(
+        st.sampled_from(sorted(io.CONFIG_SCHEMA)) | st.text(st.characters(codec="utf-8"), max_size=12),
+        st.one_of(
+            st.text(st.characters(codec="utf-8"), max_size=20),
+            st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1", "-9" * 40, "9" * 5000, ""]),
+            st.integers().map(str),
+            st.floats().map(repr),
+        ),
+    ).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(st.characters(codec="utf-8"), max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(CONFIG_LINES, max_size=6))
+def test_load_config_fuzz_raises_only_config_error(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        cfg = io.load_config(path)
+    except ConfigError:
+        return
+    for key in cfg.values:
+        cfg.get(key)
+
+
+def test_readme_documents_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([\w.]+)` \| (\w+) \|", section, flags=re.M)
+    type_names = {"_parse_bool": "bool"}
+    assert rows == [
+        (key, type_names.get(row.parse.__name__, row.parse.__name__))
+        for key, row in io.CONFIG_SCHEMA.items()
+    ]

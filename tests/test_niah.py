@@ -2,6 +2,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hico import niah
 from hico.errors import CapacityError, DomainError
@@ -81,6 +83,91 @@ def test_instance_json_round_trip():
     inst = niah.gen_multi_hop(200, 3, 1, LIB, seed=11)
     again = niah.instance_from_dict(niah.instance_to_dict(inst))
     assert again == inst
+
+
+BAD_DOCUMENTS = {
+    "foreign-object": (lambda raw: {"id": "x"}, "lacks key"),
+    "list": (lambda raw: [1, 2], "must be a JSON object"),
+    "no-ground-truth": (lambda raw: raw.pop("ground_truth") and raw, "lacks key 'ground_truth'"),
+    "string-seed": (lambda raw: raw.update(seed="3") or raw, "'seed' must be an integer"),
+    "bool-length": (
+        lambda raw: raw.update(haystack_len=True) or raw, "'haystack_len' must be an integer"
+    ),
+    "hop-no-position": (
+        lambda raw: raw["correct_path"]["hops"][0].pop("position") and raw, "hop 0 lacks"
+    ),
+    "int-clue": (
+        lambda raw: raw["correct_path"]["hops"][-1].update(clue=5) or raw, "string or null"
+    ),
+    "int-is-correct": (
+        lambda raw: raw["distractors"][0].update(is_correct=0) or raw, "true or false"
+    ),
+    "short-ground-truth": (lambda raw: raw.update(ground_truth=["a"]) or raw, "'ground_truth'"),
+    "object-distractors": (
+        lambda raw: raw.update(distractors={}) or raw, "'distractors' must be a list"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
+def test_instance_from_dict_rejects_bad_documents(case):
+    mutate, message = BAD_DOCUMENTS[case]
+    raw = niah.instance_to_dict(niah.gen_multi_hop(200, 3, 1, LIB, seed=11))
+    with pytest.raises(DomainError, match=message):
+        niah.instance_from_dict(mutate(raw))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _slots(node) -> list:
+    """Every (container, key) pair inside a JSON document."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return []
+    slots = []
+    for key, value in items:
+        slots.append((node, key))
+        slots.extend(_slots(value))
+    return slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 30), data=st.data())
+def test_instance_from_dict_fuzz_raises_only_domain_error(seed, data):
+    raw = niah.instance_to_dict(niah.gen_multi_hop(80, 2, 1, LIB, seed=seed))
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = _slots(raw)
+        if not slots:
+            break
+        container, key = data.draw(st.sampled_from(slots))
+        if isinstance(container, dict) and data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = data.draw(JSON_VALUES)
+    try:
+        niah.instance_from_dict(raw)
+    except DomainError:
+        pass
+
+
+def test_load_responses_rejects_bad_lines(tmp_path):
+    path = tmp_path / "r.jsonl"
+    for line, message in (
+        ('{"instance_id": 1}', "'instance_id' must be a string"),
+        ('{"instance_id": "a", "needle_id": "b"}', "lacks key 'answer'"),
+        ("[1]", "must be a JSON object"),
+    ):
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(DomainError, match=message):
+            niah.load_responses(path)
 
 
 # ---------------------------------------------------------------------------
