@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hico import io
+from hico import dropout, io
 from hico.cli import main
 
 
@@ -160,6 +160,41 @@ def test_compress_golden_digests(tmp_path, capsys, case):
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
 
 
+# sha256 of the output file and of stdout, produced by the clip-at-a-time
+# merge that preceded the lockstep stack. 18 frames in clips of 4 give four
+# equal clips, merged as one stack, and a short 2-frame clip; noise 0 makes
+# every cluster's tokens exact duplicates, so ties decide most matches.
+STACK_GOLDEN = {
+    "merge": (
+        ["--budget", "10"],
+        "9868531241ef897074ddab57804d6d602259f26fab1123650d60c6869607f5b7",
+        "7f37f9563b31d44ace4d13b780829d532692ee72825ecb6eb282693b325bb045",
+    ),
+    "merge-st": (
+        ["--budget", "10", "--st-temperature", "0.5"],
+        "d49491f8ce0df1837b025ebe5639a10b2ea9ab0fb8921233043868ddc289e869",
+        "2b15a6b6b316aa316198cfdd33397e93a762cca18d174e33937f4a657059a98d",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_GOLDEN))
+def test_compress_stacked_clips_golden_digests(tmp_path, capsys, case):
+    grid = synth(tmp_path, kind="clusters", shape="18x6x6x8", seed="11", k=3, noise=0.0)
+    digest = hashlib.sha256(grid.read_bytes()).hexdigest()
+    assert digest == "bc7db741d72ce4f2dd0b5031d39fdf2642d66d63f4b2e85b53a6d2526f34e9f6"
+    flags, file_digest, stdout_digest = STACK_GOLDEN[case]
+    out_path = tmp_path / "c.bin"
+    code, out, _ = run(
+        capsys, "compress", "--in", str(grid), "--out", str(out_path),
+        "--connector", "merge", "--clip-len", "4", *flags,
+    )
+    assert code == 0
+    assert "clips=5" in out and "clip_offsets=0,10,20,30,40" in out
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == file_digest
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+
+
 def test_compress_missing_input_is_io_error(tmp_path, capsys):
     code, _, err = run(
         capsys, "compress", "--in", str(tmp_path / "nope.bin"),
@@ -298,6 +333,44 @@ def test_dropout_golden_digests(tmp_path, capsys, schedule, layers):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DROPOUT_GOLDEN[schedule]
+
+
+# sha256 of toy_decoder_run's final states and of every snapshot's scores and
+# text_scores, in layer order, produced by the decoder that preceded these
+# pins. stdout above shows only counts and kept indices, so a last-bit change
+# in the attention probabilities shows here and not there.
+DECODER_GOLDEN = {
+    "uni:4:0.75,attn:18:0.25": (
+        "ca08b4b4042738691231741b7854b6e84ec1b72e74c80334b375068b094992c8",
+        "79a180155d85d4254d0394aa4532184c16bd0dbaf9fbc83814ae638cd02d7cef",
+    ),
+    "uni:2:0.6,attn:3:0.5,attn:20:0.3": (
+        "f11692a546259afd94889e67fd4f97d4c0c912968a38ca95bfa957ba6938ff63",
+        "0052498cd169c17ad452dada58a0f31ad02a3e5c3e8eb17aeedfe1b88347b0bf",
+    ),
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(DECODER_GOLDEN))
+def test_decoder_states_and_scores_golden_digests(tmp_path, schedule):
+    grid = synth(tmp_path, kind="clusters", shape="10x8x8x16", seed="3", k=4, noise=0.1)
+    digest = hashlib.sha256(grid.read_bytes()).hexdigest()
+    assert digest == "9233a3c040cf414c15f07aee617a6d129a936701ecda1aac7df5ae2bdb19a97b"
+    decoded = dropout.toy_decoder_run(
+        text_tokens=8,
+        visual=io.read_embeddings(grid).data.reshape(-1, 16),
+        geometry=dropout.DecoderGeometry(layers=28),
+        schedule=dropout.DropSchedule.parse(schedule),
+        seed=5,
+    )
+    scores = hashlib.sha256()
+    for snap in decoded.snapshots:
+        scores.update(snap.scores.tobytes())
+        scores.update(snap.text_scores.tobytes())
+    assert len(decoded.snapshots) == 28
+    assert (hashlib.sha256(decoded.states.tobytes()).hexdigest(), scores.hexdigest()) == (
+        DECODER_GOLDEN[schedule]
+    )
 
 
 def test_dropout_bad_schedule(tmp_path, capsys):
