@@ -117,6 +117,12 @@ def cmd_estimate(args, cfg: io.ToolConfig) -> int:
     cache_bytes = _pick(args.cache_bytes, cfg, "costmodel.cache_bytes_per_value")
     overhead = _pick(args.overhead_bytes, cfg, "costmodel.overhead_bytes")
     report = costmodel.memory_estimate(tokens, shape, cache_bytes, overhead)
+    # Every check runs before the first line, so an exit 2 prints no report.
+    schedule_text = _pick(args.schedule, cfg, "dropout.schedule")
+    if schedule_text:
+        schedule = dropout.DropSchedule.parse(schedule_text)
+        text_tokens = _pick(args.text_tokens, cfg, "dropout.text_tokens")
+        flops = costmodel.flops_with_schedule(tokens, schedule, shape, text_tokens)
     print(f"shape={name}")
     print(f"frames={args.frames}")
     print(f"tokens_per_frame={tokens_per_frame}")
@@ -128,11 +134,7 @@ def cmd_estimate(args, cfg: io.ToolConfig) -> int:
     print(f"overhead_bytes={report.overhead_bytes}")
     print(f"total_infer_bytes={report.total_infer_bytes}")
     print(f"total_infer_gb={report.total_infer_bytes / 1e9:.2f}")
-    schedule_text = _pick(args.schedule, cfg, "dropout.schedule")
     if schedule_text:
-        schedule = dropout.DropSchedule.parse(schedule_text)
-        text_tokens = _pick(args.text_tokens, cfg, "dropout.text_tokens")
-        flops = costmodel.flops_with_schedule(tokens, schedule, shape, text_tokens)
         print(f"schedule={schedule.format()}")
         print(f"schedule_flops={flops:.6e}")
         print(f"schedule_tflops={flops / 1e12:.2f}")
@@ -173,7 +175,7 @@ def cmd_dropout(args, cfg: io.ToolConfig) -> int:
 
 
 def _library(args, cfg: io.ToolConfig) -> list[niah.NeedleItem]:
-    if getattr(args, "synth_library", None):
+    if getattr(args, "synth_library", None) is not None:
         seed = _pick(getattr(args, "seed", None), cfg, "seed")
         return niah.synth_library(args.synth_library, seed=seed)
     if getattr(args, "library", None):

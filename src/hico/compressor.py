@@ -287,49 +287,78 @@ def _unit_rows(vecs: np.ndarray) -> np.ndarray:
 
 
 def tome_merge(vectors: np.ndarray, target: int, sizes: np.ndarray | None = None) -> Columns:
-    """Reduce (n, dim) token vectors to exactly `target` rows by similarity merging.
+    """Reduce each clip's token vectors to exactly `target` rows by similarity merging.
 
-    Input rows are in source order with the given sizes (1 when omitted).
-    Each round splits the current tokens by index parity into sets A and B,
+    `vectors` is one clip, (n, dim), or a stack of equal-sized clips,
+    (clips, n, dim), whose rounds run in lockstep; the columns come back with
+    the same leading shape, bit-identical to merging each clip alone. Input
+    rows are in source order with the given sizes (1 when omitted). Each
+    round splits a clip's current tokens by index parity into sets A and B,
     matches every A-token to its most cosine-similar B-token, and merges the
     r = min(count // 2, surplus) highest-similarity pairs into their B-token
     by size-weighted averaging. Ties prefer the smaller index. Survivors are
     re-ordered by smallest source before the next round, which is also the
     final output order. owner[i] is the output row that absorbed input row i.
     """
-    vecs = np.array(vectors, dtype=np.float64)
-    n = len(vecs)
+    vecs = np.asarray(vectors, dtype=np.float64)
+    if vecs.ndim not in (2, 3) or len(vecs) < 1:
+        raise DomainError(f"need (tokens, dim) or (clips, tokens, dim) vectors, got {vecs.shape}")
+    sizes = np.ones(vecs.shape[:-1], np.int64) if sizes is None else np.array(sizes, np.int64)
+    if sizes.shape != vecs.shape[:-1]:
+        raise DomainError(f"sizes shape {sizes.shape} does not match the vectors {vecs.shape}")
+    one_clip = vecs.ndim == 2
+    if one_clip:
+        vecs, sizes = vecs[None], sizes[None]
+    clips, n, dim = vecs.shape
     if not 1 <= target <= n:
         raise DomainError(f"target {target} must be between 1 and the token count {n}")
-    sizes = np.ones(n, np.int64) if sizes is None else np.array(sizes, dtype=np.int64)
-    first = np.arange(n)  # smallest source of each current token
-    owner = np.arange(n)
+    if n == target:
+        vecs = vecs.copy()  # the only round-free case: never hand back the input
+    first = np.tile(np.arange(n), (clips, 1))  # smallest source of each current token
+    owner = first.copy()
+    clip_ids = np.arange(clips)[:, None]
     while n > target:
         r = min(n // 2, n - target)
-        sims = _unit_rows(vecs[0::2]) @ _unit_rows(vecs[1::2]).T
-        best = np.argmax(sims, axis=1)
-        best_sim = sims[np.arange(len(best)), best]
-        ranked = np.argsort(-best_sim, kind="stable")[:r]
-        src, dst = 2 * ranked, 2 * best[ranked] + 1
+        half = (n + 1) // 2
+        best, best_sim = np.empty((clips, half), np.int64), np.empty((clips, half))
+        for c in range(clips):  # one (n/2, n/2) similarity block at a time
+            sims = _unit_rows(vecs[c, 0::2]) @ _unit_rows(vecs[c, 1::2]).T
+            best[c] = np.argmax(sims, axis=1)
+            best_sim[c] = sims[np.arange(half), best[c]]
+        ranked = np.argsort(-best_sim, axis=1, kind="stable")[:, :r]
+        src, dst = 2 * ranked, 2 * np.take_along_axis(best, ranked, axis=1) + 1
+        # Flat row ids clip·n + i let one pass serve the whole stack.
+        flat_src, flat_dst = (clip_ids * n + src).ravel(), (clip_ids * n + dst).ravel()
+        flat_first = first.reshape(-1)
+        np.minimum.at(flat_first, flat_dst, flat_first[flat_src])
+        flat_first[flat_src] = owner.shape[1]  # merged-away rows sort last and are dropped
+        order = np.argsort(first, axis=1)
+        position = np.argsort(order, axis=1)
+        position.reshape(-1)[flat_src] = position.reshape(-1)[flat_dst]
+        owner = np.take_along_axis(position, owner, axis=1)
+        n -= r
+        # Survivors go into half-size arrays before the merges, which then read
+        # each source from the old array: sources are even rows and
+        # destinations odd, so no source has been merged into yet.
+        keep = order[:, :n]
+        merged, merged_sizes = vecs[clip_ids, keep], sizes[clip_ids, keep]
+        first = first[clip_ids, keep]
+        into = (clip_ids * n + np.take_along_axis(position, dst, axis=1)).ravel()
+        old, old_sizes = vecs.reshape(-1, dim), sizes.reshape(-1)
+        new, new_sizes = merged.reshape(-1, dim), merged_sizes.reshape(-1)
         # Merges into one destination must run in rank order to reproduce the
         # running average bit for bit: wave k applies each destination's k-th.
-        order = np.argsort(dst, kind="stable")
-        wave = np.empty(r, np.int64)
-        wave[order] = np.arange(r) - np.searchsorted(dst[order], dst[order])
-        for k in range(wave.max() + 1):
-            s, d = src[wave == k], dst[wave == k]
-            total = sizes[s] + sizes[d]
-            vecs[d] = (sizes[s, None] * vecs[s] + sizes[d, None] * vecs[d]) / total[:, None]
-            sizes[d] = total
-        np.minimum.at(first, dst, first[src])
-        first[src] = len(owner)  # merged-away rows sort last and are dropped
-        order = np.argsort(first)
-        position = np.argsort(order)
-        position[src] = position[dst]
-        owner = position[owner]
-        n -= r
-        vecs, sizes, first = vecs[order[:n]], sizes[order[:n]], first[order[:n]]
-    return vecs, sizes, owner
+        by_dst = np.argsort(flat_dst, kind="stable")
+        wave = np.empty(len(by_dst), np.int64)
+        wave[by_dst] = np.arange(len(by_dst)) - np.searchsorted(flat_dst[by_dst], flat_dst[by_dst])
+        by_wave = np.argsort(wave, kind="stable")
+        for pick in np.split(by_wave, np.cumsum(np.bincount(wave))[:-1]):
+            s, d = flat_src[pick], into[pick]
+            total = old_sizes[s] + new_sizes[d]
+            new[d] = (old_sizes[s, None] * old[s] + new_sizes[d, None] * new[d]) / total[:, None]
+            new_sizes[d] = total
+        vecs, sizes = merged, merged_sizes
+    return (vecs[0], sizes[0], owner[0]) if one_clip else (vecs, sizes, owner)
 
 
 def spatial_downsample(frames: np.ndarray, factor: int) -> Columns:
@@ -437,6 +466,20 @@ def _resampler_weights(
     return queries, None, None
 
 
+def _merge_stack(
+    frames: np.ndarray, clips: list[Clip], budget: int, st_temperature: float | None
+) -> list[CompressedClip]:
+    """Merge equal-length clips, whose frames in order are `frames`, as one stack."""
+    if st_temperature is not None:
+        frames = np.stack([st_mix(clip, st_temperature).grid.data for clip in clips])
+    *_, rows, cols, dim = frames.shape
+    columns = tome_merge(frames.reshape(len(clips), -1, dim), budget)
+    return [
+        CompressedClip(clip.clip_index, *clip_columns, clip.frame_span, (rows, cols))
+        for clip, *clip_columns in zip(clips, *columns)
+    ]
+
+
 def compress_clip(clip: Clip, config: ConnectorConfig, weights=None) -> CompressedClip:
     """Compress one clip with the configured connector.
 
@@ -446,9 +489,8 @@ def compress_clip(clip: Clip, config: ConnectorConfig, weights=None) -> Compress
     """
     g = clip.grid
     if config.kind == "merge":
-        mixed = clip if config.st_temperature is None else st_mix(clip, config.st_temperature)
-        columns = tome_merge(mixed.grid.data.reshape(-1, g.dim), config.budget)
-    elif config.kind == "spatial":
+        return _merge_stack(g.data, [clip], config.budget, config.st_temperature)[0]
+    if config.kind == "spatial":
         columns = spatial_downsample(g.data, config.factor)
     elif config.kind == "uneven":
         columns = uneven_downsample(clip, config.f_first, config.f_rest)
@@ -480,11 +522,19 @@ def compress_video(grid: TokenGrid, config: ConnectorConfig) -> VisualContext:
     """Segment a video grid into clips, compress each, and concatenate.
 
     A short final clip gets a proportionally smaller budget so the average
-    tokens-per-frame rate stays constant across the video.
+    tokens-per-frame rate stays constant across the video. The merge connector
+    runs all full-length clips as one stack, in lockstep, then a short final
+    clip alone.
     """
+    clips, compressed = segment_clips(grid, config.clip_len), []
+    full = grid.frames // config.clip_len
+    if config.kind == "merge" and full:
+        # A view of the full clips' frames: the stack copies nothing.
+        stack = grid.data[: full * config.clip_len]
+        compressed = _merge_stack(stack, clips[:full], config.budget, config.st_temperature)
+        clips = clips[full:]
     weights = functools.cache(functools.partial(_resampler_weights, config, grid.dim))
-    compressed = []
-    for clip in segment_clips(grid, config.clip_len):
+    for clip in clips:
         frames = clip.grid.frames
         clip_cfg = replace(
             config,

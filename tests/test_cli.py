@@ -278,6 +278,22 @@ def test_estimate_with_schedule(capsys):
     assert float(report["schedule_flops"]) < float(report["flops"])
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--schedule", "uni:4:0.5", "--text-tokens", "-5"],
+        ["--schedule", "uni:40:0.5"],
+        ["--schedule", "uni:4:1.5"],
+    ],
+    ids=["negative-text", "layer-past-depth", "bad-keep-ratio"],
+)
+def test_estimate_bad_schedule_args_print_no_report(capsys, flags):
+    code, out, err = run(capsys, "estimate", "--frames", "64", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_estimate_unknown_shape(capsys):
     code, _, err = run(capsys, "estimate", "--frames", "64", "--shape", "13b")
     assert code == 2
@@ -483,6 +499,16 @@ def test_niah_gen_rejects_non_positive_count(tmp_path, capsys, count):
     )
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_niah_gen_zero_synth_library_is_size_error(tmp_path, capsys):
+    for size in ("0", "-3"):
+        code, _, err = run(
+            capsys, "niah", "gen", "--length", "100", "--synth-library", size,
+            "--out-dir", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert err == "error: library size must be in [1, 4096]\n"
 
 
 def test_synth_non_integer_shape(tmp_path, capsys):

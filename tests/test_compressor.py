@@ -465,3 +465,71 @@ def test_tome_merge_matches_reference_with_sizes(seed, n, dim, target_frac, leve
         assert out_sizes[j] == t.size
         members = np.flatnonzero(owner == j)
         assert t.sources == frozenset((0, 0, int(first[i]) + k) for i in members for k in range(sizes[i]))
+
+
+def stack_clip(rng, kind, n, dim, levels):
+    """One clip of a stack: small integer levels (ties), one repeated row, or gaussian."""
+    if kind == "same":
+        vecs = np.repeat(rng.integers(-levels, levels + 1, size=(1, dim)), n, axis=0)
+    elif kind == "levels":
+        vecs = rng.integers(-levels, levels + 1, size=(n, dim))
+        vecs[rng.random(n) < 0.3] = vecs[0]  # exact duplicates of one row
+    else:
+        vecs = rng.standard_normal((n, dim))
+    vecs = vecs.astype(float)
+    vecs[rng.random(n) < 0.15] = 0.0
+    return vecs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["levels", "same", "gaussian"]), min_size=1, max_size=5),
+    n=st.integers(1, 40),
+    dim=st.integers(1, 4),
+    target_frac=st.floats(0.0, 1.0),
+    levels=st.integers(1, 3),
+    unit=st.booleans(),
+)
+@example(seed=3, kinds=["same", "gaussian", "levels", "same", "levels"], n=40, dim=2,
+         target_frac=0.0, levels=1, unit=False)
+def test_tome_merge_stack_matches_each_clip_alone(seed, kinds, n, dim, target_frac, levels, unit):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([stack_clip(rng, kind, n, dim, levels) for kind in kinds])
+    sizes = None if unit else rng.integers(1, 5, size=stack.shape[:2])
+    target = 1 + round(target_frac * (n - 1))
+    vectors, out_sizes, owner = cp.tome_merge(stack, target, sizes=sizes)
+    assert vectors.shape == (len(kinds), target, dim)
+    for c in range(len(kinds)):
+        alone = cp.tome_merge(stack[c], target, sizes=None if unit else sizes[c])
+        assert np.array_equal(vectors[c], alone[0])
+        assert np.array_equal(out_sizes[c], alone[1])
+        assert np.array_equal(owner[c], alone[2])
+
+
+def test_tome_merge_leaves_its_inputs_alone():
+    stack = np.random.default_rng(0).standard_normal((3, 8, 2))
+    sizes = np.ones((3, 8), np.int64)
+    before = stack.copy()
+    for target in (8, 3):
+        vectors, out_sizes, _ = cp.tome_merge(stack, target, sizes=sizes)
+        vectors += 1.0
+        out_sizes += 1
+        assert np.array_equal(stack, before) and np.all(sizes == 1)
+
+
+@pytest.mark.parametrize(
+    "vectors, sizes",
+    [
+        (np.zeros(4), None),
+        (np.zeros((2, 2, 4, 1)), None),
+        (np.zeros((0, 4, 2)), None),
+        (np.zeros((4, 2)), np.ones(3)),
+        (np.zeros((2, 4, 2)), np.ones(4)),
+        (np.zeros((2, 4, 2)), np.ones((4, 2))),
+    ],
+    ids=["1-d", "4-d", "no-clips", "short-sizes", "flat-stack-sizes", "transposed-sizes"],
+)
+def test_tome_merge_rejects_bad_shapes(vectors, sizes):
+    with pytest.raises(DomainError):
+        cp.tome_merge(vectors, 1, sizes=sizes)
