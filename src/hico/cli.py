@@ -516,6 +516,9 @@ def main(argv=None) -> int:
     except (io.EmbeddingFormatError, OSError, json.JSONDecodeError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

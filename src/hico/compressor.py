@@ -282,7 +282,7 @@ def st_mix(clip: Clip, temperature: float = 1.0) -> Clip:
 
 def _unit_rows(vecs: np.ndarray) -> np.ndarray:
     # Zero-norm rows stay zero, giving them cosine similarity 0 to everything.
-    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(vecs * vecs, axis=1, keepdims=True))
     return vecs / np.where(norms > 0, norms, 1.0)
 
 

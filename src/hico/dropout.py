@@ -207,30 +207,63 @@ def _layer_norm(x: np.ndarray) -> np.ndarray:
     return (x - mean) / np.sqrt(var + 1e-5)
 
 
-# Rows of the score matrix per softmax step. A block of rows [r0, r1) only
-# works on columns [:r1], so exp never runs on the masked upper triangle.
+# Query rows per attention step. A block of rows [r0, r1) only works on key
+# columns [:r1], so nothing runs on the masked upper triangle. 64 timed faster
+# than 128 on the 28-layer, 1032-token decoder (one BLAS thread).
 _ROW_BLOCK = 64
 _BLOCK_UPPER = np.triu(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool), k=1)
 
 
-def _causal_softmax(scores: np.ndarray, scale: float) -> None:
-    """softmax(scores / scale + causal mask) over the last axis, in place.
+def _causal_attention(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, buffer: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Causal softmax(q k^T / scale) v into `out`, one block of query rows at a time.
 
-    `scores` is a contiguous (heads, T, T) array. Bit-identical to the
-    full-square form: masked entries become exact zeros, and the row sums
-    and the normalising divide run over full rows, because the order of
-    numpy's pairwise summation depends on the row length.
+    `q`, `k`, `v` and `out` are (heads, T, head_dim). `buffer` holds at least
+    heads * _ROW_BLOCK * T floats; each block's (heads, rows, r1) scores are a
+    contiguous view of its front, so no (heads, T, T) square is built. Row
+    sums run over [:r1] only, so the last bits can differ from the
+    full-square form. Returns the last query's attention over the whole
+    sequence, (heads, T), as a view into `buffer`.
     """
-    seq = scores.shape[-1]
+    heads, seq, _ = q.shape
+    q = q / scale
     for r0 in range(0, seq, _ROW_BLOCK):
         r1 = min(r0 + _ROW_BLOCK, seq)
-        block = scores[:, r0:r1, :r1]
-        np.divide(block, scale, out=block)
-        np.copyto(block[:, :, r0:], -np.inf, where=_BLOCK_UPPER[: r1 - r0, : r1 - r0])
-        np.subtract(block, block.max(axis=-1, keepdims=True), out=block)
-        np.exp(block, out=block)
-        scores[:, r0:r1, r1:] = 0.0
-    np.divide(scores, scores.sum(axis=-1, keepdims=True), out=scores)
+        rows = r1 - r0
+        probs = buffer[: heads * rows * r1].reshape(heads, rows, r1)
+        np.matmul(q[:, r0:r1], k[:, :r1].transpose(0, 2, 1), out=probs)
+        np.copyto(probs[:, :, r0:], -np.inf, where=_BLOCK_UPPER[:rows, :rows])
+        np.subtract(probs, probs.max(axis=-1, keepdims=True), out=probs)
+        np.exp(probs, out=probs)
+        np.divide(probs, probs.sum(axis=-1, keepdims=True), out=probs)
+        np.matmul(probs, v[:, :r1], out=out[:, r0:r1])
+    return probs[:, -1]
+
+
+# Largest working set toy_decoder_run plans for, in bytes. Fixed rather than
+# taken from the host's memory, so whether a run is refused never depends on
+# the machine.
+DECODER_BYTES_CAP = 1 << 30
+
+
+def _check_bytes(text_tokens: int, visual: np.ndarray, geometry: DecoderGeometry) -> None:
+    """Refuse a run whose weights or per-layer arrays would pass DECODER_BYTES_CAP."""
+    h = geometry.hidden_dim
+    weights = 8 * (visual.shape[1] * h + geometry.layers * 8 * h * h)
+    seq = visual.shape[0] + text_tokens
+    # States, text, one layer's projections and MLP activations, one score block.
+    arrays = 8 * seq * (16 * h + geometry.heads * _ROW_BLOCK)
+    if weights + arrays <= DECODER_BYTES_CAP:
+        return
+    if weights > arrays:
+        what = f"the weights of layers={geometry.layers} at hidden_dim {h}"
+    else:
+        what = f"{seq} tokens (text_tokens={text_tokens})"
+    raise DomainError(
+        f"toy decoder needs about {weights + arrays} bytes for {what}, "
+        f"over the {DECODER_BYTES_CAP}-byte cap"
+    )
 
 
 class _ToyWeights:
@@ -265,6 +298,8 @@ def toy_decoder_run(
     Before each scheduled layer the matching drop is applied — attention
     entries consume the snapshot of the immediately preceding layer — and
     every layer records an AttentionSnapshot. Bit-reproducible per seed.
+    Raises DomainError, before allocating, when the run would need more than
+    DECODER_BYTES_CAP bytes.
     """
     if text_tokens < 1:
         raise DomainError("need at least one text token for the attention query")
@@ -275,6 +310,7 @@ def toy_decoder_run(
     _check_depth(schedule, geometry.layers)
     if any(e.method == ATTENTION and e.layer == 0 for e in schedule.entries):
         raise ConfigError("attention drop at layer 0 has no prior snapshot")
+    _check_bytes(text_tokens, vis, geometry)
 
     rng = np.random.default_rng(seed)
     weights = _ToyWeights(rng, geometry, vis.shape[1])
@@ -288,8 +324,8 @@ def toy_decoder_run(
     head_dim = geometry.hidden_dim // heads
     snapshots: list[AttentionSnapshot] = []
     kept_per_layer: list[list[int]] = []
-    # Sequence length never grows, so the first layer's scores fit every layer.
-    buffer = np.empty(heads * states.shape[0] ** 2)
+    # Sequence length never grows, so the first layer's row block fits every layer.
+    buffer = np.empty(heads * _ROW_BLOCK * states.shape[0])
 
     for layer in range(geometry.layers):
         entry = by_layer.get(layer)
@@ -308,14 +344,12 @@ def toy_decoder_run(
         q = (normed @ w["wq"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
         k = (normed @ w["wk"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
         v = (normed @ w["wv"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
-        probs = buffer[: heads * seq * seq].reshape(heads, seq, seq)
-        np.matmul(q, k.transpose(0, 2, 1), out=probs)
-        _causal_softmax(probs, math.sqrt(head_dim))
-        attn = (probs @ v).transpose(1, 0, 2).reshape(seq, geometry.hidden_dim)
-        states = states + attn @ w["wo"]
+        attn = np.empty((seq, heads, head_dim))
+        last = _causal_attention(q, k, v, math.sqrt(head_dim), buffer, attn.transpose(1, 0, 2))
+        states = states + attn.reshape(seq, geometry.hidden_dim) @ w["wo"]
         states = states + np.maximum(_layer_norm(states) @ w["w1"], 0.0) @ w["w2"]
 
-        last_row = probs[:, -1, :].mean(axis=0)
+        last_row = last.mean(axis=0)
         snapshots.append(
             AttentionSnapshot(
                 layer=layer,

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hico import dropout, io
+from hico import cli, dropout, io
 from hico.cli import main
 
 
@@ -352,17 +352,17 @@ def test_dropout_golden_digests(tmp_path, capsys, schedule, layers):
 
 
 # sha256 of toy_decoder_run's final states and of every snapshot's scores and
-# text_scores, in layer order, produced by the decoder that preceded these
-# pins. stdout above shows only counts and kept indices, so a last-bit change
-# in the attention probabilities shows here and not there.
+# text_scores, in layer order, from the row-blocked attention. stdout above
+# shows only counts and kept indices, so a last-bit change in the attention
+# probabilities shows here and not there.
 DECODER_GOLDEN = {
     "uni:4:0.75,attn:18:0.25": (
-        "ca08b4b4042738691231741b7854b6e84ec1b72e74c80334b375068b094992c8",
-        "79a180155d85d4254d0394aa4532184c16bd0dbaf9fbc83814ae638cd02d7cef",
+        "c9af65004e4b52b272ce70d14cc42575121472d74b86fd9957db60875cfdb876",
+        "df85ead5beaf4f3df0b8afc07d060dadb914bb5db4d7a626366ef1d915dc42b0",
     ),
     "uni:2:0.6,attn:3:0.5,attn:20:0.3": (
-        "f11692a546259afd94889e67fd4f97d4c0c912968a38ca95bfa957ba6938ff63",
-        "0052498cd169c17ad452dada58a0f31ad02a3e5c3e8eb17aeedfe1b88347b0bf",
+        "3f0934ce55e6dbfc09410b1f2ede6c4cd305d3bbb84a8bd0223176ae72fd93fa",
+        "c2b9f9815436484cd22432fa0da970ce3218d464828d96f42f25e75ebd90b593",
     ),
 }
 
@@ -785,6 +785,27 @@ def test_negative_seed_config_is_domain_error(tmp_path, capsys):
         capsys, "--config", cfg, "synth", "--shape", "2x4x4x8", "--out", str(tmp_path / "g.bin")
     )
     assert one_line_error(code, err)
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--text-tokens", "100000000000"), ("--layers", "100000000")]
+)
+def test_dropout_over_byte_cap_is_domain_error(tmp_path, capsys, flag, value):
+    grid = synth(tmp_path, shape="2x4x4x8")
+    code, out, err = run(capsys, "dropout", "--in", str(grid), flag, value)
+    assert one_line_error(code, err)
+    assert f"{flag[2:].replace('-', '_')}={value}" in err and "byte cap" in err
+    assert out == ""
+
+
+def test_memory_error_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
+    def exhausted(args, cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_dropout", exhausted)
+    grid = synth(tmp_path, shape="2x4x4x8")
+    code, out, err = run(capsys, "dropout", "--in", str(grid))
+    assert (code, out, err) == (3, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,9 +282,29 @@ def decoder_cases(draw):
     )
 
 
+# The row-blocked attention normalises each row over its causal columns
+# only, so its last bits differ from the full-square reference. Every float
+# output stays within this share of the reference's largest magnitude.
+TOLERANCE = 1e-12
+
+
+def assert_matches_reference(got, want):
+    def close(a, b):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= TOLERANCE * np.max(np.abs(b))
+
+    assert got.kept == want.kept
+    close(got.states, want.states)
+    assert len(got.snapshots) == len(want.snapshots)
+    for a, b in zip(got.snapshots, want.snapshots):
+        assert a.layer == b.layer
+        close(a.scores, b.scores)
+        close(a.text_scores, b.text_scores)
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=decoder_cases())
-def test_decoder_bit_exact_against_full_square_reference(case):
+def test_decoder_matches_full_square_reference(case):
     vis = np.random.default_rng(case["seed"]).standard_normal((case["visual"], case["dim"]))
     vis *= case["scale"]
     geometry = dp.DecoderGeometry(
@@ -292,10 +313,45 @@ def test_decoder_bit_exact_against_full_square_reference(case):
     args = (case["text"], vis, geometry, case["schedule"])
     got = dp.toy_decoder_run(*args, seed=case["seed"])
     want = ref_toy_decoder_run(*args, seed=case["seed"])
-    assert np.array_equal(got.states, want.states)
-    assert got.kept == want.kept
-    assert len(got.snapshots) == len(want.snapshots)
-    for a, b in zip(got.snapshots, want.snapshots):
-        assert a.layer == b.layer
-        assert np.array_equal(a.scores, b.scores)
-        assert np.array_equal(a.text_scores, b.text_scores)
+    assert_matches_reference(got, want)
+
+
+def paper_sized_visual(seed=0):
+    return np.random.default_rng(seed).standard_normal((1024, 64)) / 4
+
+
+def test_decoder_matches_reference_at_paper_size():
+    # 1024 visual + 8 text tokens; layer 18 runs the attention drop.
+    args = (8, paper_sized_visual(), dp.DecoderGeometry(layers=19), TABLE_SCHEDULE)
+    got = dp.toy_decoder_run(*args, seed=3)
+    want = ref_toy_decoder_run(*args, seed=3)
+    assert [len(k) for k in got.kept] == dp.plan_schedule(1024, TABLE_SCHEDULE, 19)
+    assert_matches_reference(got, want)
+
+
+def test_decoder_peak_memory_below_half_a_score_square():
+    heads, seq = 4, 1024 + 8
+    geometry = dp.DecoderGeometry(layers=2, hidden_dim=64, heads=heads)
+    vis = paper_sized_visual()
+    tracemalloc.start()
+    try:
+        dp.toy_decoder_run(8, vis, geometry, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < heads * seq * seq * 8 / 2
+
+
+@pytest.mark.parametrize(
+    "text_tokens,layers,hidden_dim,named",
+    [
+        (10**11, 28, 64, "text_tokens=100000000000"),
+        (8, 10**8, 64, "layers=100000000"),
+        (8, 28, 10**6, "hidden_dim 1000000"),
+    ],
+)
+def test_decoder_refuses_runs_over_byte_cap(text_tokens, layers, hidden_dim, named):
+    geometry = dp.DecoderGeometry(layers=layers, hidden_dim=hidden_dim, heads=4)
+    with pytest.raises(DomainError, match=named) as info:
+        dp.toy_decoder_run(text_tokens, visual(), geometry, seed=0)
+    assert f"{dp.DECODER_BYTES_CAP}-byte cap" in str(info.value)
