@@ -12,11 +12,18 @@ nothing here. At a small head_dim it is not negligible: in the toy decoder
 (head_dim 16, T near 1000) the full-square softmax took most of each
 layer's time, so a drop schedule's measured speed-up ran ahead of the
 predicted one (2.72x against 2.13x for the paper's schedule on 1024 tokens
-and 28 layers, one BLAS thread on a 2-vCPU Xeon). The toy decoder's
-row-blocked softmax now runs exp on the causal lower triangle plus its
-diagonal blocks only, about half the square; the row sums and the divide
-still cover full rows. The same run then measured 2.05x, 4% under the
-prediction.
+and 28 layers, one BLAS thread on a 2-vCPU Xeon).
+
+The toy decoder computes attention in blocks of 64 query rows, each
+against its causal key columns only, so QK, the softmax and PV all run on
+the lower triangle plus its diagonal blocks: about half the square at
+T near 1000, while this convention counts the full square for both
+products. The saving is smaller at the short sequences a schedule leaves
+(the diagonal blocks are a larger share of 192 tokens), and each layer
+also pays costs that do not scale with T^2 (projections, MLP, a fixed
+number of numpy calls per block). So the measured speed-up falls short
+of the prediction: 1.95x against 2.13x, a model error of -0.088, on the
+same decoder and host (traced perfbench decoder-deep, seed 77).
 """
 from __future__ import annotations
 

@@ -194,8 +194,8 @@ def ref_compress_video(grid: compressor.TokenGrid, config) -> list[list[RefToken
 
 # ---------------------------------------------------------------------------
 # Reference toy decoder: full-square masked softmax with fresh temporaries.
-# dropout.toy_decoder_run must reproduce it exactly: equal states, kept
-# indices and snapshot scores, bit for bit.
+# dropout.toy_decoder_run must match it: equal kept indices, and states and
+# snapshot scores within the tolerance stated in tests/test_dropout.py.
 
 
 def _ref_softmax(scores: np.ndarray) -> np.ndarray:

@@ -788,13 +788,18 @@ def test_negative_seed_config_is_domain_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag,value", [("--text-tokens", "100000000000"), ("--layers", "100000000")]
+    "flag,value,named",
+    [
+        ("--text-tokens", "100000000000", "text_tokens=100000000000"),
+        ("--layers", "100000000", "layers=100000000"),
+        ("--hidden-dim", "1000000", "hidden_dim 1000000"),
+    ],
 )
-def test_dropout_over_byte_cap_is_domain_error(tmp_path, capsys, flag, value):
+def test_dropout_over_byte_cap_is_domain_error(tmp_path, capsys, flag, value, named):
     grid = synth(tmp_path, shape="2x4x4x8")
     code, out, err = run(capsys, "dropout", "--in", str(grid), flag, value)
     assert one_line_error(code, err)
-    assert f"{flag[2:].replace('-', '_')}={value}" in err and "byte cap" in err
+    assert named in err and f"over the {dropout.DECODER_BYTES_CAP}-byte cap" in err
     assert out == ""
 
 

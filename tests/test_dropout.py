@@ -340,18 +340,3 @@ def test_decoder_peak_memory_below_half_a_score_square():
     finally:
         tracemalloc.stop()
     assert peak < heads * seq * seq * 8 / 2
-
-
-@pytest.mark.parametrize(
-    "text_tokens,layers,hidden_dim,named",
-    [
-        (10**11, 28, 64, "text_tokens=100000000000"),
-        (8, 10**8, 64, "layers=100000000"),
-        (8, 28, 10**6, "hidden_dim 1000000"),
-    ],
-)
-def test_decoder_refuses_runs_over_byte_cap(text_tokens, layers, hidden_dim, named):
-    geometry = dp.DecoderGeometry(layers=layers, hidden_dim=hidden_dim, heads=4)
-    with pytest.raises(DomainError, match=named) as info:
-        dp.toy_decoder_run(text_tokens, visual(), geometry, seed=0)
-    assert f"{dp.DECODER_BYTES_CAP}-byte cap" in str(info.value)
