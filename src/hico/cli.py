@@ -513,7 +513,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (io.EmbeddingFormatError, OSError, json.JSONDecodeError) as exc:
+    except (io.EmbeddingFormatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

@@ -1,6 +1,6 @@
-"""Clip segmentation and clip-level token compression.
+"""Clip-level token compression.
 
-A video's per-frame token grids are cut into short clips and each clip is
+A video's per-frame token grid is cut into short clips, and each clip is
 squeezed down to a small token budget by one of four connector families:
 
 * ``merge``     — iterative bipartite merging of cosine-similar tokens,
@@ -12,6 +12,9 @@ squeezed down to a small token budget by one of four connector families:
 * ``resampler`` — a single cross-attention layer reading the clip through a
                   fixed set of query vectors.
 
+The connector functions take arrays and return columns; no clip object sits
+between them and the grid. ``compress_video`` computes clip i's frame span
+as (i·clip_len, min((i+1)·clip_len, frames)) and slices the grid directly.
 Outputs are stored as columns (CompressedClip): vectors, sizes, and the
 output token that absorbed each (frame, row, col) input token. Merge,
 spatial and uneven vectors are size-weighted means of their sources, so
@@ -25,7 +28,7 @@ import itertools
 import math
 import zipfile
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,24 +73,6 @@ class TokenGrid:
     @property
     def token_count(self) -> int:
         return self.frames * self.rows * self.cols
-
-
-@dataclass
-class Clip:
-    """A contiguous frame slice of a sampled video.
-
-    ``frame_span`` is half-open (start, end) into the sampled frame sequence;
-    consecutive clips tile it without gaps or overlap.
-    """
-
-    clip_index: int
-    grid: TokenGrid
-    frame_span: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        start, end = self.frame_span
-        if end - start != self.grid.frames:
-            raise DomainError("frame_span length must match grid frames")
 
 
 WHOLE_CLIP = None  # owner marker: every output token blends the whole clip
@@ -232,34 +217,14 @@ class ConnectorConfig:
             raise DomainError("temperature must be positive")
 
 
-def segment_clips(grid: TokenGrid, clip_len: int) -> list[Clip]:
-    """Cut a grid into ceil(frames / clip_len) contiguous clips.
-
-    All clips have clip_len frames except possibly a shorter final one.
-    """
-    if clip_len < 1:
-        raise DomainError("clip_len must be >= 1")
-    clips = []
-    for i, start in enumerate(range(0, grid.frames, clip_len)):
-        end = min(start + clip_len, grid.frames)
-        clips.append(
-            Clip(
-                clip_index=i,
-                grid=TokenGrid(grid.data[start:end]),
-                frame_span=(start, end),
-            )
-        )
-    return clips
-
-
 def _softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def st_mix(clip: Clip, temperature: float = 1.0) -> Clip:
-    """Mix every token of a clip with all others via self-attention.
+def st_mix(tokens: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Mix every token of a clip, (n, dim), with all others via self-attention.
 
     Tokens act as their own queries, keys and values (identity projections):
     out = softmax(X Xᵀ / (temperature * sqrt(dim))) X. As temperature grows
@@ -267,17 +232,13 @@ def st_mix(clip: Clip, temperature: float = 1.0) -> Clip:
     """
     if temperature <= 0:
         raise DomainError("temperature must be positive")
-    g = clip.grid
-    x = g.data.reshape(-1, g.dim)
-    scores = (x @ x.T) / (temperature * math.sqrt(g.dim))
-    mixed = _softmax(scores) @ x
+    x = np.asarray(tokens, dtype=np.float64)
+    if x.ndim != 2:
+        raise DomainError(f"tokens must have shape (n, dim), got {x.shape}")
+    mixed = _softmax((x @ x.T) / (temperature * math.sqrt(x.shape[1]))) @ x
     if not np.all(np.isfinite(mixed)):
         raise DomainError("attention mix produced non-finite values")
-    return Clip(
-        clip_index=clip.clip_index,
-        grid=TokenGrid(mixed.reshape(g.data.shape)),
-        frame_span=clip.frame_span,
-    )
+    return mixed
 
 
 def _unit_rows(vecs: np.ndarray) -> np.ndarray:
@@ -384,14 +345,14 @@ def spatial_downsample(frames: np.ndarray, factor: int) -> Columns:
     return blocks.mean(axis=1), np.full(len(blocks), factor * factor), owner
 
 
-def uneven_downsample(clip: Clip, f_first: int, f_rest: int) -> Columns:
-    """Pool the clip's first frame by f_first and remaining frames by f_rest."""
+def uneven_downsample(frames: np.ndarray, f_first: int, f_rest: int) -> Columns:
+    """Pool `frames`, (frames, rows, cols, dim): the first by f_first, the rest by f_rest."""
     if f_first > f_rest:
         raise DomainError("f_first must not exceed f_rest")
-    head = spatial_downsample(clip.grid.data[:1], f_first)
-    if clip.grid.frames == 1:
+    head = spatial_downsample(frames[:1], f_first)
+    if len(frames) == 1:
         return head  # f_rest never applies, so it need not divide the grid
-    tail = spatial_downsample(clip.grid.data[1:], f_rest)
+    tail = spatial_downsample(frames[1:], f_rest)
     vectors, sizes, owner = (np.concatenate(pair) for pair in zip(head, tail))
     owner[len(head[2]) :] += len(head[1])
     return vectors, sizes, owner
@@ -466,83 +427,64 @@ def _resampler_weights(
     return queries, None, None
 
 
-def _merge_stack(
-    frames: np.ndarray, clips: list[Clip], budget: int, st_temperature: float | None
-) -> list[CompressedClip]:
-    """Merge equal-length clips, whose frames in order are `frames`, as one stack."""
-    if st_temperature is not None:
-        frames = np.stack([st_mix(clip, st_temperature).grid.data for clip in clips])
-    *_, rows, cols, dim = frames.shape
-    columns = tome_merge(frames.reshape(len(clips), -1, dim), budget)
-    return [
-        CompressedClip(clip.clip_index, *clip_columns, clip.frame_span, (rows, cols))
-        for clip, *clip_columns in zip(clips, *columns)
-    ]
-
-
-def compress_clip(clip: Clip, config: ConnectorConfig, weights=None) -> CompressedClip:
-    """Compress one clip with the configured connector.
-
-    For merge and resampler the output length equals the budget exactly; for
-    the downsampling kinds it equals the analytic block count. `weights` maps
-    a query count to the resampler's (queries, wk, wv), shared across clips.
-    """
-    g = clip.grid
-    if config.kind == "merge":
-        return _merge_stack(g.data, [clip], config.budget, config.st_temperature)[0]
-    if config.kind == "spatial":
-        columns = spatial_downsample(g.data, config.factor)
-    elif config.kind == "uneven":
-        columns = uneven_downsample(clip, config.f_first, config.f_rest)
-    else:
-        # resampler: the query count is the token budget
-        load = weights or functools.partial(_resampler_weights, config, g.dim)
-        queries, wk, wv = load(config.queries)
-        vectors = resampler_forward(g.data.reshape(-1, g.dim), queries, wk, wv, config.temperature)
-        columns = vectors, np.full(config.queries, g.token_count), WHOLE_CLIP
-    return CompressedClip(clip.clip_index, *columns, clip.frame_span, (g.rows, g.cols))
-
-
-def concat_context(clips: list[CompressedClip]) -> VisualContext:
-    """Concatenate compressed clips in clip order."""
-    if not clips:
-        raise DomainError("cannot concatenate zero clips")
-    indices = [c.clip_index for c in clips]
-    if indices != sorted(indices) or len(set(indices)) != len(indices):
-        raise DomainError("clips must be ordered by strictly increasing clip_index")
-    return VisualContext(clips=list(clips))
-
-
 def scaled_budget(budget: int, frames_in_clip: int, clip_len: int) -> int:
     """Token budget for a possibly-short clip: ceil(budget * frames / clip_len)."""
     return -(-budget * frames_in_clip // clip_len)
 
 
-def compress_video(grid: TokenGrid, config: ConnectorConfig) -> VisualContext:
-    """Segment a video grid into clips, compress each, and concatenate.
+def _compress_clip(
+    data: np.ndarray, index: int, span: tuple[int, int], config: ConnectorConfig, weights
+) -> CompressedClip:
+    """Compress frames span[0]:span[1] of `data` alone, as clip `index`.
 
-    A short final clip gets a proportionally smaller budget so the average
-    tokens-per-frame rate stays constant across the video. The merge connector
-    runs all full-length clips as one stack, in lockstep, then a short final
-    clip alone.
+    Merge and resampler budgets are scaled to the clip's frame count; for
+    the downsampling kinds the output length is the analytic block count.
+    `weights` maps a query count to the resampler's (queries, wk, wv) and is
+    shared across the clips of a video.
     """
-    clips, compressed = segment_clips(grid, config.clip_len), []
-    full = grid.frames // config.clip_len
-    if config.kind == "merge" and full:
-        # A view of the full clips' frames: the stack copies nothing.
-        stack = grid.data[: full * config.clip_len]
-        compressed = _merge_stack(stack, clips[:full], config.budget, config.st_temperature)
-        clips = clips[full:]
+    frames = data[span[0] : span[1]]
+    count, rows, cols, dim = frames.shape
+    if config.kind == "merge":
+        tokens = frames.reshape(-1, dim)
+        if config.st_temperature is not None:
+            tokens = st_mix(tokens, config.st_temperature)
+        columns = tome_merge(tokens, scaled_budget(config.budget, count, config.clip_len))
+    elif config.kind == "spatial":
+        columns = spatial_downsample(frames, config.factor)
+    elif config.kind == "uneven":
+        columns = uneven_downsample(frames, config.f_first, config.f_rest)
+    else:
+        queries, wk, wv = weights(scaled_budget(config.queries, count, config.clip_len))
+        vectors = resampler_forward(frames.reshape(-1, dim), queries, wk, wv, config.temperature)
+        columns = vectors, np.full(len(vectors), count * rows * cols), WHOLE_CLIP
+    return CompressedClip(index, *columns, span, (rows, cols))
+
+
+def compress_video(grid: TokenGrid, config: ConnectorConfig) -> VisualContext:
+    """Cut a video grid into clips, compress each, and join them in clip order.
+
+    Clip i spans frames [i·clip_len, min((i+1)·clip_len, frames)). A short
+    final clip gets a proportionally smaller budget so the average
+    tokens-per-frame rate stays constant across the video. The merge
+    connector runs all full-length clips as one stack, in lockstep; every
+    other clip is compressed alone.
+    """
+    frames, clip_len = grid.frames, config.clip_len
+    spans = [(start, min(start + clip_len, frames)) for start in range(0, frames, clip_len)]
+    clips = []
+    full = frames // clip_len if config.kind == "merge" else 0
+    if full:
+        # A view of the full clips' tokens: the stack copies nothing.
+        stack = grid.data[: full * clip_len].reshape(full, -1, grid.dim)
+        if config.st_temperature is not None:
+            stack = np.stack([st_mix(tokens, config.st_temperature) for tokens in stack])
+        clips = [
+            CompressedClip(i, *columns, spans[i], (grid.rows, grid.cols))
+            for i, *columns in zip(range(full), *tome_merge(stack, config.budget))
+        ]
     weights = functools.cache(functools.partial(_resampler_weights, config, grid.dim))
-    for clip in clips:
-        frames = clip.grid.frames
-        clip_cfg = replace(
-            config,
-            budget=scaled_budget(config.budget, frames, config.clip_len),
-            queries=scaled_budget(config.queries, frames, config.clip_len),
-        )
-        compressed.append(compress_clip(clip, clip_cfg, weights))
-    return concat_context(compressed)
+    clips += [_compress_clip(grid.data, i, spans[i], config, weights) for i in range(full, len(spans))]
+    return VisualContext(clips)
 
 
 def conservation_residual(inputs: TokenGrid, context: VisualContext) -> float:

@@ -125,14 +125,10 @@ def load_library(path: str | os.PathLike) -> list[NeedleItem]:
         raw = json.load(f)
     if not isinstance(raw, list):
         raise DomainError("item library must be a JSON array")
+    keys = ("id", "caption", "question", "answer")
     items = [
-        NeedleItem(
-            id=str(e["id"]),
-            caption=str(e["caption"]),
-            question=str(e["question"]),
-            answer=str(e["answer"]),
-        )
-        for e in raw
+        NeedleItem(*(_field(e, key, str, f"{path} item {i}") for key in keys))
+        for i, e in enumerate(raw)
     ]
     ids = [i.id for i in items]
     if len(set(ids)) != len(ids):

@@ -146,12 +146,14 @@ def ref_spatial(frame: np.ndarray, factor: int, frame_index: int) -> list[RefTok
     return out
 
 
-def ref_compress_clip(clip: compressor.Clip, config: compressor.ConnectorConfig) -> list[RefToken]:
-    """The tokens one clip compresses to, built one object at a time."""
-    data, start = clip.grid.data, clip.frame_span[0]
+def ref_compress_clip(
+    data: np.ndarray, start: int, config: compressor.ConnectorConfig
+) -> list[RefToken]:
+    """The tokens one clip, whose first frame is `start`, compresses to, one object at a time."""
     if config.kind == "merge":
         if config.st_temperature is not None:
-            data = compressor.st_mix(clip, config.st_temperature).grid.data
+            mixed = compressor.st_mix(data.reshape(-1, data.shape[-1]), config.st_temperature)
+            data = mixed.reshape(data.shape)
         return ref_tome_merge(ref_grid_tokens(data, start), config.budget)
     if config.kind in ("spatial", "uneven"):
         first, rest = (
@@ -163,7 +165,7 @@ def ref_compress_clip(clip: compressor.Clip, config: compressor.ConnectorConfig)
         for f in range(1, len(data)):
             out.extend(ref_spatial(data[f], rest, start + f))
         return out
-    dim = clip.grid.dim
+    dim = data.shape[-1]
     rng = np.random.default_rng(config.query_seed)
     queries = rng.standard_normal((config.queries, dim)) / math.sqrt(dim)
     outputs = compressor.resampler_forward(
@@ -179,8 +181,9 @@ def ref_compress_clip(clip: compressor.Clip, config: compressor.ConnectorConfig)
 def ref_compress_video(grid: compressor.TokenGrid, config) -> list[list[RefToken]]:
     """Per-clip reference tokens, with the short final clip's budget scaled."""
     out = []
-    for clip in compressor.segment_clips(grid, config.clip_len):
-        frames = clip.grid.frames
+    for start in range(0, grid.frames, config.clip_len):
+        data = grid.data[start : start + config.clip_len]
+        frames = len(data)
         cfg = config
         if frames < config.clip_len:
             cfg = replace(
@@ -188,7 +191,7 @@ def ref_compress_video(grid: compressor.TokenGrid, config) -> list[list[RefToken
                 budget=compressor.scaled_budget(config.budget, frames, config.clip_len),
                 queries=compressor.scaled_budget(config.queries, frames, config.clip_len),
             )
-        out.append(ref_compress_clip(clip, cfg))
+        out.append(ref_compress_clip(data, start, cfg))
     return out
 
 

@@ -43,8 +43,7 @@ def test_criterion_1_sampling_law():
 
 def test_criterion_2_token_count_arithmetic():
     grid = cp.TokenGrid(np.random.default_rng(0).standard_normal((4, 16, 16, 8)))
-    clip = cp.segment_clips(grid, 4)[0]
-    out = cp.compress_clip(clip, cp.ConnectorConfig(kind="merge", budget=64))
+    out = cp.compress_video(grid, cp.ConnectorConfig(kind="merge", budget=64))
     assert len(out.tokens) == 64
     assert sum(t.size for t in out.tokens) == 1024
 

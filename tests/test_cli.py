@@ -483,6 +483,42 @@ def test_niah_heatmap_flow(tmp_path, capsys):
     assert all(row.endswith("1.0000") for row in rows[1:])
 
 
+def test_niah_gen_malformed_library_is_one_line_error(tmp_path, capsys):
+    lib = tmp_path / "lib.json"
+    for raw, message in (('[{"id": "a"}]', "item 0 lacks key 'caption'"),
+                         ("[1, 2]", "item 0 must be a JSON object, got int")):
+        lib.write_text(raw, encoding="utf-8")
+        code, _, err = run(
+            capsys, "niah", "gen", "--length", "100", "--library", str(lib),
+            "--out-dir", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert err == f"error: {lib} {message}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "score", "heatmap-score", "gen"])
+def test_niah_non_utf8_file_is_io_error(tmp_path, capsys, command):
+    lib = tmp_path / "lib.json"
+    main(["niah", "synth-library", "--size", "30", "--seed", "0", "--out", str(lib)])
+    instances = tmp_path / "instances"
+    main(["niah", "gen", "--length", "100", "--seed", "1", "--library", str(lib),
+          "--out-dir", str(instances)])
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    argv = {
+        "validate": ["validate", str(bad), "--library", str(lib)],
+        "solve": ["solve", str(bad), "--library", str(lib), "--out", str(tmp_path / "r.jsonl")],
+        "score": ["score", str(instances), "--responses", str(bad)],
+        "heatmap-score": ["heatmap-score", str(instances), "--grid", str(bad),
+                          "--responses", str(bad), "--out", str(tmp_path / "h.csv")],
+        "gen": ["gen", "--length", "100", "--library", str(bad), "--out-dir", str(tmp_path / "x")],
+    }[command]
+    code, _, err = run(capsys, "niah", *argv)
+    assert code == 3
+    assert err.startswith("io error:") and len(err.splitlines()) == 1
+    assert "0xff" in err
+
+
 def test_niah_gen_requires_library(tmp_path, capsys):
     code, _, err = run(
         capsys, "niah", "gen", "--mode", "multi", "--length", "100",

@@ -51,11 +51,16 @@ def test_grid_rejects_bad_shapes():
 )
 def test_segment_clips(frames, clip_len, sizes):
     grid = cp.TokenGrid(np.zeros((frames, 2, 2, 3)))
-    clips = cp.segment_clips(grid, clip_len)
-    assert [c.grid.frames for c in clips] == sizes
-    spans = [c.frame_span for c in clips]
-    assert spans[0][0] == 0 and spans[-1][1] == frames
-    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    # merge stacks the full clips and compresses a short one alone; spatial
+    # compresses every clip alone.
+    for kind in ("merge", "spatial"):
+        config = cp.ConnectorConfig(kind=kind, budget=1, factor=1, clip_len=clip_len)
+        clips = cp.compress_video(grid, config).clips
+        assert [c.clip_index for c in clips] == list(range(len(sizes)))
+        spans = [c.frame_span for c in clips]
+        assert [end - start for start, end in spans] == sizes
+        assert spans[0][0] == 0 and spans[-1][1] == frames
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -64,16 +69,15 @@ def test_segment_clips(frames, clip_len, sizes):
 
 def test_st_mix_identical_tokens_fixed_point():
     v = np.array([1.0, -2.0, 0.5])
-    grid = cp.TokenGrid(np.tile(v, (2, 2, 2, 1)))
-    clip = cp.Clip(0, grid, (0, 2))
-    out = cp.st_mix(clip, temperature=1.0)
-    assert np.allclose(out.grid.data, grid.data)
+    tokens = np.tile(v, (8, 1))
+    out = cp.st_mix(tokens, temperature=1.0)
+    assert np.allclose(out, tokens)
 
 
 def test_st_mix_single_token_unchanged():
-    grid = cp.TokenGrid(np.arange(4.0).reshape(1, 1, 1, 4))
-    out = cp.st_mix(cp.Clip(0, grid, (0, 1)), temperature=0.7)
-    assert np.allclose(out.grid.data, grid.data)
+    tokens = np.arange(4.0).reshape(1, 4)
+    out = cp.st_mix(tokens, temperature=0.7)
+    assert np.allclose(out, tokens)
 
 
 def test_st_mix_high_temperature_approaches_mean():
@@ -84,27 +88,31 @@ def test_st_mix_high_temperature_approaches_mean():
     x0 = np.array([1.0, 0.0])
     x1 = np.array([0.0, 1.0])
     temperature = 1e6
-    grid = cp.TokenGrid(np.stack([x0, x1]).reshape(2, 1, 1, 2))
-    out = cp.st_mix(cp.Clip(0, grid, (0, 2)), temperature=temperature).grid.data
+    out = cp.st_mix(np.stack([x0, x1]), temperature=temperature)
     a = 1.0 / (temperature * math.sqrt(2))
     w = math.exp(a) / (math.exp(a) + 1.0)
     expected0 = w * x0 + (1 - w) * x1
-    assert np.allclose(out[0, 0, 0], expected0, atol=1e-12)
+    assert np.allclose(out[0], expected0, atol=1e-12)
     mean = (x0 + x1) / 2
-    assert np.linalg.norm(out[0, 0, 0] - mean) < 1e-5
-    assert np.linalg.norm(out[1, 0, 0] - mean) < 1e-5
+    assert np.linalg.norm(out[0] - mean) < 1e-5
+    assert np.linalg.norm(out[1] - mean) < 1e-5
 
 
 def test_st_mix_preserves_shape_and_finiteness():
-    grid = rand_grid(3, (3, 2, 5, 7))
-    out = cp.st_mix(cp.Clip(0, grid, (0, 3)), temperature=0.5)
-    assert out.grid.data.shape == grid.data.shape
-    assert np.all(np.isfinite(out.grid.data))
+    tokens = rand_grid(3, (3, 2, 5, 7)).data.reshape(-1, 7)
+    out = cp.st_mix(tokens, temperature=0.5)
+    assert out.shape == tokens.shape
+    assert np.all(np.isfinite(out))
 
 
 def test_st_mix_rejects_bad_temperature():
     with pytest.raises(DomainError):
-        cp.st_mix(cp.Clip(0, rand_grid(0, (1, 2, 2, 3)), (0, 1)), temperature=0.0)
+        cp.st_mix(rand_grid(0, (1, 2, 2, 3)).data.reshape(-1, 3), temperature=0.0)
+
+
+def test_st_mix_rejects_non_2d_tokens():
+    with pytest.raises(DomainError):
+        cp.st_mix(rand_grid(0, (1, 2, 2, 3)).data, temperature=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +205,10 @@ def test_tome_tracks_variance_oracle_on_clustered_tokens():
 
 def test_spatial_block_means():
     frame = np.arange(4 * 4 * 2, dtype=float).reshape(4, 4, 2)
-    clip = cp.Clip(0, cp.TokenGrid(frame[None]), (3, 4))
-    out = cp.compress_clip(clip, cp.ConnectorConfig(kind="spatial", factor=2)).tokens
+    # Frame 3 of a four-frame video is its own clip when clip_len is 1.
+    grid = cp.TokenGrid(np.concatenate([np.zeros((3, 4, 4, 2)), frame[None]]))
+    config = cp.ConnectorConfig(kind="spatial", factor=2, clip_len=1)
+    out = cp.compress_video(grid, config).clips[3].tokens
     assert len(out) == 4
     for t, (br, bc) in zip(out, [(0, 0), (0, 1), (1, 0), (1, 1)]):
         block = frame[br * 2 : br * 2 + 2, bc * 2 : bc * 2 + 2].reshape(-1, 2)
@@ -228,15 +238,13 @@ def test_spatial_rejects_nondivisible_factor():
 
 def test_uneven_token_count():
     grid = cp.TokenGrid(np.random.default_rng(1).standard_normal((4, 16, 16, 3)))
-    clip = cp.Clip(0, grid, (0, 4))
-    vectors, sizes, owner = cp.uneven_downsample(clip, 2, 8)
+    vectors, sizes, owner = cp.uneven_downsample(grid.data, 2, 8)
     assert len(vectors) == len(sizes) == 64 + 3 * 4
 
 
 def test_uneven_equal_factors_matches_spatial():
     grid = rand_grid(2, (3, 4, 4, 5))
-    clip = cp.Clip(0, grid, (0, 3))
-    uneven = cp.uneven_downsample(clip, 2, 2)
+    uneven = cp.uneven_downsample(grid.data, 2, 2)
     spatial = cp.spatial_downsample(grid.data, 2)
     assert len(uneven[0]) == len(spatial[0])
     assert np.allclose(uneven[0], spatial[0])
@@ -245,17 +253,15 @@ def test_uneven_equal_factors_matches_spatial():
 
 def test_uneven_single_frame_matches_spatial():
     grid = rand_grid(4, (1, 4, 4, 3))
-    clip = cp.Clip(0, grid, (0, 1))
-    uneven, _, _ = cp.uneven_downsample(clip, 2, 4)
+    uneven, _, _ = cp.uneven_downsample(grid.data, 2, 4)
     spatial, _, _ = cp.spatial_downsample(grid.data, 2)
     for a, b in zip(uneven, spatial):
         assert np.allclose(a, b)
 
 
 def test_uneven_rejects_inverted_factors():
-    clip = cp.Clip(0, rand_grid(5, (2, 4, 4, 3)), (0, 2))
     with pytest.raises(DomainError):
-        cp.uneven_downsample(clip, 4, 2)
+        cp.uneven_downsample(rand_grid(5, (2, 4, 4, 3)).data, 4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -290,21 +296,20 @@ def test_resampler_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# compress_clip / concat / compress_video
+# compress_video
 
 
 def test_compress_clip_merge_budget():
     grid = cp.TokenGrid(np.random.default_rng(9).standard_normal((4, 16, 16, 8)))
-    clip = cp.segment_clips(grid, 4)[0]
-    out = cp.compress_clip(clip, cp.ConnectorConfig(kind="merge", budget=64))
+    out = cp.compress_video(grid, cp.ConnectorConfig(kind="merge", budget=64))
+    assert len(out.clips) == 1
     assert len(out.tokens) == 64
     assert sum(t.size for t in out.tokens) == 1024
 
 
 def test_compress_clip_budget_equals_count_is_identity():
     grid = rand_grid(10, (2, 2, 2, 4))
-    clip = cp.segment_clips(grid, 2)[0]
-    out = cp.compress_clip(clip, cp.ConnectorConfig(kind="merge", budget=8, clip_len=2))
+    out = cp.compress_video(grid, cp.ConnectorConfig(kind="merge", budget=8, clip_len=2))
     flat = grid.data.reshape(-1, 4)
     assert len(out.tokens) == 8
     for t, v in zip(out.tokens, flat):
@@ -314,38 +319,38 @@ def test_compress_clip_budget_equals_count_is_identity():
 
 def test_compress_clip_merge_with_st_mix():
     grid = rand_grid(12, (4, 4, 4, 6))
-    clip = cp.segment_clips(grid, 4)[0]
     cfg = cp.ConnectorConfig(kind="merge", budget=8, st_temperature=1.0)
-    out = cp.compress_clip(clip, cfg)
+    out = cp.compress_video(grid, cfg)
     assert len(out.tokens) == 8
     assert sum(t.size for t in out.tokens) == 64
 
 
 def test_compress_clip_resampler_budget():
     grid = rand_grid(13, (4, 4, 4, 6))
-    clip = cp.segment_clips(grid, 4)[0]
-    out = cp.compress_clip(clip, cp.ConnectorConfig(kind="resampler", queries=5, budget=5))
+    out = cp.compress_video(grid, cp.ConnectorConfig(kind="resampler", queries=5, budget=5))
     assert len(out.tokens) == 5
     assert all(t.size == 64 for t in out.tokens)
 
 
 def test_concat_context_offsets():
     grid = rand_grid(14, (8, 4, 4, 3))
-    clips = cp.segment_clips(grid, 4)
     cfg = cp.ConnectorConfig(kind="merge", budget=64 // 8)
-    compressed = [cp.compress_clip(c, cfg) for c in clips]
-    ctx = cp.concat_context(compressed)
+    ctx = cp.compress_video(grid, cfg)
     assert ctx.clip_offsets == [0, 8]
     assert len(ctx.tokens) == 16
 
 
-def test_concat_rejects_unordered_clips():
-    grid = rand_grid(15, (8, 2, 2, 3))
-    clips = cp.segment_clips(grid, 4)
-    cfg = cp.ConnectorConfig(kind="merge", budget=4)
-    compressed = [cp.compress_clip(c, cfg) for c in clips]
-    with pytest.raises(DomainError):
-        cp.concat_context(list(reversed(compressed)))
+@pytest.mark.parametrize("kind", cp.CONNECTOR_KINDS)
+def test_clip_indices_count_up_and_spans_tile_the_video(kind):
+    grid = rand_grid(15, (10, 2, 2, 3))
+    cfg = cp.ConnectorConfig(kind=kind, budget=4, queries=4, factor=2, f_first=2, f_rest=2)
+    clips = cp.compress_video(grid, cfg).clips
+    assert [c.clip_index for c in clips] == list(range(len(clips)))
+    starts = [c.frame_span[0] for c in clips]
+    ends = [c.frame_span[1] for c in clips]
+    assert starts == [0] + ends[:-1]
+    assert ends[-1] == grid.frames
+    assert all(start < end for start, end in zip(starts, ends))
 
 
 def test_compress_video_scales_final_clip_budget():

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -403,4 +405,21 @@ def test_library_rejects_duplicate_ids(tmp_path):
     items = [LIB[0], LIB[0]]
     niah.save_library(items, path)
     with pytest.raises(DomainError):
+        niah.load_library(path)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ([{"id": "a"}], "item 0 lacks key 'caption'"),
+        ([1, 2], "item 0 must be a JSON object, got int"),
+        ([{"id": 1, "caption": "c", "question": "q", "answer": "a"}],
+         "item 0 key 'id' must be a string, got int"),
+    ],
+    ids=["missing-field", "not-an-object", "non-string-field"],
+)
+def test_library_rejects_malformed_items(tmp_path, raw, message):
+    path = tmp_path / "lib.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(DomainError, match=f"^{re.escape(f'{path} {message}')}$"):
         niah.load_library(path)
