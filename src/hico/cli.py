@@ -7,14 +7,13 @@ Exit codes: 0 success, 2 domain/config error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
 from pathlib import Path
 
 from . import compressor, costmodel, dropout, io, niah, sampler
-from .errors import DomainError
+from .errors import DomainError, FileFormatError
 
 ENV_CONFIG = "HICO_CONFIG"
 
@@ -26,8 +25,13 @@ def _load_config(args) -> io.ToolConfig:
     return io.ToolConfig({})
 
 
-def _pick(flag, cfg: io.ToolConfig, key: str):
-    """The flag if given, else the config value or schema default, checked."""
+def _section(prefix: str) -> list[str]:
+    return [key for key in io.CONFIG_SCHEMA if key.startswith(prefix)]
+
+
+def _pick(args, cfg: io.ToolConfig, key: str):
+    """`key`'s flag if given, else its config value or schema default, checked."""
+    flag = getattr(args, key)
     if flag is None:
         return cfg.get(key)
     return io.check_value(key, flag)
@@ -39,10 +43,10 @@ def _pick(flag, cfg: io.ToolConfig, key: str):
 
 def cmd_sample(args, cfg: io.ToolConfig) -> int:
     policy = sampler.SamplingPolicy(
-        t_min=_pick(args.tmin, cfg, "sampler.t_min"),
-        t_max=_pick(args.tmax, cfg, "sampler.t_max"),
+        t_min=_pick(args, cfg, "sampler.t_min"),
+        t_max=_pick(args, cfg, "sampler.t_max"),
     )
-    fps = _pick(args.fps, cfg, "sampler.fps")
+    fps = _pick(args, cfg, "sampler.fps")
     meta = sampler.VideoMeta.from_rate(args.duration, fps)
     plan = sampler.build_plan(meta, policy)
     print(f"frame_count={plan.frame_count}")
@@ -58,18 +62,10 @@ def cmd_sample(args, cfg: io.ToolConfig) -> int:
 
 
 def _connector_config(args, cfg: io.ToolConfig) -> compressor.ConnectorConfig:
+    # Every connector.* key names the ConnectorConfig field it sets.
     return compressor.ConnectorConfig(
-        kind=_pick(args.connector, cfg, "connector.kind"),
-        budget=_pick(args.budget, cfg, "connector.budget"),
-        clip_len=_pick(args.clip_len, cfg, "connector.clip_len"),
-        st_temperature=_pick(args.st_temperature, cfg, "connector.st_temperature"),
-        factor=_pick(args.factor, cfg, "connector.factor"),
-        f_first=_pick(args.f_first, cfg, "connector.f_first"),
-        f_rest=_pick(args.f_rest, cfg, "connector.f_rest"),
-        queries=_pick(args.queries, cfg, "connector.queries"),
-        query_seed=_pick(args.seed, cfg, "seed"),
-        weights_path=_pick(args.weights, cfg, "connector.weights_path"),
-        temperature=_pick(args.temperature, cfg, "connector.temperature"),
+        **{key.removeprefix("connector."): _pick(args, cfg, key) for key in _section("connector.")},
+        query_seed=_pick(args, cfg, "seed"),
     )
 
 
@@ -110,18 +106,18 @@ def _model_shape(name: str, cfg: io.ToolConfig) -> costmodel.ModelShape:
 
 
 def cmd_estimate(args, cfg: io.ToolConfig) -> int:
-    name = _pick(args.shape, cfg, "costmodel.shape")
+    name = _pick(args, cfg, "costmodel.shape")
     shape = _model_shape(name, cfg)
-    tokens_per_frame = _pick(args.tokens_per_frame, cfg, "costmodel.tokens_per_frame")
+    tokens_per_frame = _pick(args, cfg, "costmodel.tokens_per_frame")
     tokens = costmodel.tokens_for_video(args.frames, tokens_per_frame)
-    cache_bytes = _pick(args.cache_bytes, cfg, "costmodel.cache_bytes_per_value")
-    overhead = _pick(args.overhead_bytes, cfg, "costmodel.overhead_bytes")
+    cache_bytes = _pick(args, cfg, "costmodel.cache_bytes_per_value")
+    overhead = _pick(args, cfg, "costmodel.overhead_bytes")
     report = costmodel.memory_estimate(tokens, shape, cache_bytes, overhead)
     # Every check runs before the first line, so an exit 2 prints no report.
-    schedule_text = _pick(args.schedule, cfg, "dropout.schedule")
+    schedule_text = _pick(args, cfg, "dropout.schedule")
     if schedule_text:
         schedule = dropout.DropSchedule.parse(schedule_text)
-        text_tokens = _pick(args.text_tokens, cfg, "dropout.text_tokens")
+        text_tokens = _pick(args, cfg, "dropout.text_tokens")
         flops = costmodel.flops_with_schedule(tokens, schedule, shape, text_tokens)
     print(f"shape={name}")
     print(f"frames={args.frames}")
@@ -146,22 +142,22 @@ def cmd_estimate(args, cfg: io.ToolConfig) -> int:
 
 
 def cmd_dropout(args, cfg: io.ToolConfig) -> int:
-    schedule = dropout.DropSchedule.parse(_pick(args.schedule, cfg, "dropout.schedule"))
+    schedule = dropout.DropSchedule.parse(_pick(args, cfg, "dropout.schedule"))
     geometry = dropout.DecoderGeometry(
-        layers=_pick(args.layers, cfg, "dropout.layers"),
-        hidden_dim=_pick(args.hidden_dim, cfg, "dropout.hidden_dim"),
-        heads=_pick(args.heads, cfg, "dropout.heads"),
+        layers=_pick(args, cfg, "dropout.layers"),
+        hidden_dim=_pick(args, cfg, "dropout.hidden_dim"),
+        heads=_pick(args, cfg, "dropout.heads"),
     )
     if args.scale_from is not None:
         schedule = dropout.scale_schedule(schedule, geometry.layers, args.scale_from)
     grid = io.read_embeddings(args.infile)
     visual = grid.data.reshape(-1, grid.dim)
     run = dropout.toy_decoder_run(
-        text_tokens=_pick(args.text_tokens, cfg, "dropout.text_tokens"),
+        text_tokens=_pick(args, cfg, "dropout.text_tokens"),
         visual=visual,
         geometry=geometry,
         schedule=schedule,
-        seed=_pick(args.seed, cfg, "seed"),
+        seed=_pick(args, cfg, "seed"),
     )
     print("layer,count")
     for layer, kept in enumerate(run.kept):
@@ -175,10 +171,9 @@ def cmd_dropout(args, cfg: io.ToolConfig) -> int:
 
 
 def _library(args, cfg: io.ToolConfig) -> list[niah.NeedleItem]:
-    if getattr(args, "synth_library", None) is not None:
-        seed = _pick(getattr(args, "seed", None), cfg, "seed")
-        return niah.synth_library(args.synth_library, seed=seed)
-    if getattr(args, "library", None):
+    if args.synth_library is not None:
+        return niah.synth_library(args.synth_library, seed=_pick(args, cfg, "seed"))
+    if args.library:
         return niah.load_library(args.library)
     raise DomainError("provide --library PATH or --synth-library SIZE")
 
@@ -209,7 +204,7 @@ def cmd_niah_gen(args, cfg: io.ToolConfig) -> int:
     library = _library(args, cfg)
     tpl = _templates(cfg)
     q1 = cfg.get("niah.q1_text")
-    seed = _pick(args.seed, cfg, "seed")
+    seed = _pick(args, cfg, "seed")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng_pick = random.Random(seed)
@@ -228,11 +223,11 @@ def cmd_niah_gen(args, cfg: io.ToolConfig) -> int:
         else:
             inst = niah.gen_multi_hop(
                 args.length,
-                _pick(args.hops, cfg, "niah.hops"),
-                _pick(args.distractors, cfg, "niah.distractors"),
+                _pick(args, cfg, "niah.hops"),
+                _pick(args, cfg, "niah.distractors"),
                 library,
                 seed=inst_seed,
-                ordered=args.ordered or cfg.get("niah.ordered"),
+                ordered=_pick(args, cfg, "niah.ordered"),
                 clue_template=tpl["clue_template"],
                 start_template=tpl["start_template"],
                 q1_text=q1,
@@ -298,7 +293,7 @@ def _csv(text: str, kind: type, what: str) -> list:
 
 def cmd_niah_heatmap(args, cfg: io.ToolConfig) -> int:
     library = _library(args, cfg)
-    seed = _pick(args.seed, cfg, "seed")
+    seed = _pick(args, cfg, "seed")
     lengths = _csv(args.lengths, int, "--lengths entry")
     cells = niah.heatmap_grid(lengths, _csv(args.depths, float, "--depths entry"), library, seed)
     out_dir = Path(args.out_dir)
@@ -313,7 +308,7 @@ def cmd_niah_heatmap(args, cfg: io.ToolConfig) -> int:
 
 
 def cmd_niah_heatmap_score(args, cfg: io.ToolConfig) -> int:
-    grid_lines = Path(args.grid).read_text(encoding="utf-8").strip().splitlines()
+    grid_lines = niah.read_text(args.grid).strip().splitlines()
     if not grid_lines or grid_lines[0] != "length,depth,instance":
         raise DomainError("grid file must start with 'length,depth,instance'")
     instances = {p.stem: p for p in _instance_paths(args.paths)}
@@ -342,7 +337,7 @@ def cmd_niah_heatmap_score(args, cfg: io.ToolConfig) -> int:
 
 
 def cmd_niah_synth_library(args, cfg: io.ToolConfig) -> int:
-    seed = _pick(args.seed, cfg, "seed")
+    seed = _pick(args, cfg, "seed")
     items = niah.synth_library(args.size, seed=seed)
     niah.save_library(items, args.out)
     print(f"items={len(items)}")
@@ -361,7 +356,7 @@ def _parse_shape(text: str) -> tuple[int, int, int, int]:
 
 
 def cmd_synth(args, cfg: io.ToolConfig) -> int:
-    seed = _pick(args.seed, cfg, "seed")
+    seed = _pick(args, cfg, "seed")
     grid = io.synth_grid(
         args.kind, _parse_shape(args.shape), seed=seed, k=args.k, noise=args.noise
     )
@@ -375,6 +370,19 @@ def cmd_synth(args, cfg: io.ToolConfig) -> int:
 # parser
 
 
+def _add_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
+    """Add the flag of each key that has one, as its schema row spells and types it.
+    Unset, it reads None; a boolean knob's flag is a switch that only turns it on."""
+    for key in keys:
+        row = io.CONFIG_SCHEMA[key]
+        if row.flag is None:
+            continue
+        if isinstance(row.default, bool):
+            parser.add_argument(row.flag, dest=key, action="store_const", const=True)
+        else:
+            parser.add_argument(row.flag, dest=key, type=row.parse)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hico",
@@ -386,45 +394,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="frame sampling plan and timestamp prompt")
     p.add_argument("--duration", type=float, required=True, help="video length in seconds")
-    p.add_argument("--tmin", type=int)
-    p.add_argument("--tmax", type=int)
-    p.add_argument("--fps", type=float)
+    _add_flags(p, *_section("sampler."))
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("compress", help="compress an embedding file clip by clip")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--connector", choices=compressor.CONNECTOR_KINDS)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--clip-len", dest="clip_len", type=int)
-    p.add_argument("--st-temperature", dest="st_temperature", type=float)
-    p.add_argument("--factor", type=int)
-    p.add_argument("--f-first", dest="f_first", type=int)
-    p.add_argument("--f-rest", dest="f_rest", type=int)
-    p.add_argument("--queries", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--weights", help="npz with resampler queries/wk/wv")
-    p.add_argument("--seed", type=int)
+    _add_flags(p, *_section("connector."), "seed")
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("estimate", help="prefill FLOPs and inference memory")
     p.add_argument("--frames", type=int, required=True)
-    p.add_argument("--tokens-per-frame", dest="tokens_per_frame", type=int)
-    p.add_argument("--shape", help="model preset: 7b, 2b, toy")
-    p.add_argument("--schedule", help="drop schedule, e.g. uni:4:0.75,attn:18:0.25")
-    p.add_argument("--text-tokens", dest="text_tokens", type=int)
-    p.add_argument("--cache-bytes", dest="cache_bytes", type=int)
-    p.add_argument("--overhead-bytes", dest="overhead_bytes", type=int)
+    _add_flags(p, *_section("costmodel."), "dropout.schedule", "dropout.text_tokens")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("dropout", help="run a drop schedule through the toy decoder")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--schedule")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--text-tokens", dest="text_tokens", type=int)
+    _add_flags(p, *_section("dropout."), "seed")
     p.add_argument(
         "--scale-from",
         dest="scale_from",
@@ -436,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write a synthetic embedding file")
     p.add_argument("--kind", choices=io.GRID_KINDS, default="gaussian")
     p.add_argument("--shape", required=True, help="FRAMESxROWSxCOLSxDIM")
-    p.add_argument("--seed", type=int)
+    _add_flags(p, "seed")
     p.add_argument("--k", type=int, default=2, help="cluster count for kind=clusters")
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--out", required=True)
@@ -444,33 +430,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     pn = sub.add_parser("niah", help="haystack benchmark generator and scorer")
     nsub = pn.add_subparsers(dest="niah_command", required=True)
+    # The item library, and the seed that synthesises it, for every command that reads one.
+    lib = argparse.ArgumentParser(add_help=False)
+    lib.add_argument("--library")
+    lib.add_argument("--synth-library", dest="synth_library", type=int)
+    _add_flags(lib, "seed")
 
-    p = nsub.add_parser("gen", help="generate instances")
+    p = nsub.add_parser("gen", parents=[lib], help="generate instances")
     p.add_argument("--mode", choices=("single", "multi"), default="multi")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--depth", type=float, default=0.5, help="single-hop needle depth")
-    p.add_argument("--hops", type=int)
-    p.add_argument("--distractors", type=int)
+    _add_flags(p, *_section("niah."))
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--ordered", action="store_true", help="force ascending hop positions")
-    p.add_argument("--library")
-    p.add_argument("--synth-library", dest="synth_library", type=int)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.set_defaults(func=cmd_niah_gen)
 
-    p = nsub.add_parser("validate", help="check instance soundness")
+    p = nsub.add_parser("validate", parents=[lib], help="check instance soundness")
     p.add_argument("paths", nargs="+")
-    p.add_argument("--library")
-    p.add_argument("--synth-library", dest="synth_library", type=int)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_niah_validate)
 
-    p = nsub.add_parser("solve", help="oracle-solve instances into a response file")
+    p = nsub.add_parser("solve", parents=[lib], help="oracle-solve instances into a response file")
     p.add_argument("paths", nargs="+")
-    p.add_argument("--library")
-    p.add_argument("--synth-library", dest="synth_library", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_niah_solve)
 
@@ -479,12 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--responses", required=True)
     p.set_defaults(func=cmd_niah_score)
 
-    p = nsub.add_parser("heatmap", help="generate a (length, depth) instance grid")
+    p = nsub.add_parser("heatmap", parents=[lib], help="generate a (length, depth) instance grid")
     p.add_argument("--lengths", required=True, help="comma-separated frame counts")
     p.add_argument("--depths", required=True, help="comma-separated depths in [0,1]")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--library")
-    p.add_argument("--synth-library", dest="synth_library", type=int)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--grid", required=True, help="grid CSV to write")
     p.set_defaults(func=cmd_niah_heatmap)
@@ -498,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = nsub.add_parser("synth-library", help="write a deterministic item library")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--seed", type=int)
+    _add_flags(p, "seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_niah_synth_library)
 
@@ -513,7 +490,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (io.EmbeddingFormatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (io.EmbeddingFormatError, FileFormatError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

@@ -11,3 +11,8 @@ class ConfigError(DomainError):
 
 class CapacityError(DomainError):
     """A generator ran out of distinct items or positions."""
+
+
+class FileFormatError(Exception):
+    """An input file does not decode as the UTF-8 text or JSON its reader
+    expects; the message names the file."""

@@ -208,51 +208,53 @@ def _placeholder_once(marker: str):
 
 
 class ConfigRow(NamedTuple):
-    """How one config key's text is parsed, its value when unset, and a check
-    that returns a complaint about a bad value, or None."""
+    """How one config key's text is parsed, its value when unset, a check that
+    returns a complaint about a bad value, or None, and its flag, if it has one."""
 
     parse: Callable[[str], Any]
     default: Any
     check: Callable[[Any], str | None] = lambda value: None
+    flag: str | None = None
 
 
-# The one list of config keys. Command-line flags for the same knobs take
-# their defaults from here too, and pass the same check.
+# The one list of config keys; the CLI builds each key's flag from its row.
 CONFIG_SCHEMA: dict[str, ConfigRow] = {
-    "seed": ConfigRow(int, 0, _at_least(0)),
-    "sampler.t_min": ConfigRow(int, SamplingPolicy.t_min),
-    "sampler.t_max": ConfigRow(int, SamplingPolicy.t_max),
-    "sampler.fps": ConfigRow(float, 1.0),
-    "connector.kind": ConfigRow(str, ConnectorConfig.kind, _one_of(CONNECTOR_KINDS)),
-    "connector.budget": ConfigRow(int, ConnectorConfig.budget),
-    "connector.clip_len": ConfigRow(int, ConnectorConfig.clip_len),
-    "connector.st_temperature": ConfigRow(float, ConnectorConfig.st_temperature),
-    "connector.factor": ConfigRow(int, ConnectorConfig.factor),
-    "connector.f_first": ConfigRow(int, ConnectorConfig.f_first),
-    "connector.f_rest": ConfigRow(int, ConnectorConfig.f_rest),
-    "connector.queries": ConfigRow(int, ConnectorConfig.queries),
-    "connector.temperature": ConfigRow(float, ConnectorConfig.temperature),
-    "connector.weights_path": ConfigRow(str, ConnectorConfig.weights_path),
-    "dropout.schedule": ConfigRow(str, "", _schedule),
+    "seed": ConfigRow(int, 0, _at_least(0), "--seed"),
+    "sampler.t_min": ConfigRow(int, SamplingPolicy.t_min, flag="--tmin"),
+    "sampler.t_max": ConfigRow(int, SamplingPolicy.t_max, flag="--tmax"),
+    "sampler.fps": ConfigRow(float, 1.0, flag="--fps"),
+    "connector.kind": ConfigRow(str, ConnectorConfig.kind, _one_of(CONNECTOR_KINDS), "--connector"),
+    "connector.budget": ConfigRow(int, ConnectorConfig.budget, flag="--budget"),
+    "connector.clip_len": ConfigRow(int, ConnectorConfig.clip_len, flag="--clip-len"),
+    "connector.st_temperature": ConfigRow(
+        float, ConnectorConfig.st_temperature, flag="--st-temperature"
+    ),
+    "connector.factor": ConfigRow(int, ConnectorConfig.factor, flag="--factor"),
+    "connector.f_first": ConfigRow(int, ConnectorConfig.f_first, flag="--f-first"),
+    "connector.f_rest": ConfigRow(int, ConnectorConfig.f_rest, flag="--f-rest"),
+    "connector.queries": ConfigRow(int, ConnectorConfig.queries, flag="--queries"),
+    "connector.temperature": ConfigRow(float, ConnectorConfig.temperature, flag="--temperature"),
+    "connector.weights_path": ConfigRow(str, ConnectorConfig.weights_path, flag="--weights"),
+    "dropout.schedule": ConfigRow(str, "", _schedule, "--schedule"),
     # The paper's 28-layer decoders, not DecoderGeometry's 4-layer toy.
-    "dropout.layers": ConfigRow(int, 28),
-    "dropout.hidden_dim": ConfigRow(int, DecoderGeometry.hidden_dim),
-    "dropout.heads": ConfigRow(int, DecoderGeometry.heads),
+    "dropout.layers": ConfigRow(int, 28, flag="--layers"),
+    "dropout.hidden_dim": ConfigRow(int, DecoderGeometry.hidden_dim, flag="--hidden-dim"),
+    "dropout.heads": ConfigRow(int, DecoderGeometry.heads, flag="--heads"),
     # An attention drop ranks tokens by a text query, so keep some text.
-    "dropout.text_tokens": ConfigRow(int, 8),
-    "costmodel.shape": ConfigRow(str, "7b", _one_of(PRESETS)),
+    "dropout.text_tokens": ConfigRow(int, 8, flag="--text-tokens"),
+    "costmodel.shape": ConfigRow(str, "7b", _one_of(PRESETS), "--shape"),
     # Unset: the preset's own parameter count and bytes per parameter.
     "costmodel.nonembed_params": ConfigRow(float, None, _finite),
     "costmodel.bytes_per_param": ConfigRow(int, None),
-    "costmodel.cache_bytes_per_value": ConfigRow(int, 2),
-    "costmodel.overhead_bytes": ConfigRow(int, 2 * GIB),
-    "costmodel.tokens_per_frame": ConfigRow(int, 16),
+    "costmodel.cache_bytes_per_value": ConfigRow(int, 2, flag="--cache-bytes"),
+    "costmodel.overhead_bytes": ConfigRow(int, 2 * GIB, flag="--overhead-bytes"),
+    "costmodel.tokens_per_frame": ConfigRow(int, 16, flag="--tokens-per-frame"),
     "niah.clue_template": ConfigRow(str, CLUE_TEMPLATE, _placeholder_once("{next_caption}")),
     "niah.start_template": ConfigRow(str, START_TEMPLATE, _placeholder_once("{caption}")),
     "niah.q1_text": ConfigRow(str, Q1_TEXT),
-    "niah.hops": ConfigRow(int, 3),
-    "niah.distractors": ConfigRow(int, 1),
-    "niah.ordered": ConfigRow(_parse_bool, False),
+    "niah.hops": ConfigRow(int, 3, flag="--hops"),
+    "niah.distractors": ConfigRow(int, 1, flag="--distractors"),
+    "niah.ordered": ConfigRow(_parse_bool, False, flag="--ordered"),
 }
 
 

@@ -19,8 +19,9 @@ import os
 import random
 import string
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, FileFormatError
 
 CLUE_TEMPLATE = "The clue in this image points to the item titled '{next_caption}'."
 START_TEMPLATE = "The reasoning path starts at the item titled '{caption}'."
@@ -121,15 +122,17 @@ class ValidationReport:
 
 
 def load_library(path: str | os.PathLike) -> list[NeedleItem]:
-    with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
+    raw = _parse_json(read_text(path), path)
     if not isinstance(raw, list):
         raise DomainError("item library must be a JSON array")
     keys = ("id", "caption", "question", "answer")
-    items = [
-        NeedleItem(*(_field(e, key, str, f"{path} item {i}") for key in keys))
-        for i, e in enumerate(raw)
-    ]
+    items = []
+    for i, e in enumerate(raw):
+        where = f"{path} item {i}"
+        fields = [_field(e, key, str, where) for key in keys]
+        if "" in fields:
+            raise DomainError(f"{where} key {keys[fields.index('')]!r} must be non-empty")
+        items.append(NeedleItem(*fields))
     ids = [i.id for i in items]
     if len(set(ids)) != len(ids):
         raise DomainError("item library contains duplicate ids")
@@ -576,6 +579,21 @@ def instance_to_dict(instance: NiahInstance) -> dict:
     }
 
 
+def read_text(path: str | os.PathLike) -> str:
+    """The UTF-8 text of a library, instance, responses or grid file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+
+
+def _parse_json(text: str, where: str | os.PathLike):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{where}: {exc}") from None
+
+
 _JSON_NAMES = {
     int: "an integer", str: "a string", bool: "true or false", list: "a list",
     dict: "an object", type(None): "null",
@@ -597,13 +615,14 @@ def _field(d: object, key: str, kind: type | tuple[type, ...], where: str):
     return value
 
 
-def instance_from_dict(raw: dict) -> NiahInstance:
-    """Inverse of instance_to_dict; DomainError on a missing key or a wrong type."""
+def instance_from_dict(raw: dict, where: str = "instance") -> NiahInstance:
+    """Inverse of instance_to_dict; DomainError on a missing key or a wrong type,
+    its message starting with `where`."""
 
-    def path_from(d: object, where: str) -> ReasoningPath:
+    def path_from(d: object, at_path: str) -> ReasoningPath:
         hops = []
-        for i, h in enumerate(_field(d, "hops", list, where)):
-            at = f"{where} hop {i}"
+        for i, h in enumerate(_field(d, "hops", list, at_path)):
+            at = f"{at_path} hop {i}"
             hops.append(
                 Hop(
                     item_id=_field(h, "item_id", str, at),
@@ -611,20 +630,22 @@ def instance_from_dict(raw: dict) -> NiahInstance:
                     clue=_field(h, "clue", (str, type(None)), at),
                 )
             )
-        return ReasoningPath(hops=tuple(hops), is_correct=_field(d, "is_correct", bool, where))
+        return ReasoningPath(hops=tuple(hops), is_correct=_field(d, "is_correct", bool, at_path))
 
-    gt = _field(raw, "ground_truth", list, "instance")
+    gt = _field(raw, "ground_truth", list, where)
     if len(gt) != 2 or not all(isinstance(x, str) for x in gt):
-        raise DomainError("instance key 'ground_truth' must be [needle id, answer] strings")
-    distractors = _field(raw, "distractors", list, "instance")
+        raise DomainError(f"{where} key 'ground_truth' must be [needle id, answer] strings")
+    distractors = _field(raw, "distractors", list, where)
     return NiahInstance(
-        seed=_field(raw, "seed", int, "instance"),
-        haystack_len=_field(raw, "haystack_len", int, "instance"),
-        correct_path=path_from(_field(raw, "correct_path", dict, "instance"), "correct path"),
-        distractors=tuple(path_from(p, f"distractor {i}") for i, p in enumerate(distractors)),
-        start_hint=_field(raw, "start_hint", str, "instance"),
-        q1=_field(raw, "q1", str, "instance"),
-        q2=_field(raw, "q2", str, "instance"),
+        seed=_field(raw, "seed", int, where),
+        haystack_len=_field(raw, "haystack_len", int, where),
+        correct_path=path_from(_field(raw, "correct_path", dict, where), f"{where} correct path"),
+        distractors=tuple(
+            path_from(p, f"{where} distractor {i}") for i, p in enumerate(distractors)
+        ),
+        start_hint=_field(raw, "start_hint", str, where),
+        q1=_field(raw, "q1", str, where),
+        q2=_field(raw, "q2", str, where),
         ground_truth=(gt[0], gt[1]),
     )
 
@@ -634,8 +655,7 @@ def dump_instance(instance: NiahInstance) -> str:
 
 
 def load_instance(path: str | os.PathLike) -> NiahInstance:
-    with open(path, "r", encoding="utf-8") as f:
-        return instance_from_dict(json.load(f))
+    return instance_from_dict(_parse_json(read_text(path), path), str(path))
 
 
 def write_instance(instance: NiahInstance, path: str | os.PathLike) -> None:
@@ -645,20 +665,19 @@ def write_instance(instance: NiahInstance, path: str | os.PathLike) -> None:
 
 def load_responses(path: str | os.PathLike) -> list[Response]:
     responses = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            where = f"{path}:{lineno}"
-            responses.append(
-                Response(
-                    instance_id=_field(raw, "instance_id", str, where),
-                    needle_id=_field(raw, "needle_id", str, where),
-                    answer=_field(raw, "answer", str, where),
-                )
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        raw = _parse_json(line, where)
+        responses.append(
+            Response(
+                instance_id=_field(raw, "instance_id", str, where),
+                needle_id=_field(raw, "needle_id", str, where),
+                answer=_field(raw, "answer", str, where),
             )
+        )
     return responses
 
 

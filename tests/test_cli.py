@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -515,8 +516,43 @@ def test_niah_non_utf8_file_is_io_error(tmp_path, capsys, command):
     }[command]
     code, _, err = run(capsys, "niah", *argv)
     assert code == 3
-    assert err.startswith("io error:") and len(err.splitlines()) == 1
+    assert err.startswith(f"io error: {bad}: ") and len(err.splitlines()) == 1
     assert "0xff" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "score", "gen"])
+def test_niah_malformed_json_file_is_io_error_naming_it(tmp_path, capsys, command):
+    instances = tmp_path / "instances"
+    main(["niah", "gen", "--length", "100", "--synth-library", "20", "--out-dir", str(instances)])
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"id": ', encoding="utf-8")
+    argv = {
+        "validate": ["validate", str(bad), "--synth-library", "20"],
+        "solve": ["solve", str(bad), "--synth-library", "20", "--out", str(tmp_path / "r.jsonl")],
+        "score": ["score", str(instances), "--responses", str(bad)],
+        "gen": ["gen", "--length", "100", "--library", str(bad), "--out-dir", str(tmp_path / "x")],
+    }[command]
+    code, _, err = run(capsys, "niah", *argv)
+    assert code == 3
+    # A responses file is JSON lines, so its message also names the line.
+    where = f"{bad}:1" if command == "score" else str(bad)
+    assert err.startswith(f"io error: {where}: Expecting value") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("broken", ["grid", "responses", "instance"])
+def test_niah_heatmap_score_names_the_file_that_fails_to_decode(tmp_path, capsys, broken):
+    cells, grid_csv, responses = tmp_path / "cells", tmp_path / "grid.csv", tmp_path / "r.jsonl"
+    main(["niah", "heatmap", "--lengths", "60", "--depths", "0,1", "--synth-library", "20",
+          "--out-dir", str(cells), "--grid", str(grid_csv)])
+    main(["niah", "solve", str(cells), "--synth-library", "20", "--out", str(responses)])
+    bad = {"grid": grid_csv, "responses": responses, "instance": sorted(cells.iterdir())[1]}[broken]
+    bad.write_bytes(b"\xff" + bad.read_bytes())
+    code, out, err = run(
+        capsys, "niah", "heatmap-score", str(cells), "--grid", str(grid_csv),
+        "--responses", str(responses), "--out", str(tmp_path / "heat.csv"),
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith(f"io error: {bad}: 'utf-8' codec") and len(err.splitlines()) == 1
 
 
 def test_niah_gen_requires_library(tmp_path, capsys):
@@ -602,6 +638,152 @@ def test_non_utf8_config_is_config_error(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "sample", "--duration", "10")
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# flags built from the config schema: every flagged row, on every subcommand
+# that declares its flag
+
+# Each subcommand with the arguments it requires. Only dropout reads a file
+# ({grid}) before it checks a flag.
+COMMANDS = {
+    ("sample",): ["--duration", "10"],
+    ("compress",): ["--in", "{grid}", "--out", "{tmp}/c.bin"],
+    ("estimate",): ["--frames", "8"],
+    ("dropout",): ["--in", "{grid}"],
+    ("synth",): ["--shape", "1x2x2x4", "--out", "{tmp}/s.bin"],
+    ("niah", "gen"): ["--length", "50", "--synth-library", "20", "--out-dir", "{tmp}/g"],
+    ("niah", "validate"): ["{tmp}/i.json", "--synth-library", "20"],
+    ("niah", "solve"): ["{tmp}/i.json", "--synth-library", "20", "--out", "{tmp}/r.jsonl"],
+    ("niah", "score"): ["{tmp}/i.json", "--responses", "{tmp}/r.jsonl"],
+    ("niah", "heatmap"): ["--lengths", "50", "--depths", "0.5", "--synth-library", "20",
+                          "--out-dir", "{tmp}/h", "--grid", "{tmp}/h.csv"],
+    ("niah", "heatmap-score"): ["{tmp}/i.json", "--grid", "{tmp}/h.csv",
+                                "--responses", "{tmp}/r.jsonl", "--out", "{tmp}/o.csv"],
+    ("niah", "synth-library"): ["--size", "4", "--out", "{tmp}/l.json"],
+}
+
+# A flag value and a different config value for every flagged key; None is
+# a switch flag, which takes no value.
+FLAG_AND_CONFIG = {
+    "seed": ("3", "5"),
+    "sampler.t_min": ("16", "32"),
+    "sampler.t_max": ("48", "96"),
+    "sampler.fps": ("2.5", "0.5"),
+    "connector.kind": ("spatial", "uneven"),
+    "connector.budget": ("8", "16"),
+    "connector.clip_len": ("2", "3"),
+    "connector.st_temperature": ("0.5", "2.0"),
+    "connector.factor": ("4", "1"),
+    "connector.f_first": ("1", "3"),
+    "connector.f_rest": ("2", "8"),
+    "connector.queries": ("4", "12"),
+    "connector.temperature": ("0.25", "3.0"),
+    "connector.weights_path": ("a.npz", "b.npz"),
+    "dropout.schedule": ("uni:2:0.5", "attn:3:0.25"),
+    "dropout.layers": ("6", "12"),
+    "dropout.hidden_dim": ("32", "16"),
+    "dropout.heads": ("2", "8"),
+    "dropout.text_tokens": ("4", "0"),
+    "costmodel.shape": ("2b", "toy"),
+    "costmodel.cache_bytes_per_value": ("1", "4"),
+    "costmodel.overhead_bytes": ("0", "1024"),
+    "costmodel.tokens_per_frame": ("8", "32"),
+    "niah.hops": ("2", "4"),
+    "niah.distractors": ("0", "2"),
+    "niah.ordered": (None, "false"),
+}
+
+# A value that fails the row's check, for every flagged row that has one.
+FAILS_CHECK = {
+    "seed": "-1",
+    "connector.kind": "bogus",
+    "dropout.schedule": "uni:x",
+    "costmodel.shape": "13b",
+}
+
+
+def command_argv(command, tmp_path, grid="grid.bin"):
+    return [*command, *(a.format(tmp=tmp_path, grid=grid) for a in COMMANDS[command])]
+
+
+def flag_argv(key, value):
+    return [io.CONFIG_SCHEMA[key].flag] + ([] if value is None else [value])
+
+
+def declared_keys(command):
+    # An undeclared flag leaves no attribute; a declared one reads None until given.
+    args = cli.build_parser().parse_args(command_argv(command, "tmp"))
+    return [key for key in io.CONFIG_SCHEMA if key in vars(args)]
+
+
+FLAGGED = [(command, key) for command in COMMANDS for key in declared_keys(command)]
+
+
+def flag_id(case):
+    command, key = case
+    return f"{'-'.join(command)}{io.CONFIG_SCHEMA[key].flag}"
+
+
+def subcommands(parser, prefix=()):
+    """Every command path of an argparse parser, the top level included."""
+    yield prefix
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from subcommands(child, prefix + (name,))
+
+
+def test_flag_cases_cover_the_schema_and_the_parser():
+    flagged_rows = {key for key, row in io.CONFIG_SCHEMA.items() if row.flag}
+    checked_rows = {
+        key for key in flagged_rows
+        if io.CONFIG_SCHEMA[key].check is not io.ConfigRow._field_defaults["check"]
+    }
+    assert {key for _, key in FLAGGED} == flagged_rows == set(FLAG_AND_CONFIG)
+    assert checked_rows == set(FAILS_CHECK)
+    leaves = {c for c in subcommands(cli.build_parser()) if c not in ((), ("niah",))}
+    assert leaves == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command,key", FLAGGED, ids=map(flag_id, FLAGGED))
+def test_flag_wins_over_config_file(tmp_path, command, key):
+    row = io.CONFIG_SCHEMA[key]
+    flag_value, config_value = FLAG_AND_CONFIG[key]
+    argv = ["--config", config_file(tmp_path, f"{key} = {config_value}\n")]
+    argv += command_argv(command, tmp_path)
+    from_config = cli.build_parser().parse_args(argv)
+    from_flag = cli.build_parser().parse_args(argv + flag_argv(key, flag_value))
+    cfg = cli._load_config(from_config)
+    expected = True if flag_value is None else row.parse(flag_value)
+    assert cli._pick(from_flag, cfg, key) == expected
+    assert cli._pick(from_config, cfg, key) == row.parse(config_value) != expected
+
+
+CHECKED = [(command, key) for command, key in FLAGGED if key in FAILS_CHECK]
+
+
+@pytest.mark.parametrize("command,key", CHECKED, ids=map(flag_id, CHECKED))
+def test_value_failing_check_is_same_error_from_flag_or_config(tmp_path, capsys, command, key):
+    grid = synth(tmp_path, shape="2x4x4x8")
+    argv = command_argv(command, tmp_path, grid)
+    code, out, err = run(capsys, *argv, *flag_argv(key, FAILS_CHECK[key]))
+    assert one_line_error(code, err) and out == ""
+    assert err.startswith(f"error: {key} ")
+    cfg = config_file(tmp_path, f"{key} = {FAILS_CHECK[key]}\n")
+    code, out, err_config = run(capsys, "--config", cfg, *argv)
+    assert one_line_error(code, err_config) and out == ""
+    assert err_config == err.replace("error: ", f"error: {cfg}:1: ", 1)
+
+
+@pytest.mark.parametrize(
+    "command", list(subcommands(cli.build_parser())), ids=lambda c: " ".join(("hico",) + c)
+)
+def test_help_builds_for_every_subcommand(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: {' '.join(('hico',) + command)} ")
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +1045,17 @@ def test_niah_validate_malformed_instance(tmp_path, capsys, document):
     path.write_text(document, encoding="utf-8")
     code, _, err = run(capsys, "niah", "validate", str(path), "--synth-library", "20")
     assert one_line_error(code, err)
+
+
+def test_niah_validate_dir_names_the_malformed_instance(tmp_path, capsys):
+    instances = tmp_path / "instances"
+    main(["niah", "gen", "--length", "100", "--synth-library", "20", "--count", "2",
+          "--out-dir", str(instances)])
+    bad = instances / "x.json"
+    bad.write_text('{"id": "x"}', encoding="utf-8")
+    code, _, err = run(capsys, "niah", "validate", str(instances), "--synth-library", "20")
+    assert one_line_error(code, err)
+    assert err == f"error: {bad} lacks key 'ground_truth'\n"
 
 
 def test_niah_score_malformed_response(tmp_path, capsys):

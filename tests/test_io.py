@@ -247,9 +247,9 @@ def test_load_config_fuzz_raises_only_config_error(tmp_path_factory, lines):
 def test_readme_documents_every_config_key():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
-    rows = re.findall(r"^\| `([\w.]+)` \| (\w+) \|", section, flags=re.M)
+    rows = re.findall(r"^\| `([\w.]+)` \| (?:`(--[\w-]+)`|—) \| (\w+) \|", section, flags=re.M)
     type_names = {"_parse_bool": "bool"}
     assert rows == [
-        (key, type_names.get(row.parse.__name__, row.parse.__name__))
+        (key, row.flag or "", type_names.get(row.parse.__name__, row.parse.__name__))
         for key, row in io.CONFIG_SCHEMA.items()
     ]

@@ -415,8 +415,10 @@ def test_library_rejects_duplicate_ids(tmp_path):
         ([1, 2], "item 0 must be a JSON object, got int"),
         ([{"id": 1, "caption": "c", "question": "q", "answer": "a"}],
          "item 0 key 'id' must be a string, got int"),
+        ([LIB[0].__dict__, {"id": "a", "caption": "", "question": "q", "answer": "a"}],
+         "item 1 key 'caption' must be non-empty"),
     ],
-    ids=["missing-field", "not-an-object", "non-string-field"],
+    ids=["missing-field", "not-an-object", "non-string-field", "empty-field"],
 )
 def test_library_rejects_malformed_items(tmp_path, raw, message):
     path = tmp_path / "lib.json"
