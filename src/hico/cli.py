@@ -383,8 +383,16 @@ def _add_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
             parser.add_argument(row.flag, dest=key, type=row.parse)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors on one line, `error: <message>`, exit 2.
+    Subparsers are built from the same class; --help still prints usage."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hico",
         description="Video-token compression toolkit: sampling plans, clip "
         "compression, visual dropout, cost estimates, and haystack benchmarks.",

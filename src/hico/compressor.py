@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_bytes
 
 Source = tuple[int, int, int]
 Columns = tuple[np.ndarray, np.ndarray, np.ndarray]  # (vectors, sizes, owner)
@@ -432,6 +432,20 @@ def scaled_budget(budget: int, frames_in_clip: int, clip_len: int) -> int:
     return -(-budget * frames_in_clip // clip_len)
 
 
+def _check_resampler_bytes(grid: TokenGrid, config: ConnectorConfig, spans) -> None:
+    """Refuse, before allocating, queries whose arrays would pass BYTES_CAP.
+
+    The largest clip holds its queries and about four (queries, tokens)
+    softmax arrays at once; the video's output is held twice when joined.
+    """
+    count = spans[0][1] - spans[0][0]
+    queries = scaled_budget(config.queries, count, config.clip_len)
+    tokens = count * grid.rows * grid.cols
+    outputs = sum(scaled_budget(config.queries, b - a, config.clip_len) for a, b in spans)
+    needed = 8 * (queries * (grid.dim + 4 * tokens) + 2 * outputs * grid.dim)
+    check_bytes(needed, f"--queries {config.queries} on clips of {tokens} tokens")
+
+
 def _compress_clip(
     data: np.ndarray, index: int, span: tuple[int, int], config: ConnectorConfig, weights
 ) -> CompressedClip:
@@ -471,6 +485,8 @@ def compress_video(grid: TokenGrid, config: ConnectorConfig) -> VisualContext:
     """
     frames, clip_len = grid.frames, config.clip_len
     spans = [(start, min(start + clip_len, frames)) for start in range(0, frames, clip_len)]
+    if config.kind == "resampler":
+        _check_resampler_bytes(grid, config, spans)
     clips = []
     full = frames // clip_len if config.kind == "merge" else 0
     if full:

@@ -14,16 +14,18 @@ layer's time, so a drop schedule's measured speed-up ran ahead of the
 predicted one (2.72x against 2.13x for the paper's schedule on 1024 tokens
 and 28 layers, one BLAS thread on a 2-vCPU Xeon).
 
-The toy decoder computes attention in blocks of 64 query rows, each
+The toy decoder computes attention in blocks of 32 query rows, each
 against its causal key columns only, so QK, the softmax and PV all run on
 the lower triangle plus its diagonal blocks: about half the square at
 T near 1000, while this convention counts the full square for both
-products. The saving is smaller at the short sequences a schedule leaves
+products. The softmax's divide runs on the head_dim-wide output rows,
+not on the scores, which see only the mask, max, subtract, exp and sum
+passes. The saving is smaller at the short sequences a schedule leaves
 (the diagonal blocks are a larger share of 192 tokens), and each layer
 also pays costs that do not scale with T^2 (projections, MLP, a fixed
 number of numpy calls per block). So the measured speed-up falls short
-of the prediction: 1.95x against 2.13x, a model error of -0.088, on the
-same decoder and host (traced perfbench decoder-deep, seed 77).
+of the prediction: 2.04x against 2.13x, a model error of -0.045, on the same
+decoder and host (traced perfbench decoder-deep, seed 77, 30 s).
 """
 from __future__ import annotations
 

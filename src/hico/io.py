@@ -26,7 +26,7 @@ import numpy as np
 from .compressor import CONNECTOR_KINDS, ConnectorConfig, TokenGrid
 from .costmodel import GIB, PRESETS
 from .dropout import DecoderGeometry, DropSchedule
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_bytes
 from .niah import CLUE_TEMPLATE, Q1_TEXT, START_TEMPLATE
 from .sampler import SamplingPolicy
 
@@ -135,12 +135,16 @@ def synth_grid(
     gaussian: iid standard normals.
 
     Values are rounded to float32 so grids survive file round-trips exactly.
+    Raises DomainError, before allocating, when the grid would pass
+    errors.BYTES_CAP.
     """
     if kind not in GRID_KINDS:
         raise DomainError(f"unknown grid kind {kind!r}; have {GRID_KINDS}")
     frames, rows, cols, dim = shape
     if min(shape) < 1:
         raise DomainError("all shape entries must be >= 1")
+    # At most three float64 copies of the grid are alive at once.
+    check_bytes(3 * 8 * frames * rows * cols * dim, f"--shape {frames}x{rows}x{cols}x{dim}")
     rng = np.random.default_rng(seed)
     n = frames * rows * cols
 

@@ -201,6 +201,14 @@ def ref_compress_video(grid: compressor.TokenGrid, config) -> list[list[RefToken
 # snapshot scores within the tolerance stated in tests/test_dropout.py.
 
 
+def ref_layer_norm(x: np.ndarray) -> np.ndarray:
+    """Two-pass layer norm: x.var centres x a second time. dropout._layer_norm
+    centres once and must give the same bits."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mean) / np.sqrt(var + 1e-5)
+
+
 def _ref_softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -241,7 +249,7 @@ def ref_toy_decoder_run(
 
         w = weights.layers[layer]
         seq = states.shape[0]
-        normed = dropout._layer_norm(states)
+        normed = ref_layer_norm(states)
         q = (normed @ w["wq"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
         k = (normed @ w["wk"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
         v = (normed @ w["wv"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
@@ -250,7 +258,7 @@ def ref_toy_decoder_run(
         probs = _ref_softmax(scores + causal)
         attn = (probs @ v).transpose(1, 0, 2).reshape(seq, geometry.hidden_dim)
         states = states + attn @ w["wo"]
-        states = states + np.maximum(dropout._layer_norm(states) @ w["w1"], 0.0) @ w["w2"]
+        states = states + np.maximum(ref_layer_norm(states) @ w["w1"], 0.0) @ w["w2"]
 
         last_row = probs[:, -1, :].mean(axis=0)
         snapshots.append(

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hico import cli, dropout, io
+from hico import cli, dropout, errors, io
 from hico.cli import main
 
 
@@ -353,17 +353,19 @@ def test_dropout_golden_digests(tmp_path, capsys, schedule, layers):
 
 
 # sha256 of toy_decoder_run's final states and of every snapshot's scores and
-# text_scores, in layer order, from the row-blocked attention. stdout above
+# text_scores, in layer order, from the row-blocked attention that divides
+# by the row sums after PV. Each lies within 2.1e-15·max|ref| of
+# ref_toy_decoder_run, with equal kept indices. stdout above
 # shows only counts and kept indices, so a last-bit change in the attention
 # probabilities shows here and not there.
 DECODER_GOLDEN = {
     "uni:4:0.75,attn:18:0.25": (
-        "c9af65004e4b52b272ce70d14cc42575121472d74b86fd9957db60875cfdb876",
-        "df85ead5beaf4f3df0b8afc07d060dadb914bb5db4d7a626366ef1d915dc42b0",
+        "75f547b40d1c61d8ec07e0704bd67b5f51fdcd8425b7f5175f107d6cb667216c",
+        "5ff1adb5a6e24cac8e540fd1e99cf39d9d76610cc5770ea89bde602a9f55c0da",
     ),
     "uni:2:0.6,attn:3:0.5,attn:20:0.3": (
-        "3f0934ce55e6dbfc09410b1f2ede6c4cd305d3bbb84a8bd0223176ae72fd93fa",
-        "c2b9f9815436484cd22432fa0da970ce3218d464828d96f42f25e75ebd90b593",
+        "2633d364bfdd455fb21dee980e38b79d5c6af6ff1d49891025ac131a42015975",
+        "e385e24f044a7955f251c073c9d394993b0df00768060dcd4595643e81521dbf",
     ),
 }
 
@@ -777,6 +779,23 @@ def test_value_failing_check_is_same_error_from_flag_or_config(tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["compress", "--in", "g", "--out", "c", "--budget", "x"],
+        ["sample"],
+        ["niah", "bogus"],
+        ["bogus"],
+    ],
+    ids=["typed-flag", "missing-required", "unknown-niah-command", "unknown-command"],
+)
+def test_argparse_error_is_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert one_line_error(exc.value.code, err) and "usage:" not in err
+
+
+@pytest.mark.parametrize(
     "command", list(subcommands(cli.build_parser())), ids=lambda c: " ".join(("hico",) + c)
 )
 def test_help_builds_for_every_subcommand(capsys, command):
@@ -1017,8 +1036,32 @@ def test_dropout_over_byte_cap_is_domain_error(tmp_path, capsys, flag, value, na
     grid = synth(tmp_path, shape="2x4x4x8")
     code, out, err = run(capsys, "dropout", "--in", str(grid), flag, value)
     assert one_line_error(code, err)
-    assert named in err and f"over the {dropout.DECODER_BYTES_CAP}-byte cap" in err
+    assert named in err and f"over the {errors.BYTES_CAP}-byte cap" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["synth", "--shape", "100000x1000x1000x64"], "--shape 100000x1000x1000x64"),
+        (["compress", "--connector", "resampler", "--queries", "1000000000000"],
+         "--queries 1000000000000"),
+    ],
+    ids=["synth-shape", "resampler-queries"],
+)
+def test_size_over_byte_cap_is_refused_before_allocating(tmp_path, capsys, monkeypatch, argv, named):
+    grid = synth(tmp_path, shape="2x4x4x8")
+    paths = ["--out", str(tmp_path / "out.bin")] + (["--in", str(grid)] if argv[0] == "compress" else [])
+
+    # Both commands draw their first size-scaled array from a seeded generator.
+    def allocated(*args, **kw):
+        raise AssertionError("allocated before the byte check")
+
+    monkeypatch.setattr(np.random, "default_rng", allocated)
+    code, out, err = run(capsys, *argv, *paths)
+    assert one_line_error(code, err) and out == ""
+    assert err.startswith(f"error: {named} ")
+    assert f" bytes, over the {errors.BYTES_CAP}-byte cap" in err
 
 
 def test_memory_error_is_one_line_exit_3(tmp_path, capsys, monkeypatch):

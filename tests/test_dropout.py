@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hico import dropout as dp
 from hico.errors import ConfigError, DomainError
 
-from helpers import ref_toy_decoder_run
+from helpers import ref_layer_norm, ref_toy_decoder_run
 
 TABLE_SCHEDULE = dp.DropSchedule.parse("uni:4:0.75,attn:18:0.25")
 
@@ -239,6 +239,19 @@ def test_decoder_rejects_schedule_beyond_depth():
 def test_decoder_needs_text_token():
     with pytest.raises(DomainError):
         dp.toy_decoder_run(0, visual(), seed=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=1100),
+    cols=st.integers(min_value=1, max_value=200),
+    scale=st.floats(min_value=1e-3, max_value=1e3),
+    shift=st.floats(min_value=-10.0, max_value=10.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_layer_norm_equals_two_pass_reference(rows, cols, scale, shift, seed):
+    x = (np.random.default_rng(seed).standard_normal((rows, cols)) + shift) * scale
+    assert np.array_equal(dp._layer_norm(x), ref_layer_norm(x))
 
 
 BLOCK = dp._ROW_BLOCK
