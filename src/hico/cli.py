@@ -12,6 +12,8 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import compressor, costmodel, dropout, io, niah, sampler
 from .errors import DomainError, FileFormatError
 
@@ -494,7 +496,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        return args.func(args, cfg)
+        # numpy's overflow and invalid-value warnings would print ahead of the
+        # one-line error; every command checks its arrays for non-finite values.
+        with np.errstate(all="ignore"):
+            return args.func(args, cfg)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

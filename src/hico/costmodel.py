@@ -18,14 +18,18 @@ The toy decoder computes attention in blocks of 32 query rows, each
 against its causal key columns only, so QK, the softmax and PV all run on
 the lower triangle plus its diagonal blocks: about half the square at
 T near 1000, while this convention counts the full square for both
-products. The softmax's divide runs on the head_dim-wide output rows,
-not on the scores, which see only the mask, max, subtract, exp and sum
-passes. The saving is smaller at the short sequences a schedule leaves
-(the diagonal blocks are a larger share of 192 tokens), and each layer
-also pays costs that do not scale with T^2 (projections, MLP, a fixed
-number of numpy calls per block). So the measured speed-up falls short
-of the prediction: 2.04x against 2.13x, a model error of -0.045, on the same
-decoder and host (traced perfbench decoder-deep, seed 77, 30 s).
+products. The scores see only the mask and exp passes: a per-call bound
+on the scores makes the row max shift unneeded, the row sums come out of
+the PV matmul, and the divide runs on the head_dim-wide output rows. The
+causal saving is smaller at the short sequences a schedule leaves (the
+diagonal blocks are a larger share of 192 tokens), and each layer also
+pays costs that do not scale with T^2 (projections, MLP, the bound and
+the ones column, a fixed number of numpy calls per block). Removing
+T^2 passes cuts the long unscheduled layers more than the short
+scheduled ones, so the measured speed-up falls short of the prediction:
+1.96x against 2.13x, a model error of -0.083, on the same decoder and
+host (traced perfbench decoder-deep, seed 77, 30 s; -0.057 at the
+parent in a run made back to back).
 """
 from __future__ import annotations
 

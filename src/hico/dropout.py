@@ -214,6 +214,13 @@ def _layer_norm(x: np.ndarray) -> np.ndarray:
 _ROW_BLOCK = 32
 _BLOCK_UPPER = np.triu(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool), k=1)
 
+# Scores bounded by this in magnitude go into exp without the row max shift.
+# exp then lies in [e^-500, e^500] ≈ [7e-218, 1.4e217]: no overflow and no
+# subnormals. The byte cap keeps T below 2^22, so a row sum stays below 6e223
+# and a PV entry stays finite for any |v| below 3e84; v is a layer-normed row
+# times a weight matrix. Each row keeps its diagonal, so no row sum is zero.
+_EXP_SAFE = 500.0
+
 
 def _causal_attention(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, buffer: np.ndarray, out: np.ndarray
@@ -222,28 +229,37 @@ def _causal_attention(
 
     `q`, `k`, `v` and `out` are (heads, T, head_dim). `buffer` holds at least
     heads * _ROW_BLOCK * T floats; each block's (heads, rows, r1) scores are a
-    contiguous view of its front, so no (heads, T, T) square is built. PV
-    runs on the unnormalised exp block, and the row sums divide the
-    (heads, rows, head_dim) output instead of the (heads, rows, r1) block.
-    Row sums run over [:r1] only, so the last bits can differ from the
-    full-square form. Returns the last query's attention over the whole
-    sequence, (heads, T), normalised on its own.
+    contiguous view of its front, so no (heads, T, T) square is built.
+    max|q_i|·max|k_j| bounds every score (Cauchy–Schwarz); below _EXP_SAFE
+    the row max shift is skipped. PV runs on the unnormalised exp block
+    against v with a column of ones appended, so the same matmul yields the
+    row sums, which then divide the (heads, rows, head_dim) output. Row sums
+    run over [:r1] only, so the last bits can differ from the full-square
+    form. Returns the last query's attention over the whole sequence,
+    (heads, T), normalised on its own.
     """
-    heads, seq, _ = q.shape
+    heads, seq, head_dim = q.shape
     q = q / scale
+    # max|q_i|·max|k_j|, from the largest squared row norms.
+    bound = math.prod(math.sqrt(np.einsum("htd,htd->ht", x, x).max()) for x in (q, k))
+    shift = not bound < _EXP_SAFE  # a NaN bound shifts
+    v1 = np.empty((heads, seq, head_dim + 1))
+    v1[:, :, :head_dim] = v
+    v1[:, :, head_dim] = 1.0
+    scratch = np.empty((heads, _ROW_BLOCK, head_dim + 1))
     for r0 in range(0, seq, _ROW_BLOCK):
         r1 = min(r0 + _ROW_BLOCK, seq)
         rows = r1 - r0
         probs = buffer[: heads * rows * r1].reshape(heads, rows, r1)
         np.matmul(q[:, r0:r1], k[:, :r1].transpose(0, 2, 1), out=probs)
         np.copyto(probs[:, :, r0:], -np.inf, where=_BLOCK_UPPER[:rows, :rows])
-        np.subtract(probs, probs.max(axis=-1, keepdims=True), out=probs)
+        if shift:
+            np.subtract(probs, probs.max(axis=-1, keepdims=True), out=probs)
         np.exp(probs, out=probs)
-        sums = probs.sum(axis=-1, keepdims=True)
-        rows_out = out[:, r0:r1]
-        np.matmul(probs, v[:, :r1], out=rows_out)
-        np.divide(rows_out, sums, out=rows_out)
-    return probs[:, -1] / sums[:, -1]
+        pv = scratch[:, :rows]
+        np.matmul(probs, v1[:, :r1], out=pv)
+        np.divide(pv[:, :, :head_dim], pv[:, :, head_dim:], out=out[:, r0:r1])
+    return probs[:, -1] / pv[:, -1, head_dim:]
 
 
 def _check_bytes(text_tokens: int, visual: np.ndarray, geometry: DecoderGeometry) -> None:
@@ -251,8 +267,9 @@ def _check_bytes(text_tokens: int, visual: np.ndarray, geometry: DecoderGeometry
     h = geometry.hidden_dim
     weights = 8 * (visual.shape[1] * h + geometry.layers * 8 * h * h)
     seq = visual.shape[0] + text_tokens
-    # States, text, one layer's projections and MLP activations, one score block.
-    arrays = 8 * seq * (16 * h + geometry.heads * _ROW_BLOCK)
+    # States, text, one layer's projections and MLP activations, the values
+    # with their ones column, one score block.
+    arrays = 8 * seq * (17 * h + geometry.heads * (1 + _ROW_BLOCK))
     if weights > arrays:
         what = f"the toy decoder's weights at layers={geometry.layers}, hidden_dim {h}"
     else:

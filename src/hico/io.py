@@ -158,8 +158,8 @@ def synth_grid(
             raise DomainError(f"clusters needs 1 <= k <= dim, got k={k}, dim={dim}")
         if k > n:
             raise DomainError(f"clusters needs k <= token count, got k={k}, n={n}")
-        if noise < 0:
-            raise DomainError("noise must be >= 0")
+        if not (math.isfinite(noise) and noise >= 0):
+            raise DomainError(f"noise must be finite and >= 0, got {noise}")
         # Orthogonal centroids: scaled axis vectors with seeded magnitudes.
         centroids = np.zeros((k, dim))
         scales = rng.uniform(1.0, 3.0, size=k)

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_bytes
 
 PROMPT_TEMPLATE = (
     "The video lasts for {n} seconds, and {t} frames are uniformly sampled from it."
@@ -97,14 +97,24 @@ def sampling_density(duration: float, policy: SamplingPolicy) -> float:
     return compute_frame_count(duration, policy) / duration
 
 
+# A plan's index and timestamp per frame, as Python objects and again as the
+# report's text, with the join's temporaries.
+_PLAN_BYTES_PER_FRAME = 256
+
+
 def build_plan(meta: VideoMeta, policy: SamplingPolicy) -> SamplePlan:
     """Pick uniformly strided source-frame indices for a video.
 
     Index j is floor(j * total_frames / frame_count). When the video has
     fewer frames than requested the stride formula repeats frames rather
-    than failing, so tiny synthetic inputs stay usable.
+    than failing, so tiny synthetic inputs stay usable. Raises DomainError,
+    before allocating, when the plan would pass errors.BYTES_CAP.
     """
     count = compute_frame_count(meta.duration, policy)
+    check_bytes(
+        _PLAN_BYTES_PER_FRAME * count,
+        f"a sampling plan of {count} frames (t_min={policy.t_min}, t_max={policy.t_max})",
+    )
     indices = tuple(j * meta.total_frames // count for j in range(count))
     timestamps = tuple(i / meta.fps for i in indices)
     return SamplePlan(

@@ -215,6 +215,16 @@ def _ref_softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def ref_causal_attention(q, k, v, scale):
+    """Full-square causal softmax(q k^T / scale) v over (heads, T, head_dim)
+    arrays, and the last query's attention row, (heads, T)."""
+    seq = q.shape[1]
+    scores = q @ k.transpose(0, 2, 1) / scale
+    causal = np.triu(np.full((seq, seq), -np.inf), k=1)
+    probs = _ref_softmax(scores + causal)
+    return probs @ v, probs[:, -1, :]
+
+
 def ref_toy_decoder_run(
     text_tokens: int,
     visual: np.ndarray,
@@ -253,14 +263,12 @@ def ref_toy_decoder_run(
         q = (normed @ w["wq"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
         k = (normed @ w["wk"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
         v = (normed @ w["wv"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
-        scores = q @ k.transpose(0, 2, 1) / math.sqrt(head_dim)
-        causal = np.triu(np.full((seq, seq), -np.inf), k=1)
-        probs = _ref_softmax(scores + causal)
-        attn = (probs @ v).transpose(1, 0, 2).reshape(seq, geometry.hidden_dim)
+        attn, last = ref_causal_attention(q, k, v, math.sqrt(head_dim))
+        attn = attn.transpose(1, 0, 2).reshape(seq, geometry.hidden_dim)
         states = states + attn @ w["wo"]
         states = states + np.maximum(ref_layer_norm(states) @ w["w1"], 0.0) @ w["w2"]
 
-        last_row = probs[:, -1, :].mean(axis=0)
+        last_row = last.mean(axis=0)
         snapshots.append(
             dropout.AttentionSnapshot(
                 layer=layer,

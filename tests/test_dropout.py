@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hico import dropout as dp
 from hico.errors import ConfigError, DomainError
 
-from helpers import ref_layer_norm, ref_toy_decoder_run
+from helpers import ref_causal_attention, ref_layer_norm, ref_toy_decoder_run
 
 TABLE_SCHEDULE = dp.DropSchedule.parse("uni:4:0.75,attn:18:0.25")
 
@@ -315,6 +315,43 @@ def assert_matches_reference(got, want):
         close(a.text_scores, b.text_scores)
 
 
+def score_bound(q, k, scale):
+    """max|q_i / scale| · max|k_j|, which bounds every |score|."""
+    return np.sqrt((q * q).sum(-1).max()) / scale * np.sqrt((k * k).sum(-1).max())
+
+
+# Scores of magnitude 2000 overflow exp unless the row max is subtracted
+# first; random unit-scale q and k keep the bound below _EXP_SAFE and skip it.
+@settings(max_examples=100, deadline=None)
+@given(
+    heads=st.integers(min_value=1, max_value=4),
+    seq=st.one_of(
+        st.integers(min_value=1, max_value=3 * BLOCK + 5),
+        st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK]),
+    ),
+    head_dim=st.integers(min_value=1, max_value=16),
+    peak=st.sampled_from([None, 2000.0]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_causal_attention_matches_full_square_softmax(heads, seq, head_dim, peak, seed):
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.standard_normal((heads, seq, head_dim)) for _ in range(3))
+    scale = math.sqrt(head_dim)
+    if peak is None:
+        assert score_bound(q, k, scale) < dp._EXP_SAFE
+    else:
+        # Scale q so that the largest causal score is exactly +-peak.
+        scores = np.tril(q @ k.transpose(0, 2, 1) / scale)
+        q = q * (peak / np.abs(scores).max())
+        assert score_bound(q, k, scale) > dp._EXP_SAFE
+    out = np.empty_like(v)
+    last = dp._causal_attention(q, k, v, scale, np.empty(heads * BLOCK * seq), out)
+    want_out, want_last = ref_causal_attention(q, k, v, scale)
+    for got, want in ((out, want_out), (last, want_last)):
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= TOLERANCE * np.max(np.abs(want))
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=decoder_cases())
 def test_decoder_matches_full_square_reference(case):
@@ -353,3 +390,21 @@ def test_decoder_peak_memory_below_half_a_score_square():
     finally:
         tracemalloc.stop()
     assert peak < heads * seq * seq * 8 / 2
+
+
+@pytest.mark.parametrize(
+    "tokens,hidden_dim,heads,layers",
+    [(1024, 64, 4, 28), (200, 16, 1, 3), (3000, 8, 8, 2), (64, 256, 2, 2)],
+)
+def test_byte_estimate_covers_the_measured_peak(monkeypatch, tokens, hidden_dim, heads, layers):
+    estimates = []
+    monkeypatch.setattr(dp, "check_bytes", lambda needed, what: estimates.append(needed))
+    vis = np.random.default_rng(0).standard_normal((tokens, 16))
+    geometry = dp.DecoderGeometry(layers=layers, hidden_dim=hidden_dim, heads=heads)
+    tracemalloc.start()
+    try:
+        dp.toy_decoder_run(8, vis, geometry, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert estimates and peak <= estimates[0]
