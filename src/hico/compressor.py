@@ -27,6 +27,7 @@ import functools
 import itertools
 import math
 import zipfile
+import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -404,11 +405,13 @@ def _read_weights(path: str) -> tuple[np.ndarray, np.ndarray | None, np.ndarray 
         if "queries" not in archive.files:
             raise DomainError(f"weights file {path} has no 'queries' array")
         try:
-            return tuple(
-                np.asarray(archive[key], dtype=np.float64) if key in archive.files else None
-                for key in ("queries", "wk", "wv")
-            )
-        except ValueError:
+            members = [archive[k] if k in archive.files else None for k in ("queries", "wk", "wv")]
+        except (ValueError, EOFError, OSError, zipfile.BadZipFile, zlib.error) as exc:
+            # Object arrays, bad .npy headers, truncated or bit-flipped members.
+            raise DomainError(f"weights file {path} has an unreadable member: {exc}") from None
+        try:
+            return tuple(None if m is None else np.asarray(m, dtype=np.float64) for m in members)
+        except (ValueError, TypeError):
             raise DomainError(f"weights file {path} holds non-numeric arrays") from None
 
 

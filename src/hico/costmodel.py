@@ -23,13 +23,17 @@ on the scores makes the row max shift unneeded, the row sums come out of
 the PV matmul, and the divide runs on the head_dim-wide output rows. The
 causal saving is smaller at the short sequences a schedule leaves (the
 diagonal blocks are a larger share of 192 tokens), and each layer also
-pays costs that do not scale with T^2 (projections, MLP, the bound and
-the ones column, a fixed number of numpy calls per block). Removing
-T^2 passes cuts the long unscheduled layers more than the short
-scheduled ones, so the measured speed-up falls short of the prediction:
-1.96x against 2.13x, a model error of -0.083, on the same decoder and
-host (traced perfbench decoder-deep, seed 77, 30 s; -0.057 at the
-parent in a run made back to back).
+pays costs that do not scale with T^2 (projections, MLP, the bound, a
+fixed number of numpy calls per block). Removing T^2 passes cuts the
+long unscheduled layers more than the short scheduled ones. The layer
+before a drop runs its queries, attention output and MLP for the
+surviving rows only, a saving only the scheduled run gets; this
+convention still counts that layer at full T. The measured speed-up
+falls short of the prediction: 1.95x against 2.13x, a model error of
+-0.084, on the same decoder and host (traced perfbench decoder-deep,
+seed 77, 30 s; the version without drop-aware layers read -0.165 in a
+run made back to back, and -0.083 in an earlier one, so two timed inputs
+move it by several hundredths).
 """
 from __future__ import annotations
 

@@ -207,74 +207,115 @@ def _layer_norm(x: np.ndarray) -> np.ndarray:
     return c / np.sqrt((c * c).mean(axis=-1, keepdims=True) + 1e-5)
 
 
-# Query rows per attention step. A block of rows [r0, r1) only works on key
-# columns [:r1], so nothing runs on the masked upper triangle. At 1032 tokens
-# and 4 heads a 32-row score block is ≈1.06 MB and stays in a 2 MB L2; it
-# timed faster than 16, 64 and 128 rows (one BLAS thread).
+# Query rows per attention step. A block whose last row sits at position
+# r1 - 1 only works on key columns [:r1], so nothing runs on the masked upper
+# triangle. At 1032 tokens and 4 heads a 32-row score block is ≈1.06 MB and
+# stays in a 2 MB L2; it timed faster than 16, 64 and 128 rows (one BLAS
+# thread).
 _ROW_BLOCK = 32
 _BLOCK_UPPER = np.triu(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool), k=1)
 
-# Scores bounded by this in magnitude go into exp without the row max shift.
-# exp then lies in [e^-500, e^500] ≈ [7e-218, 1.4e217]: no overflow and no
-# subnormals. The byte cap keeps T below 2^22, so a row sum stays below 6e223
-# and a PV entry stays finite for any |v| below 3e84; v is a layer-normed row
-# times a weight matrix. Each row keeps its diagonal, so no row sum is zero.
+# Scores are in log2 units (q carries log2(e)), and those bounded by this in
+# magnitude go into exp2 without the row max shift. exp2 then lies in
+# [2^-500, 2^500] ≈ [3.1e-151, 3.3e150]: no overflow and no subnormals. The
+# byte cap keeps T below 2^22, so a row sum stays below 2^522 ≈ 1.4e157 and a
+# PV entry stays finite for any |v| below 2^502 ≈ 1.3e151; v is a layer-normed
+# row times a weight matrix. Each row keeps its diagonal, so no row sum is zero.
 _EXP_SAFE = 500.0
 
 
 def _causal_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, buffer: np.ndarray, out: np.ndarray
+    q: np.ndarray,
+    kt: np.ndarray,
+    v1: np.ndarray,
+    pos: np.ndarray,
+    buffer: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Causal softmax(q k^T / scale) v into `out`, one block of query rows at a time.
+    """Causal softmax attention of the queries at ascending positions `pos`, into `out`.
 
-    `q`, `k`, `v` and `out` are (heads, T, head_dim). `buffer` holds at least
-    heads * _ROW_BLOCK * T floats; each block's (heads, rows, r1) scores are a
-    contiguous view of its front, so no (heads, T, T) square is built.
+    `q` and `out` are (heads, len(pos), head_dim); `kt` is the keys
+    transposed, (heads, head_dim, T), so each block's QK multiplies plain
+    row-major operands, and `v1` is (heads, T, head_dim + 1), the values with
+    a last column of ones. `q` carries log2(e)/sqrt(head_dim), so q k^T is in
+    log2 units and its exp2 is the softmax's exp. The query at position p
+    attends to keys [:p + 1]. Query rows go _ROW_BLOCK at a time: a block
+    whose last position is r1 - 1 works on key columns [:r1] only, and
+    `buffer` holds at least heads * _ROW_BLOCK * T floats, so each block's
+    (heads, rows, r1) scores are a contiguous view of its front and no
+    (heads, T, T) square is built.
     max|q_i|·max|k_j| bounds every score (Cauchy–Schwarz); below _EXP_SAFE
-    the row max shift is skipped. PV runs on the unnormalised exp block
-    against v with a column of ones appended, so the same matmul yields the
-    row sums, which then divide the (heads, rows, head_dim) output. Row sums
-    run over [:r1] only, so the last bits can differ from the full-square
-    form. Returns the last query's attention over the whole sequence,
-    (heads, T), normalised on its own.
+    the row max shift is skipped. PV runs on the unnormalised exp2 block, so
+    the ones column yields the row sums, which then divide the
+    (heads, rows, head_dim) output. Row sums run over [:r1] only, so the last
+    bits can differ from the full-square form. Returns the last query's
+    attention over its keys, (heads, pos[-1] + 1), normalised on its own.
     """
-    heads, seq, head_dim = q.shape
-    q = q / scale
+    heads, count, head_dim = out.shape
     # max|q_i|·max|k_j|, from the largest squared row norms.
-    bound = math.prod(math.sqrt(np.einsum("htd,htd->ht", x, x).max()) for x in (q, k))
+    q2, k2 = np.einsum("htd,htd->ht", q, q).max(), np.einsum("hdt,hdt->ht", kt, kt).max()
+    bound = math.sqrt(q2 * k2)
     shift = not bound < _EXP_SAFE  # a NaN bound shifts
-    v1 = np.empty((heads, seq, head_dim + 1))
-    v1[:, :, :head_dim] = v
-    v1[:, :, head_dim] = 1.0
     scratch = np.empty((heads, _ROW_BLOCK, head_dim + 1))
-    for r0 in range(0, seq, _ROW_BLOCK):
-        r1 = min(r0 + _ROW_BLOCK, seq)
-        rows = r1 - r0
+    for b0 in range(0, count, _ROW_BLOCK):
+        b1 = min(b0 + _ROW_BLOCK, count)
+        rows = b1 - b0
+        p0, r1 = int(pos[b0]), int(pos[b1 - 1]) + 1
         probs = buffer[: heads * rows * r1].reshape(heads, rows, r1)
-        np.matmul(q[:, r0:r1], k[:, :r1].transpose(0, 2, 1), out=probs)
-        np.copyto(probs[:, :, r0:], -np.inf, where=_BLOCK_UPPER[:rows, :rows])
+        np.matmul(q[:, b0:b1], kt[:, :, :r1], out=probs)
+        # Mask the key columns past each row's own position.
+        if r1 - p0 == rows:  # consecutive positions
+            upper = _BLOCK_UPPER[:rows, :rows]
+        else:
+            upper = np.arange(p0, r1) > pos[b0:b1, None]
+        np.copyto(probs[:, :, p0:], -np.inf, where=upper)
         if shift:
             np.subtract(probs, probs.max(axis=-1, keepdims=True), out=probs)
-        np.exp(probs, out=probs)
+        np.exp2(probs, out=probs)
         pv = scratch[:, :rows]
         np.matmul(probs, v1[:, :r1], out=pv)
-        np.divide(pv[:, :, :head_dim], pv[:, :, head_dim:], out=out[:, r0:r1])
+        np.divide(pv[:, :, :head_dim], pv[:, :, head_dim:], out=out[:, b0:b1])
     return probs[:, -1] / pv[:, -1, head_dim:]
 
 
+def _attend(
+    x: np.ndarray,
+    pos: np.ndarray,
+    wq: np.ndarray,
+    kt: np.ndarray,
+    v1: np.ndarray,
+    buffer: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Attention output, (len(pos), hidden), of the layer-normed rows `x` at
+    sequence positions `pos`, and the last one's attention row."""
+    heads, head_dim, _ = kt.shape
+    q = (x @ wq).reshape(len(pos), heads, head_dim)
+    out = np.empty_like(q)
+    last = _causal_attention(q.transpose(1, 0, 2), kt, v1, pos, buffer, out.transpose(1, 0, 2))
+    return out.reshape(len(pos), heads * head_dim), last
+
+
 def _check_bytes(text_tokens: int, visual: np.ndarray, geometry: DecoderGeometry) -> None:
-    """Refuse a run whose weights or per-layer arrays would pass BYTES_CAP."""
-    h = geometry.hidden_dim
-    weights = 8 * (visual.shape[1] * h + geometry.layers * 8 * h * h)
+    """Refuse a run whose weights, per-layer arrays or records would pass BYTES_CAP."""
+    h, heads, layers = geometry.hidden_dim, geometry.heads, geometry.layers
+    # The layers' weights and one zero-padded copy of a layer's value weights.
+    weights = 8 * (visual.shape[1] * h + layers * 8 * h * h + h * (h + heads))
     seq = visual.shape[0] + text_tokens
-    # States, text, one layer's projections and MLP activations, the values
-    # with their ones column, one score block.
-    arrays = 8 * seq * (17 * h + geometry.heads * (1 + _ROW_BLOCK))
-    if weights > arrays:
-        what = f"the toy decoder's weights at layers={geometry.layers}, hidden_dim {h}"
+    # Per token, in floats: states and text; the layer-normed states,
+    # queries, keys and attention output; the values with their ones column;
+    # the MLP's two (T, 2h) activations; the last row's attention, the
+    # bound's two squared norms and one score block; and 13 for index arrays,
+    # the snapshot row, and the kept indices and a drop's selection as Python
+    # ints (40 bytes each). A layer before a drop is counted at full length.
+    arrays = 8 * seq * (11 * h + heads * (4 + _ROW_BLOCK) + 13)
+    # Each layer keeps a snapshot and a kept list, 16 bytes a token, and
+    # about 2 KiB of objects.
+    records = layers * (16 * seq + 2048)
+    if weights > arrays + records:
+        what = f"the toy decoder's weights at layers={layers}, hidden_dim {h}"
     else:
         what = f"the toy decoder over {seq} tokens (text_tokens={text_tokens})"
-    check_bytes(weights + arrays, what)
+    check_bytes(weights + arrays + records, what)
 
 
 class _ToyWeights:
@@ -308,7 +349,11 @@ def toy_decoder_run(
     Visual tokens come first, then `text_tokens` seeded text embeddings.
     Before each scheduled layer the matching drop is applied — attention
     entries consume the snapshot of the immediately preceding layer — and
-    every layer records an AttentionSnapshot. Bit-reproducible per seed.
+    every layer records an AttentionSnapshot. The layer before a drop
+    computes keys and values for every row, but queries, attention output
+    and MLP only for the rows the drop keeps and for its final row block,
+    whose last row gives the snapshot; the next layer starts from the
+    survivors. Bit-reproducible per seed.
     Raises DomainError, before allocating, when the run would need more than
     errors.BYTES_CAP bytes.
     """
@@ -327,38 +372,46 @@ def toy_decoder_run(
     weights = _ToyWeights(rng, geometry, vis.shape[1])
     text = rng.standard_normal((text_tokens, geometry.hidden_dim))
 
+    h = geometry.hidden_dim
+    heads = geometry.heads
+    head_dim = h // heads
+    # q carries the softmax scale and log2(e), so its scores are in log2
+    # units.
+    fold = math.log2(math.e) / math.sqrt(head_dim)
+    for w in weights.layers:
+        w["wq"] *= fold
+    # Each layer's value weights are copied into this array, which has a zero
+    # column after each head. The projection then leaves a column per head
+    # that is set to ones, and PV also yields the row sums.
+    wv = np.zeros((h, heads, head_dim + 1))
+
     states = np.concatenate([vis @ weights.w_in, text], axis=0)
     kept = list(range(vis.shape[0]))
     by_layer = {e.layer: e for e in schedule.entries}
+    if 0 in by_layer:  # a uniform drop; attention drops at layer 0 were refused above
+        kept = uniform_drop(len(kept), by_layer[0].keep_ratio)
+        states = np.concatenate([states[kept], text])
 
-    heads = geometry.heads
-    head_dim = geometry.hidden_dim // heads
     snapshots: list[AttentionSnapshot] = []
     kept_per_layer: list[list[int]] = []
     # Sequence length never grows, so the first layer's row block fits every layer.
     buffer = np.empty(heads * _ROW_BLOCK * states.shape[0])
 
     for layer in range(geometry.layers):
-        entry = by_layer.get(layer)
-        if entry is not None:
-            if entry.method == UNIFORM:
-                sel = uniform_drop(len(kept), entry.keep_ratio)
-            else:
-                sel = attention_select(snapshots[layer - 1].scores, entry.keep_ratio)
-            kept = [kept[i] for i in sel]
-            states = np.concatenate([states[sel], states[len(states) - text_tokens :]])
         kept_per_layer.append(list(kept))
-
         w = weights.layers[layer]
         seq = states.shape[0]
         normed = _layer_norm(states)
-        q = (normed @ w["wq"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
-        k = (normed @ w["wk"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
-        v = (normed @ w["wv"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
-        attn = np.empty((seq, heads, head_dim))
-        last = _causal_attention(q, k, v, math.sqrt(head_dim), buffer, attn.transpose(1, 0, 2))
-        states = states + attn.reshape(seq, geometry.hidden_dim) @ w["wo"]
-        states = states + np.maximum(_layer_norm(states) @ w["w1"], 0.0) @ w["w2"]
+        kt = (w["wk"].T @ normed.T).reshape(heads, head_dim, seq)
+        wv[:, :, :head_dim] = w["wv"].reshape(h, heads, head_dim)
+        v1 = (normed @ wv.reshape(h, -1)).reshape(seq, heads, head_dim + 1)
+        v1[:, :, head_dim] = 1.0
+        v1 = v1.transpose(1, 0, 2)
+        # Every row is a key. Before a drop, queries run first for the final
+        # row block alone, whose last row gives the snapshot the drop may read.
+        entry = by_layer.get(layer + 1)
+        start = 0 if entry is None else (seq - 1) // _ROW_BLOCK * _ROW_BLOCK
+        attn, last = _attend(normed[start:], np.arange(start, seq), w["wq"], kt, v1, buffer)
 
         last_row = last.mean(axis=0)
         snapshots.append(
@@ -368,5 +421,27 @@ def toy_decoder_run(
                 text_scores=last_row[len(kept) :].copy(),
             )
         )
+
+        if entry is not None:
+            # Only the survivors, the kept visual rows and every text row, go
+            # on; the rest of the layer runs for them alone.
+            if entry.method == UNIFORM:
+                sel = uniform_drop(len(kept), entry.keep_ratio)
+            else:
+                sel = attention_select(snapshots[-1].scores, entry.keep_ratio)
+            rows = np.concatenate([sel, np.arange(len(kept), seq)])
+            kept = [kept[i] for i in sel]
+            split = int(np.searchsorted(rows, start))
+            attn = attn[rows[split:] - start]
+            if split:
+                head = rows[:split]
+                attn = np.concatenate(
+                    [_attend(normed[head], head, w["wq"], kt, v1, buffer)[0], attn]
+                )
+            states = states[rows]
+        states = states + attn @ w["wo"]
+        # Freed before the MLP allocates its activations: a lower peak.
+        del normed, kt, v1, attn
+        states = states + np.maximum(_layer_norm(states) @ w["w1"], 0.0) @ w["w2"]
 
     return DecoderRun(states=states, snapshots=snapshots, kept=kept_per_layer)

@@ -80,6 +80,9 @@ def decode_embeddings(blob: bytes) -> TokenGrid:
         raise TruncatedFileError(f"payload {payload} bytes, header declares {expected}")
     if payload > expected:
         raise SizeMismatchError(f"{payload - expected} trailing bytes after payload")
+    # The payload is widened to one float64 copy.
+    shape = f"{frames}x{rows}x{cols}x{dim}"
+    check_bytes(8 * frames * rows * cols * dim, f"an embedding file of shape {shape}")
     data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
     if not np.all(np.isfinite(data)):
         raise NonFiniteDataError("payload contains NaN or infinity")

@@ -241,6 +241,22 @@ def test_resampler_weights_without_queries(tmp_path, capsys):
     assert "'queries'" in err
 
 
+def test_resampler_weights_corrupt_member_is_one_line_error(tmp_path, capsys):
+    grid = synth(tmp_path, shape="4x4x4x8")
+    weights = tmp_path / "bad.npz"
+    np.savez(weights, queries=np.random.default_rng(0).standard_normal((64, 8)))
+    blob = bytearray(weights.read_bytes())
+    blob[blob.find(b"queries.npy") + 200] ^= 0xFF  # a payload byte: the CRC no longer matches
+    weights.write_bytes(bytes(blob))
+    code, out, err = run(
+        capsys, "compress", "--in", str(grid), "--out", str(tmp_path / "c.bin"),
+        "--connector", "resampler", "--queries", "64", "--weights", str(weights),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(weights) in err and "Traceback" not in err
+
+
 def test_resampler_weights_wk_shape_mismatch(tmp_path, capsys):
     code, _, err = resampler_with_weights(
         tmp_path, capsys, queries=np.ones((5, 8)), wk=np.ones((5, 8))
@@ -354,19 +370,21 @@ def test_dropout_golden_digests(tmp_path, capsys, schedule, layers):
 
 
 # sha256 of toy_decoder_run's final states and of every snapshot's scores and
-# text_scores, in layer order, from the row-blocked attention that skips the
-# row max shift under its score bound and takes the row sums from the PV
-# matmul. Each lies within 2.1e-15·max|ref| of ref_toy_decoder_run, with
-# equal kept indices. stdout above shows only counts and kept indices, so a
-# last-bit change in the attention probabilities shows here and not there.
+# text_scores, in layer order, from the row-blocked base-2 attention that
+# skips the row max shift under its score bound, takes the row sums from the
+# PV matmul, reads the keys transposed, and runs the layer before a drop for
+# its survivors only. Each lies within 2.0e-15·max|ref| of
+# ref_toy_decoder_run, with equal kept indices. stdout above shows only
+# counts and kept indices, so a last-bit change in the attention
+# probabilities shows here and not there.
 DECODER_GOLDEN = {
     "uni:4:0.75,attn:18:0.25": (
-        "b8d9f0450937cf7478b2d9f0eacb882a59d3fe2dad30915041f88754e345fc3a",
-        "622eb1b71b412a864e3e51a35eb0ebeb1777b52f5636f1ba9830ed4fc53064d7",
+        "4e385a8b34d61fdf3e537cb5d83180da4ad4229bcb580953e06a6330e48f9073",
+        "3f598d91dfa20701c6339afc137e3a0b9bc68c89a60f077df0560a2e7760945f",
     ),
     "uni:2:0.6,attn:3:0.5,attn:20:0.3": (
-        "941bf4aebda665ecafaf35adb67fa39ff6e4729dbc0a1049c282d7d5a91e4c02",
-        "4d49cbc8f719b27e470076623b6baf9d2fbdc484a40803abfc4490ac8145eb0c",
+        "2895aa368b6a8562224bab907f124adac9c9f29deba2e025cbc75f4ade717e05",
+        "83a3f505305a3b4cd38341045662bf08103093debdfa907473a1daa03ced201e",
     ),
 }
 
@@ -1063,6 +1081,18 @@ def test_size_over_byte_cap_is_refused_before_allocating(tmp_path, capsys, monke
     assert one_line_error(code, err) and out == ""
     assert err.startswith(f"error: {named} ")
     assert f" bytes, over the {errors.BYTES_CAP}-byte cap" in err
+
+
+def test_embedding_file_over_byte_cap_is_domain_error(tmp_path, capsys, monkeypatch):
+    grid = synth(tmp_path, shape="2x4x4x8")
+    monkeypatch.setattr(errors, "BYTES_CAP", 1000)
+    code, out, err = run(
+        capsys, "compress", "--in", str(grid), "--out", str(tmp_path / "c.bin"),
+        "--connector", "spatial",
+    )
+    assert one_line_error(code, err) and out == ""
+    assert err.startswith("error: an embedding file of shape 2x4x4x8 needs about 2048 bytes, ")
+    assert not (tmp_path / "c.bin").exists()
 
 
 def test_sampling_plan_over_byte_cap_is_domain_error(capsys):

@@ -272,11 +272,16 @@ def decoder_cases(draw):
             edges.map(lambda seq: seq - text),
         )
     )
-    layers = draw(st.integers(min_value=2, max_value=4))
-    kind = draw(st.sampled_from(["empty", "uniform", "uniform+attention"]))
+    kind = draw(st.sampled_from(["empty", "uniform", "uniform+attention", "attention"]))
+    layers = draw(st.integers(min_value=3 if kind == "attention" else 2, max_value=4))
     ratio = st.floats(min_value=0.05, max_value=1.0)
     entries = []
-    if kind != "empty":
+    if kind == "attention":
+        # Drops on consecutive layers: the layer before the second drop
+        # starts from the first drop's survivors.
+        attn = draw(st.integers(min_value=1, max_value=layers - 2))
+        entries += [f"attn:{attn}:{draw(ratio)}", f"attn:{attn + 1}:{draw(ratio)}"]
+    elif kind != "empty":
         uni = draw(st.integers(min_value=0, max_value=layers - 2))
         entries.append(f"uni:{uni}:{draw(ratio)}")
         if kind == "uniform+attention":
@@ -320,8 +325,13 @@ def score_bound(q, k, scale):
     return np.sqrt((q * q).sum(-1).max()) / scale * np.sqrt((k * k).sum(-1).max())
 
 
+LOG2E = math.log2(math.e)
+
+
 # Scores of magnitude 2000 overflow exp unless the row max is subtracted
-# first; random unit-scale q and k keep the bound below _EXP_SAFE and skip it.
+# first; random unit-scale q and k keep the bound below _EXP_SAFE, in log2
+# units, and skip it. Queries run at every position, or at a random subset
+# that keeps the last one, as before a drop.
 @settings(max_examples=100, deadline=None)
 @given(
     heads=st.integers(min_value=1, max_value=4),
@@ -331,23 +341,28 @@ def score_bound(q, k, scale):
     ),
     head_dim=st.integers(min_value=1, max_value=16),
     peak=st.sampled_from([None, 2000.0]),
+    density=st.sampled_from([1.0, 0.6, 0.2]),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_causal_attention_matches_full_square_softmax(heads, seq, head_dim, peak, seed):
+def test_causal_attention_matches_full_square_softmax(heads, seq, head_dim, peak, density, seed):
     rng = np.random.default_rng(seed)
     q, k, v = (rng.standard_normal((heads, seq, head_dim)) for _ in range(3))
     scale = math.sqrt(head_dim)
     if peak is None:
-        assert score_bound(q, k, scale) < dp._EXP_SAFE
+        assert score_bound(q, k, scale) * LOG2E < dp._EXP_SAFE
     else:
         # Scale q so that the largest causal score is exactly +-peak.
         scores = np.tril(q @ k.transpose(0, 2, 1) / scale)
         q = q * (peak / np.abs(scores).max())
-        assert score_bound(q, k, scale) > dp._EXP_SAFE
-    out = np.empty_like(v)
-    last = dp._causal_attention(q, k, v, scale, np.empty(heads * BLOCK * seq), out)
+        assert score_bound(q, k, scale) * LOG2E > dp._EXP_SAFE
+    pos = np.flatnonzero((rng.random(seq) < density) | (np.arange(seq) == seq - 1))
+    v1 = np.concatenate([v, np.ones((heads, seq, 1))], axis=-1)
+    out = np.empty((heads, len(pos), head_dim))
+    buffer = np.empty(heads * BLOCK * seq)
+    kt = k.transpose(0, 2, 1).copy()
+    last = dp._causal_attention(q[:, pos] * (LOG2E / scale), kt, v1, pos, buffer, out)
     want_out, want_last = ref_causal_attention(q, k, v, scale)
-    for got, want in ((out, want_out), (last, want_last)):
+    for got, want in ((out, want_out[:, pos]), (last, want_last)):
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want)) <= TOLERANCE * np.max(np.abs(want))
 
@@ -393,17 +408,38 @@ def test_decoder_peak_memory_below_half_a_score_square():
 
 
 @pytest.mark.parametrize(
-    "tokens,hidden_dim,heads,layers",
-    [(1024, 64, 4, 28), (200, 16, 1, 3), (3000, 8, 8, 2), (64, 256, 2, 2)],
+    "tokens,hidden_dim,heads,layers,schedule",
+    [
+        (1024, 64, 4, 28, ""),
+        (200, 16, 1, 3, ""),
+        (3000, 8, 8, 2, ""),
+        (64, 256, 2, 2, ""),
+        (1024, 64, 4, 28, "uni:4:0.75,attn:18:0.25"),
+        (4000, 2, 2, 4, "uni:0:0.99,attn:2:0.99,attn:3:0.99"),
+        (2000, 1, 1, 50, ""),
+        (100, 32, 32, 4, "uni:1:0.9"),
+    ],
+    ids=[
+        "1024-64-4-28",
+        "200-16-1-3",
+        "3000-8-8-2",
+        "64-256-2-2",
+        "1024-64-4-28-paper-schedule",
+        "4000-2-2-4-three-drops",
+        "2000-1-1-50",
+        "100-32-32-4-uniform",
+    ],
 )
-def test_byte_estimate_covers_the_measured_peak(monkeypatch, tokens, hidden_dim, heads, layers):
+def test_byte_estimate_covers_the_measured_peak(
+    monkeypatch, tokens, hidden_dim, heads, layers, schedule
+):
     estimates = []
     monkeypatch.setattr(dp, "check_bytes", lambda needed, what: estimates.append(needed))
     vis = np.random.default_rng(0).standard_normal((tokens, 16))
     geometry = dp.DecoderGeometry(layers=layers, hidden_dim=hidden_dim, heads=heads)
     tracemalloc.start()
     try:
-        dp.toy_decoder_run(8, vis, geometry, seed=0)
+        dp.toy_decoder_run(8, vis, geometry, dp.DropSchedule.parse(schedule), seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
