@@ -30,12 +30,12 @@ import zipfile
 import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, check_bytes
 
-Source = tuple[int, int, int]
 Columns = tuple[np.ndarray, np.ndarray, np.ndarray]  # (vectors, sizes, owner)
 
 
@@ -88,7 +88,6 @@ class CompressedClip:
     cols); it is WHOLE_CLIP when every output draws on the whole clip.
     """
 
-    clip_index: int
     vectors: np.ndarray
     sizes: np.ndarray
     owner: np.ndarray | None
@@ -112,35 +111,14 @@ class CompressedClip:
         if not np.array_equal(self.sizes, counts):
             raise DomainError("token size must equal the number of sources")
 
-    @property
-    def tokens(self) -> TokenView:
-        return TokenView([self])
 
-    def sources(self, j: int) -> frozenset[Source]:
-        """The (frame, row, col) input tokens that output token j absorbed."""
-        start, end = self.frame_span
-        whole = self.owner is WHOLE_CLIP
-        members = np.arange(self.sizes[j]) if whole else np.flatnonzero(self.owner == j)
-        f, r, c = np.unravel_index(members, (end - start, *self.frame_shape))
-        return frozenset(zip((f + start).tolist(), r.tolist(), c.tolist()))
-
-
-@dataclass(frozen=True, eq=False)
-class MergedToken:
-    """One output token read from its clip's columns; ``sources`` built on demand."""
-
+class MergedToken(NamedTuple):
     vector: np.ndarray
     size: int
-    clip: CompressedClip
-    index: int
-
-    @property
-    def sources(self) -> frozenset[Source]:
-        return self.clip.sources(self.index)
 
 
 class TokenView(Sequence):
-    """Read-only list of the MergedTokens of some clips, each built when read."""
+    """Read-only list of the (vector, size) tokens of some clips, each built when read."""
 
     def __init__(self, clips: list[CompressedClip]):
         self._at = [(c, j) for c in clips for j in range(len(c.sizes))]
@@ -150,16 +128,15 @@ class TokenView(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [MergedToken(c.vectors[j], int(c.sizes[j]), c, j) for c, j in self._at[i]]
+            return [MergedToken(c.vectors[j], int(c.sizes[j])) for c, j in self._at[i]]
         c, j = self._at[i]
-        return MergedToken(c.vectors[j], int(c.sizes[j]), c, j)
+        return MergedToken(c.vectors[j], int(c.sizes[j]))
 
 
 @dataclass(eq=False)
 class VisualContext:
     """Compressed clips in clip order, read as joined columns: ``vectors()``
-    (n, dim) and ``sizes`` (n,). Provenance stays with each clip; ``tokens``
-    is a view that builds MergedTokens when read."""
+    (n, dim) and ``sizes`` (n,). Provenance is each clip's ``owner``."""
 
     clips: list[CompressedClip]
 
@@ -176,6 +153,7 @@ class VisualContext:
 
     @property
     def tokens(self) -> TokenView:
+        """A lazy (vector, size) view; only the benchmark still reads it."""
         return TokenView(self.clips)
 
 
@@ -450,9 +428,9 @@ def _check_resampler_bytes(grid: TokenGrid, config: ConnectorConfig, spans) -> N
 
 
 def _compress_clip(
-    data: np.ndarray, index: int, span: tuple[int, int], config: ConnectorConfig, weights
+    data: np.ndarray, span: tuple[int, int], config: ConnectorConfig, weights
 ) -> CompressedClip:
-    """Compress frames span[0]:span[1] of `data` alone, as clip `index`.
+    """Compress frames span[0]:span[1] of `data` alone.
 
     Merge and resampler budgets are scaled to the clip's frame count; for
     the downsampling kinds the output length is the analytic block count.
@@ -474,7 +452,7 @@ def _compress_clip(
         queries, wk, wv = weights(scaled_budget(config.queries, count, config.clip_len))
         vectors = resampler_forward(frames.reshape(-1, dim), queries, wk, wv, config.temperature)
         columns = vectors, np.full(len(vectors), count * rows * cols), WHOLE_CLIP
-    return CompressedClip(index, *columns, span, (rows, cols))
+    return CompressedClip(*columns, span, (rows, cols))
 
 
 def compress_video(grid: TokenGrid, config: ConnectorConfig) -> VisualContext:
@@ -498,11 +476,11 @@ def compress_video(grid: TokenGrid, config: ConnectorConfig) -> VisualContext:
         if config.st_temperature is not None:
             stack = np.stack([st_mix(tokens, config.st_temperature) for tokens in stack])
         clips = [
-            CompressedClip(i, *columns, spans[i], (grid.rows, grid.cols))
-            for i, *columns in zip(range(full), *tome_merge(stack, config.budget))
+            CompressedClip(*columns, span, (grid.rows, grid.cols))
+            for span, *columns in zip(spans, *tome_merge(stack, config.budget))
         ]
     weights = functools.cache(functools.partial(_resampler_weights, config, grid.dim))
-    clips += [_compress_clip(grid.data, i, spans[i], config, weights) for i in range(full, len(spans))]
+    clips += [_compress_clip(grid.data, span, config, weights) for span in spans[full:]]
     return VisualContext(clips)
 
 

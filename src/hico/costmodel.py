@@ -5,38 +5,35 @@ FLOPs convention: one multiply-accumulate = 2 FLOPs; the linear stack costs
 layer (score and value products, full square, no causal halving). The KV
 cache grows as 2 * layers * kv_heads * head_dim bytes-per-value per token.
 
-The convention leaves out the attention softmax. Its scale, mask, max,
-subtract, exp, sum and divide touch heads * T^2 scores per layer, a cost
-that grows as T^2 * heads like the score and value products, yet counts for
-nothing here. At a small head_dim it is not negligible: in the toy decoder
-(head_dim 16, T near 1000) the full-square softmax took most of each
-layer's time, so a drop schedule's measured speed-up ran ahead of the
-predicted one (2.72x against 2.13x for the paper's schedule on 1024 tokens
-and 28 layers, one BLAS thread on a 2-vCPU Xeon).
+What the convention leaves out, measured against the toy decoder:
 
-The toy decoder computes attention in blocks of 32 query rows, each
-against its causal key columns only, so QK, the softmax and PV all run on
-the lower triangle plus its diagonal blocks: about half the square at
-T near 1000, while this convention counts the full square for both
-products. The scores see only the mask and exp passes: a per-call bound
-on the scores makes the row max shift unneeded, the row sums come out of
-the PV matmul, and the divide runs on the head_dim-wide output rows. The
-causal saving is smaller at the short sequences a schedule leaves (the
-diagonal blocks are a larger share of 192 tokens), and each layer also
-pays costs that do not scale with T^2 (projections, MLP, the bound, a
-fixed number of numpy calls per block). Removing T^2 passes cuts the
-long unscheduled layers more than the short scheduled ones. The layer
-before a drop runs its queries, attention output and MLP for the
-surviving rows only, a saving only the scheduled run gets; this
-convention still counts that layer at full T. The measured speed-up
-falls short of the prediction: 1.95x against 2.13x, a model error of
--0.084, on the same decoder and host (traced perfbench decoder-deep,
-seed 77, 30 s; the version without drop-aware layers read -0.165 in a
-run made back to back, and -0.083 in an earlier one, so two timed inputs
-move it by several hundredths).
+* The attention softmax. Its passes touch heads * T^2 scores per layer and
+  grow like the two products, yet count for nothing here; at the toy's
+  head_dim of 16 they are a large share of each layer's time.
+* The causal saving. The toy decoder runs attention in blocks of 32 query
+  rows, each against its causal key columns only: about half the square at
+  T near 1000, less at the short sequences a schedule leaves, where the
+  diagonal blocks are a larger share.
+* Per-layer costs that do not grow as T^2: projections, MLP, and a fixed
+  number of numpy calls per block.
+* The drop-aware layer before a drop, which runs queries, attention output
+  and MLP for the surviving rows only; the convention counts it at full T.
+
+The causal saving is larger on the long unscheduled layers, and the fixed
+costs weigh more on the short scheduled ones: both pull a schedule's
+measured speed-up below the predicted one. The uncounted softmax and the
+drop-aware layer pull it the other way; on the toy decoder the measured
+speed-up falls short on balance. The convention stays the full square
+because it is the paper-scale count `hico estimate` reports. The measured
+gap (perfbench's ``costmodel.model_error``) and its history are in
+CHANGES.md, with the runs in BENCH_12.json.
+
+Every token count, FLOPs total and byte total must be a finite float; one
+that is not raises DomainError naming it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .dropout import DropSchedule, plan_schedule
@@ -126,6 +123,17 @@ class CostReport:
     total_infer_bytes: int
 
 
+def _finite(value: float, what: str) -> float:
+    """`value` as a float; DomainError naming `what` when it is not a finite one."""
+    try:
+        f = float(value)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise DomainError(f"{what} is not a finite float")
+    return f
+
+
 def tokens_for_video(frames: int, tokens_per_frame: int) -> int:
     if frames < 1 or tokens_per_frame < 1:
         raise DomainError("frames and tokens_per_frame must be positive")
@@ -140,8 +148,10 @@ def prefill_flops(tokens: int, shape: ModelShape) -> float:
     """
     if tokens < 0:
         raise DomainError("tokens must be >= 0")
-    t = float(tokens)
-    return 2.0 * shape.nonembed_params * t + 4.0 * shape.layers * t * t * shape.hidden_dim
+    t = _finite(tokens, "the token count")
+    flops = 2.0 * shape.nonembed_params * t + 4.0 * shape.layers * t * t * shape.hidden_dim
+    params = shape.nonembed_params
+    return _finite(flops, f"the prefill FLOP count of {t:.6g} tokens and {params:.6g} parameters")
 
 
 def flops_with_schedule(
@@ -160,6 +170,7 @@ def flops_with_schedule(
         raise DomainError("initial_tokens must be >= 1")
     if text_tokens < 0:
         raise DomainError("text_tokens must be >= 0")
+    tokens = _finite(initial_tokens + text_tokens, "the visual plus text token count")
     counts = plan_schedule(initial_tokens, schedule, shape.layers)
     # Group contiguous layers with the same token count so the empty-schedule
     # path reduces to the prefill_flops expression bit for bit.
@@ -175,7 +186,7 @@ def flops_with_schedule(
         tf = float(t)
         total += (2.0 * shape.nonembed_params * tf) * (layers / shape.layers)
         total += 4.0 * layers * tf * tf * shape.hidden_dim
-    return total
+    return _finite(total, f"the scheduled FLOP count of {tokens:.6g} tokens")
 
 
 def memory_estimate(
@@ -199,10 +210,13 @@ def memory_estimate(
     kv_cache_bytes = (
         2 * shape.layers * shape.kv_heads * shape.head_dim * tokens * cache_bytes_per_value
     )
+    flops = prefill_flops(tokens, shape)
+    total = weight_bytes + kv_cache_bytes + overhead_bytes
+    _finite(total, "the byte total of weights, KV cache and overhead")
     return CostReport(
-        flops=prefill_flops(tokens, shape),
+        flops=flops,
         weight_bytes=weight_bytes,
         kv_cache_bytes=kv_cache_bytes,
         overhead_bytes=overhead_bytes,
-        total_infer_bytes=weight_bytes + kv_cache_bytes + overhead_bytes,
+        total_infer_bytes=total,
     )

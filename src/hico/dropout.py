@@ -339,14 +339,15 @@ class _ToyWeights:
 
 def toy_decoder_run(
     text_tokens: int,
-    visual,
+    visual: np.ndarray,
     geometry: DecoderGeometry = DecoderGeometry(),
     schedule: DropSchedule = DropSchedule(),
     seed: int = 0,
 ) -> DecoderRun:
-    """Run a seeded causal decoder over (visual context, synthetic text).
+    """Run a seeded causal decoder over (visual tokens, synthetic text).
 
-    Visual tokens come first, then `text_tokens` seeded text embeddings.
+    `visual` is an (n, dim) array, e.g. a context's ``vectors()``. Visual
+    tokens come first, then `text_tokens` seeded text embeddings.
     Before each scheduled layer the matching drop is applied — attention
     entries consume the snapshot of the immediately preceding layer — and
     every layer records an AttentionSnapshot. The layer before a drop
@@ -359,8 +360,7 @@ def toy_decoder_run(
     """
     if text_tokens < 1:
         raise DomainError("need at least one text token for the attention query")
-    vis = visual if isinstance(visual, np.ndarray) else visual.vectors()
-    vis = np.asarray(vis, dtype=np.float64)
+    vis = np.asarray(visual, dtype=np.float64)
     if vis.ndim != 2 or vis.shape[0] < 1:
         raise DomainError("visual context must be a non-empty (tokens, dim) array")
     _check_depth(schedule, geometry.layers)

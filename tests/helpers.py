@@ -85,6 +85,25 @@ class RefToken:
         return min(self.sources)
 
 
+def clip_tokens(clips: list[compressor.CompressedClip]) -> list[RefToken]:
+    """The clips' output tokens in order, each with the (frame, row, col)
+    sources its clip's ``owner`` gives it (the whole clip for WHOLE_CLIP)."""
+    out = []
+    for clip in clips:
+        start, end = clip.frame_span
+        shape = (end - start, *clip.frame_shape)
+        for j, (vector, size) in enumerate(zip(clip.vectors, clip.sizes)):
+            members = (
+                np.arange(math.prod(shape))
+                if clip.owner is compressor.WHOLE_CLIP
+                else np.flatnonzero(clip.owner == j)
+            )
+            f, r, c = np.unravel_index(members, shape)
+            sources = frozenset(zip((f + start).tolist(), r.tolist(), c.tolist()))
+            out.append(RefToken(vector, int(size), sources))
+    return out
+
+
 def ref_grid_tokens(data: np.ndarray, frame_offset: int = 0) -> list[RefToken]:
     frames, rows, cols, _ = data.shape
     return [

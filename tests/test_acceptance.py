@@ -44,13 +44,13 @@ def test_criterion_1_sampling_law():
 def test_criterion_2_token_count_arithmetic():
     grid = cp.TokenGrid(np.random.default_rng(0).standard_normal((4, 16, 16, 8)))
     out = cp.compress_video(grid, cp.ConnectorConfig(kind="merge", budget=64))
-    assert len(out.tokens) == 64
-    assert sum(t.size for t in out.tokens) == 1024
+    assert len(out.sizes) == 64
+    assert out.sizes.sum() == 1024
 
     frame = cp.TokenGrid(np.random.default_rng(1).standard_normal((1, 27, 27, 4)))
     ctx = cp.compress_video(frame, cp.ConnectorConfig(kind="merge", budget=16, clip_len=1))
-    assert len(ctx.tokens) == 16
-    ratio = f"{100 * len(ctx.tokens) / frame.token_count:.2f}"
+    assert len(ctx.sizes) == 16
+    ratio = f"{100 * len(ctx.sizes) / frame.token_count:.2f}"
     assert ratio == "2.19"
     assert abs(16 / 729 - 0.021948) < 1e-6
     _pass(2, "64 tokens / sizes 1024 for 4x16x16; 729->16 reports 2.19%")

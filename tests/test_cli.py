@@ -317,6 +317,33 @@ def test_estimate_unknown_shape(capsys):
     assert code == 2
 
 
+HUGE = "1" + "0" * 400
+SCHEDULE = ["--schedule", "uni:4:0.75,attn:18:0.25"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--frames", "10", "--overhead-bytes", HUGE],
+        ["--frames", HUGE],
+        ["--frames", "10", "--cache-bytes", HUGE],
+        ["--frames", "10", "--tokens-per-frame", HUGE],
+        ["--frames", "10", *SCHEDULE, "--text-tokens", HUGE],
+        # The token count fits a float, its FLOPs do not: this once printed flops=inf.
+        ["--frames", "1" + "0" * 200],
+        ["--frames", "10", *SCHEDULE, "--text-tokens", "1" + "0" * 200],
+    ],
+    ids=[
+        "overhead-bytes", "frames", "cache-bytes", "tokens-per-frame", "text-tokens",
+        "prefill-flops", "scheduled-flops",
+    ],
+)
+def test_estimate_overflowing_sizes_print_one_line(capsys, flags):
+    code, out, err = run(capsys, "estimate", *flags)
+    assert out == ""
+    assert one_line_error(code, err) and "is not a finite float" in err
+
+
 # ---------------------------------------------------------------------------
 # dropout
 
@@ -1146,10 +1173,12 @@ def test_memory_error_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
     assert (code, out, err) == (3, "", "error: out of memory\n")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+# 1.7e308 parameters are finite, but their prefill FLOPs are not.
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "1.7e308"])
 def test_non_finite_nonembed_params_is_domain_error(tmp_path, capsys, value):
     cfg = config_file(tmp_path, f"costmodel.nonembed_params = {value}\n")
-    code, _, err = run(capsys, "--config", cfg, "estimate", "--frames", "64")
+    code, out, err = run(capsys, "--config", cfg, "estimate", "--frames", "64")
+    assert out == ""
     assert one_line_error(code, err)
     assert "finite" in err
 

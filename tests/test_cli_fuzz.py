@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import hico
 from hico import cli, io
 
-VALUES = ["0", "-1", "nan", "inf", "1e400", "1e-320", "1000000000000"]
+VALUES = ["0", "-1", "nan", "inf", "1e400", "1e-320", "1000000000000", "1" + "0" * 400]
 ADDRESS_SPACE = 1 << 30
 # Seconds one command may take before the test fails on it.
 TIMEOUT = 20.0
@@ -95,6 +95,8 @@ def argvs(draw):
 @example(argv=["compress", *BASE["compress"], "--connector", "resampler", "--temperature", "1e-320"])
 # A 10^12-frame plan once grew until memory ran out.
 @example(argv=["sample", *BASE["sample"], "--tmin", "1000000000000", "--tmax", "1000000000000"])
+# A 400-digit byte count once overflowed a float after the report had printed.
+@example(argv=["estimate", *BASE["estimate"], "--overhead-bytes", "1" + "0" * 400])
 def test_numeric_flag_edge_values_exit_cleanly(child, argv):
     argv = [a.format(tmp=child.tmp) for a in argv]
     result = child.run(argv)

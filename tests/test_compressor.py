@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     best_merge_variance,
+    clip_tokens,
     cluster_vectors,
     ref_compress_video,
     ref_tome_merge,
@@ -22,8 +23,7 @@ def merged_tokens(vecs, target):
     """tome_merge on a single-row clip of unit tokens, read back as tokens."""
     vecs = np.asarray(vecs, dtype=float)
     vectors, sizes, owner = cp.tome_merge(vecs, target)
-    clip = cp.CompressedClip(0, vectors, sizes, owner, (0, 1), (1, len(vecs)))
-    return list(clip.tokens)
+    return clip_tokens([cp.CompressedClip(vectors, sizes, owner, (0, 1), (1, len(vecs)))])
 
 
 def rand_grid(seed, shape=(4, 4, 4, 8)):
@@ -56,11 +56,42 @@ def test_segment_clips(frames, clip_len, sizes):
     for kind in ("merge", "spatial"):
         config = cp.ConnectorConfig(kind=kind, budget=1, factor=1, clip_len=clip_len)
         clips = cp.compress_video(grid, config).clips
-        assert [c.clip_index for c in clips] == list(range(len(sizes)))
         spans = [c.frame_span for c in clips]
         assert [end - start for start, end in spans] == sizes
         assert spans[0][0] == 0 and spans[-1][1] == frames
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+
+COLUMNS = r"need a \(tokens, dim\)"
+OWNER = "owner must map"
+SIZES = "token size must equal"
+
+
+@pytest.mark.parametrize(
+    "vectors, sizes, owner, message",
+    [
+        (np.zeros(2), [1, 1], [0, 1], COLUMNS),
+        (np.zeros((1, 2, 1)), [2], [0, 0], COLUMNS),
+        (np.zeros((2, 1)), [2], [0, 0], COLUMNS),
+        (np.zeros((2, 1)), [2, 0], [0, 0], COLUMNS),
+        (np.zeros((2, 1)), [1, 1], [0, 1, 1], OWNER),
+        (np.zeros((2, 1)), [1, 1], [0], OWNER),
+        (np.zeros((2, 1)), [1, 1], [0, 2], OWNER),
+        (np.zeros((2, 1)), [1, 1], [-1, 1], OWNER),
+        (np.zeros((2, 1)), [1, 1], [0, 0], SIZES),
+        (np.zeros((2, 1)), [3, 3], cp.WHOLE_CLIP, SIZES),
+        (np.zeros((2, 1)), [1, 1], cp.WHOLE_CLIP, SIZES),
+    ],
+    ids=[
+        "1-d-vectors", "3-d-vectors", "short-sizes", "size-zero", "long-owner",
+        "short-owner", "owner-past-end", "negative-owner", "sizes-not-bincount",
+        "whole-clip-too-big", "whole-clip-too-small",
+    ],
+)
+def test_compressed_clip_rejects_inconsistent_columns(vectors, sizes, owner, message):
+    # One frame of 1x2 inputs; each case breaks one rule of the columns.
+    with pytest.raises(DomainError, match=message):
+        cp.CompressedClip(vectors, sizes, owner, (0, 1), (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +239,7 @@ def test_spatial_block_means():
     # Frame 3 of a four-frame video is its own clip when clip_len is 1.
     grid = cp.TokenGrid(np.concatenate([np.zeros((3, 4, 4, 2)), frame[None]]))
     config = cp.ConnectorConfig(kind="spatial", factor=2, clip_len=1)
-    out = cp.compress_video(grid, config).clips[3].tokens
+    out = clip_tokens([cp.compress_video(grid, config).clips[3]])
     assert len(out) == 4
     for t, (br, bc) in zip(out, [(0, 0), (0, 1), (1, 0), (1, 1)]):
         block = frame[br * 2 : br * 2 + 2, bc * 2 : bc * 2 + 2].reshape(-1, 2)
@@ -303,33 +334,33 @@ def test_compress_clip_merge_budget():
     grid = cp.TokenGrid(np.random.default_rng(9).standard_normal((4, 16, 16, 8)))
     out = cp.compress_video(grid, cp.ConnectorConfig(kind="merge", budget=64))
     assert len(out.clips) == 1
-    assert len(out.tokens) == 64
-    assert sum(t.size for t in out.tokens) == 1024
+    assert len(out.sizes) == 64
+    assert out.sizes.sum() == 1024
 
 
 def test_compress_clip_budget_equals_count_is_identity():
     grid = rand_grid(10, (2, 2, 2, 4))
     out = cp.compress_video(grid, cp.ConnectorConfig(kind="merge", budget=8, clip_len=2))
     flat = grid.data.reshape(-1, 4)
-    assert len(out.tokens) == 8
-    for t, v in zip(out.tokens, flat):
-        assert np.array_equal(t.vector, v)
-        assert t.size == 1
+    assert len(out.sizes) == 8
+    for vector, size, v in zip(out.vectors(), out.sizes, flat):
+        assert np.array_equal(vector, v)
+        assert size == 1
 
 
 def test_compress_clip_merge_with_st_mix():
     grid = rand_grid(12, (4, 4, 4, 6))
     cfg = cp.ConnectorConfig(kind="merge", budget=8, st_temperature=1.0)
     out = cp.compress_video(grid, cfg)
-    assert len(out.tokens) == 8
-    assert sum(t.size for t in out.tokens) == 64
+    assert len(out.sizes) == 8
+    assert out.sizes.sum() == 64
 
 
 def test_compress_clip_resampler_budget():
     grid = rand_grid(13, (4, 4, 4, 6))
     out = cp.compress_video(grid, cp.ConnectorConfig(kind="resampler", queries=5, budget=5))
-    assert len(out.tokens) == 5
-    assert all(t.size == 64 for t in out.tokens)
+    assert len(out.sizes) == 5
+    assert np.all(out.sizes == 64)
 
 
 def test_concat_context_offsets():
@@ -337,7 +368,7 @@ def test_concat_context_offsets():
     cfg = cp.ConnectorConfig(kind="merge", budget=64 // 8)
     ctx = cp.compress_video(grid, cfg)
     assert ctx.clip_offsets == [0, 8]
-    assert len(ctx.tokens) == 16
+    assert len(ctx.sizes) == 16
 
 
 @pytest.mark.parametrize("kind", cp.CONNECTOR_KINDS)
@@ -345,7 +376,6 @@ def test_clip_indices_count_up_and_spans_tile_the_video(kind):
     grid = rand_grid(15, (10, 2, 2, 3))
     cfg = cp.ConnectorConfig(kind=kind, budget=4, queries=4, factor=2, f_first=2, f_rest=2)
     clips = cp.compress_video(grid, cfg).clips
-    assert [c.clip_index for c in clips] == list(range(len(clips)))
     starts = [c.frame_span[0] for c in clips]
     ends = [c.frame_span[1] for c in clips]
     assert starts == [0] + ends[:-1]
@@ -358,8 +388,8 @@ def test_compress_video_scales_final_clip_budget():
     ctx = cp.compress_video(grid, cp.ConnectorConfig(kind="merge", budget=8, clip_len=4))
     # clips of 4, 4, 2 frames -> budgets 8, 8, ceil(8 * 2/4) = 4
     assert ctx.clip_offsets == [0, 8, 16]
-    assert len(ctx.tokens) == 20
-    assert sum(t.size for t in ctx.tokens) == grid.token_count
+    assert len(ctx.sizes) == 20
+    assert ctx.sizes.sum() == grid.token_count
 
 
 @pytest.mark.parametrize("kind", ["merge", "spatial", "uneven"])
@@ -440,7 +470,7 @@ def test_connectors_match_reference(
         ctx = cp.compress_video(grid, config)
         want = ref_compress_video(grid, config)
         assert ctx.clip_offsets == list(np.cumsum([0] + [len(c) for c in want[:-1]]))
-        assert_same_tokens(list(ctx.tokens), [t for clip in want for t in clip])
+        assert_same_tokens(clip_tokens(ctx.clips), [t for clip in want for t in clip])
 
 
 @settings(max_examples=100, deadline=None)

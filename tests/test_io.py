@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hico import io
+from hico import costmodel, io
 from hico.compressor import TokenGrid, tome_merge
 from hico.errors import ConfigError, DomainError
 
@@ -242,6 +242,19 @@ def test_load_config_fuzz_raises_only_config_error(tmp_path_factory, lines):
         return
     for key in cfg.values:
         cfg.get(key)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(code, "README.md", "exec"), names)
+    ctx, run, flops = names["ctx"], names["run"], names["flops"]
+    # 8 frames of 16x16 in 4-frame clips, 64 tokens per clip.
+    assert len(ctx.sizes) == 128 and ctx.sizes.sum() == 8 * 16 * 16
+    assert [len(kept) for kept in run.kept] == [128, 96, 24, 24]
+    assert 0 < flops < costmodel.prefill_flops(128 + 64, costmodel.preset("7b"))
 
 
 def test_readme_documents_every_config_key():

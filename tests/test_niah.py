@@ -251,6 +251,66 @@ def test_validate_flags_out_of_range_position():
     assert niah.CHECK_POSITIONS in report.codes
 
 
+def break_correct_flag(inst):
+    path = dataclasses.replace(inst.correct_path, is_correct=False)
+    return dataclasses.replace(inst, correct_path=path)
+
+
+def break_distractor_flag(inst):
+    path = dataclasses.replace(inst.distractors[0], is_correct=True)
+    return dataclasses.replace(inst, distractors=(path,))
+
+
+def break_start_hint(inst):
+    hint = niah.render_template(niah.START_TEMPLATE, "caption", "no such thing")
+    return dataclasses.replace(inst, start_hint=hint)
+
+
+def break_needle(inst):
+    # The chain still ends at its last hop, which is no longer the needle.
+    first = inst.correct_path.hops[0].item_id
+    return dataclasses.replace(inst, ground_truth=(first, inst.ground_truth[1]))
+
+
+def break_hop_order(inst):
+    # The clues still lead h0 -> h1 -> h2; the path now lists h0, h2, h1.
+    h0, h1, h2 = inst.correct_path.hops
+    path = dataclasses.replace(inst.correct_path, hops=(h0, h2, h1))
+    return dataclasses.replace(inst, correct_path=path)
+
+
+def break_distractor_clue(inst):
+    needle = next(item for item in LIB if item.id == inst.ground_truth[0])
+    clue = niah.render_template(niah.CLUE_TEMPLATE, "next_caption", needle.caption)
+    start, *rest = inst.distractors[0].hops
+    hops = (dataclasses.replace(start, clue=clue), *rest)
+    path = dataclasses.replace(inst.distractors[0], hops=hops)
+    return dataclasses.replace(inst, distractors=(path,))
+
+
+@pytest.mark.parametrize(
+    "breaker, code, message",
+    [
+        (break_correct_flag, niah.CHECK_STRUCTURE, "correct_path flagged incorrect"),
+        (break_distractor_flag, niah.CHECK_STRUCTURE, "distractor flagged correct"),
+        (break_start_hint, niah.CHECK_CHAIN, "start hint names unknown caption"),
+        (break_needle, niah.CHECK_CHAIN, "not the needle"),
+        (break_hop_order, niah.CHECK_CHAIN, "does not follow the correct path's hops"),
+        (break_distractor_clue, niah.CHECK_DISTRACTOR, "traversal reaches the needle"),
+    ],
+    ids=[
+        "correct-flag", "distractor-flag", "start-hint", "ends-off-needle", "hop-order",
+        "distractor-reach",
+    ],
+)
+def test_validate_flags_each_failure(breaker, code, message):
+    inst = niah.gen_multi_hop(100, 3, 1, LIB, seed=5)
+    assert niah.validate_instance(inst, LIB).ok
+    report = niah.validate_instance(breaker(inst), LIB)
+    assert code in report.codes
+    assert any(c == code and message in text for c, text in report.failures), report.failures
+
+
 def test_oracle_never_visits_distractor_hops():
     inst = niah.gen_multi_hop(400, 3, 3, LIB, seed=9)
     distractor_items = {
