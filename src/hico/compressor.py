@@ -13,8 +13,9 @@ squeezed down to a small token budget by one of four connector families:
                   fixed set of query vectors.
 
 The connector functions take arrays and return columns; no clip object sits
-between them and the grid. ``compress_video`` computes clip i's frame span
-as (i·clip_len, min((i+1)·clip_len, frames)) and slices the grid directly.
+between them and the grid. ``compress_video`` cuts clip i's frames
+[i·clip_len, min((i+1)·clip_len, frames)) out of the grid, as one stack of
+the full clips and one of a short final clip, and compresses each stack.
 Outputs are stored as columns (CompressedClip): vectors, sizes, and the
 output token that absorbed each (frame, row, col) input token. Merge,
 spatial and uneven vectors are size-weighted means of their sources, so
@@ -23,7 +24,6 @@ the whole clip and carry the whole clip as provenance.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import zipfile
@@ -209,12 +209,10 @@ def st_mix(tokens: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     out = softmax(X Xᵀ / (temperature * sqrt(dim))) X. As temperature grows
     the output of every token tends to the clip mean; shape is preserved.
     """
-    if temperature <= 0:
-        raise DomainError("temperature must be positive")
     x = np.asarray(tokens, dtype=np.float64)
     if x.ndim != 2:
         raise DomainError(f"tokens must have shape (n, dim), got {x.shape}")
-    mixed = _softmax((x @ x.T) / (temperature * math.sqrt(x.shape[1]))) @ x
+    mixed = resampler_forward(x, x, temperature=temperature)
     if not np.all(np.isfinite(mixed)):
         raise DomainError("attention mix produced non-finite values")
     return mixed
@@ -372,40 +370,32 @@ def resampler_forward(
 
 
 def _read_weights(path: str) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """(queries, wk, wv) from an .npz archive; wk and wv may be absent."""
-    try:
-        archive = np.load(path)
-    except (ValueError, EOFError, zipfile.BadZipFile):
-        archive = None  # pickled, empty or corrupt
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise DomainError(f"weights file {path} is not an .npz archive")
-    with archive:
+    """(queries, wk, wv) from an .npz archive; wk and wv may be absent.
+
+    Every member must hold finite real numbers (bool, int or float).
+    """
+    with open(path, "rb") as f:  # np.load(path) leaks its handle on a corrupt zip
+        try:
+            archive = np.load(f)
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            archive = None  # pickled, empty or corrupt
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise DomainError(f"weights file {path} is not an .npz archive")
         if "queries" not in archive.files:
             raise DomainError(f"weights file {path} has no 'queries' array")
         try:
             members = [archive[k] if k in archive.files else None for k in ("queries", "wk", "wv")]
-        except (ValueError, EOFError, OSError, zipfile.BadZipFile, zlib.error) as exc:
-            # Object arrays, bad .npy headers, truncated or bit-flipped members.
+        except (ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile, zlib.error) as exc:
+            # Object arrays, bad .npy headers, truncated or bit-flipped members,
+            # and flipped compression or encryption flags.
             raise DomainError(f"weights file {path} has an unreadable member: {exc}") from None
-        try:
-            return tuple(None if m is None else np.asarray(m, dtype=np.float64) for m in members)
-        except (ValueError, TypeError):
-            raise DomainError(f"weights file {path} holds non-numeric arrays") from None
-
-
-def _resampler_weights(
-    config: ConnectorConfig, dim: int, budget: int
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    if config.weights_path is not None:
-        queries, wk, wv = _read_weights(config.weights_path)
-        if queries.ndim != 2 or queries.shape[0] != budget:
-            raise DomainError(
-                f"weights file queries have shape {queries.shape}, need ({budget}, d)"
-            )
-        return queries, wk, wv
-    rng = np.random.default_rng(config.query_seed)
-    queries = rng.standard_normal((budget, dim)) / math.sqrt(dim)
-    return queries, None, None
+    for name, m in zip(("queries", "wk", "wv"), members):
+        if m is not None and m.dtype.kind not in "biuf":
+            raise DomainError(f"weights file {path} holds {name} of dtype {m.dtype}, not reals")
+    weights = tuple(None if m is None else m.astype(np.float64) for m in members)
+    if not all(np.all(np.isfinite(w)) for w in weights if w is not None):
+        raise DomainError(f"weights file {path} holds non-finite values")
+    return weights
 
 
 def scaled_budget(budget: int, frames_in_clip: int, clip_len: int) -> int:
@@ -413,46 +403,63 @@ def scaled_budget(budget: int, frames_in_clip: int, clip_len: int) -> int:
     return -(-budget * frames_in_clip // clip_len)
 
 
-def _check_resampler_bytes(grid: TokenGrid, config: ConnectorConfig, spans) -> None:
-    """Refuse, before allocating, queries whose arrays would pass BYTES_CAP.
+def _resampler_weights(
+    grid: TokenGrid, config: ConnectorConfig, spans
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The video's (queries, wk, wv), with ``config.queries`` query rows.
 
-    The largest clip holds its queries and about four (queries, tokens)
-    softmax arrays at once; the video's output is held twice when joined.
+    First refuses, before allocating, queries whose arrays would pass
+    BYTES_CAP: the video's queries and the largest clip's four (queries,
+    tokens) softmax arrays are held at once, the output twice when joined.
     """
     count = spans[0][1] - spans[0][0]
-    queries = scaled_budget(config.queries, count, config.clip_len)
+    largest = scaled_budget(config.queries, count, config.clip_len)
     tokens = count * grid.rows * grid.cols
     outputs = sum(scaled_budget(config.queries, b - a, config.clip_len) for a, b in spans)
-    needed = 8 * (queries * (grid.dim + 4 * tokens) + 2 * outputs * grid.dim)
+    needed = 8 * (config.queries * grid.dim + 4 * largest * tokens + 2 * outputs * grid.dim)
     check_bytes(needed, f"--queries {config.queries} on clips of {tokens} tokens")
+    if config.weights_path is not None:
+        queries, wk, wv = _read_weights(config.weights_path)
+        if queries.ndim != 2 or queries.shape[0] != config.queries:
+            raise DomainError(
+                f"weights file queries have shape {queries.shape}, need ({config.queries}, d)"
+            )
+        return queries, wk, wv
+    rng = np.random.default_rng(config.query_seed)
+    queries = rng.standard_normal((config.queries, grid.dim)) / math.sqrt(grid.dim)
+    return queries, None, None
 
 
-def _compress_clip(
-    data: np.ndarray, span: tuple[int, int], config: ConnectorConfig, weights
-) -> CompressedClip:
-    """Compress frames span[0]:span[1] of `data` alone.
+def _compress_stack(
+    stack: np.ndarray, spans, config: ConnectorConfig, weights
+) -> list[CompressedClip]:
+    """Compress a stack of equal-length clips, (clips, frames, rows, cols, dim).
 
-    Merge and resampler budgets are scaled to the clip's frame count; for
-    the downsampling kinds the output length is the analytic block count.
-    `weights` maps a query count to the resampler's (queries, wk, wv) and is
-    shared across the clips of a video.
+    Merge runs the whole stack through tome_merge in lockstep; the other
+    kinds compress one clip at a time. Merge and resampler budgets are
+    scaled to the clips' frame count, and a short clip reads the first rows
+    of the video's resampler ``weights`` (queries, wk, wv); for the
+    downsampling kinds the output length is the analytic block count.
     """
-    frames = data[span[0] : span[1]]
-    count, rows, cols, dim = frames.shape
+    count, rows, cols, dim = stack.shape[1:]
     if config.kind == "merge":
-        tokens = frames.reshape(-1, dim)
+        tokens = stack.reshape(len(stack), -1, dim)
         if config.st_temperature is not None:
-            tokens = st_mix(tokens, config.st_temperature)
-        columns = tome_merge(tokens, scaled_budget(config.budget, count, config.clip_len))
+            tokens = np.stack([st_mix(clip, config.st_temperature) for clip in tokens])
+        columns = zip(*tome_merge(tokens, scaled_budget(config.budget, count, config.clip_len)))
     elif config.kind == "spatial":
-        columns = spatial_downsample(frames, config.factor)
+        columns = (spatial_downsample(frames, config.factor) for frames in stack)
     elif config.kind == "uneven":
-        columns = uneven_downsample(frames, config.f_first, config.f_rest)
+        columns = (uneven_downsample(frames, config.f_first, config.f_rest) for frames in stack)
     else:
-        queries, wk, wv = weights(scaled_budget(config.queries, count, config.clip_len))
-        vectors = resampler_forward(frames.reshape(-1, dim), queries, wk, wv, config.temperature)
-        columns = vectors, np.full(len(vectors), count * rows * cols), WHOLE_CLIP
-    return CompressedClip(*columns, span, (rows, cols))
+        queries, wk, wv = weights
+        queries = queries[: scaled_budget(config.queries, count, config.clip_len)]
+        columns = (
+            (resampler_forward(frames.reshape(-1, dim), queries, wk, wv, config.temperature),
+             np.full(len(queries), count * rows * cols), WHOLE_CLIP)
+            for frames in stack
+        )
+    return [CompressedClip(*c, span, (rows, cols)) for span, c in zip(spans, columns)]
 
 
 def compress_video(grid: TokenGrid, config: ConnectorConfig) -> VisualContext:
@@ -460,27 +467,18 @@ def compress_video(grid: TokenGrid, config: ConnectorConfig) -> VisualContext:
 
     Clip i spans frames [i·clip_len, min((i+1)·clip_len, frames)). A short
     final clip gets a proportionally smaller budget so the average
-    tokens-per-frame rate stays constant across the video. The merge
-    connector runs all full-length clips as one stack, in lockstep; every
-    other clip is compressed alone.
+    tokens-per-frame rate stays constant across the video. The full clips
+    go to ``_compress_stack`` as one stack, a view of the grid, and a short
+    final clip as a second.
     """
     frames, clip_len = grid.frames, config.clip_len
     spans = [(start, min(start + clip_len, frames)) for start in range(0, frames, clip_len)]
-    if config.kind == "resampler":
-        _check_resampler_bytes(grid, config, spans)
+    weights = _resampler_weights(grid, config, spans) if config.kind == "resampler" else None
     clips = []
-    full = frames // clip_len if config.kind == "merge" else 0
-    if full:
-        # A view of the full clips' tokens: the stack copies nothing.
-        stack = grid.data[: full * clip_len].reshape(full, -1, grid.dim)
-        if config.st_temperature is not None:
-            stack = np.stack([st_mix(tokens, config.st_temperature) for tokens in stack])
-        clips = [
-            CompressedClip(*columns, span, (grid.rows, grid.cols))
-            for span, *columns in zip(spans, *tome_merge(stack, config.budget))
-        ]
-    weights = functools.cache(functools.partial(_resampler_weights, config, grid.dim))
-    clips += [_compress_clip(grid.data, span, config, weights) for span in spans[full:]]
+    for _, same_length in itertools.groupby(spans, lambda span: span[1] - span[0]):
+        group = list(same_length)
+        stack = grid.data[group[0][0] : group[-1][1]].reshape(len(group), -1, *grid.data.shape[1:])
+        clips += _compress_stack(stack, group, config, weights)
     return VisualContext(clips)
 
 

@@ -96,8 +96,13 @@ def encode_embeddings(grid: TokenGrid) -> bytes:
 
 
 def read_embeddings(path: str | os.PathLike) -> TokenGrid:
+    """Read and decode an embedding file; a format error names the file."""
     with open(path, "rb") as f:
-        return decode_embeddings(f.read())
+        blob = f.read()
+    try:
+        return decode_embeddings(blob)
+    except EmbeddingFormatError as exc:
+        raise type(exc)(f"{os.fspath(path)}: {exc}") from None
 
 
 def write_embeddings(grid: TokenGrid, path: str | os.PathLike) -> None:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hico import cli, dropout, errors, io
+from hico import cli, compressor, dropout, errors, io
 from hico.cli import main
 
 
@@ -213,6 +213,8 @@ def test_compress_corrupt_input_is_io_error(tmp_path, capsys):
         capsys, "compress", "--in", str(bad), "--out", str(tmp_path / "c.bin")
     )
     assert code == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"io error: {bad}: bad magic")
 
 
 def test_compress_missing_out_dir_names_target(tmp_path, capsys):
@@ -255,6 +257,37 @@ def test_resampler_weights_corrupt_member_is_one_line_error(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert str(weights) in err and "Traceback" not in err
+
+
+def test_resampler_weights_serve_a_short_final_clip(tmp_path, capsys):
+    # Clips of 4, 4 and 2 frames: the short clip reads the first 3 of the 6 queries.
+    grid = synth(tmp_path, shape="10x4x4x8")
+    rng = np.random.default_rng(3)
+    queries, wk, wv = rng.standard_normal((6, 8)), rng.standard_normal((8, 8)), np.eye(8)
+    weights = tmp_path / "w.npz"
+    np.savez(weights, queries=queries, wk=wk, wv=wv)
+    out_path = tmp_path / "c.bin"
+    code, out, err = run(
+        capsys, "compress", "--in", str(grid), "--out", str(out_path),
+        "--connector", "resampler", "--clip-len", "4", "--queries", "6",
+        "--weights", str(weights),
+    )
+    assert code == 0 and err == ""
+    assert "output_tokens=15" in out.splitlines()
+    clip = io.read_embeddings(grid).data[8:].reshape(-1, 8)
+    expected = compressor.resampler_forward(clip, queries[:3], wk, wv)
+    last = io.read_embeddings(out_path).data[0, 0, 12:]
+    assert np.array_equal(last, expected.astype(np.float32))
+
+
+@pytest.mark.parametrize("queries,message", [
+    (np.ones((5, 8)) * (1 + 2j), "holds queries of dtype complex128, not reals"),
+    (np.full((5, 8), np.inf), "holds non-finite values"),
+])
+def test_resampler_weights_must_be_finite_reals(tmp_path, capsys, queries, message):
+    code, out, err = resampler_with_weights(tmp_path, capsys, queries=queries)
+    assert code == 2 and out == ""
+    assert err == f"error: weights file {tmp_path / 'w.npz'} {message}\n"
 
 
 def test_resampler_weights_wk_shape_mismatch(tmp_path, capsys):

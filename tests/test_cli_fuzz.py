@@ -1,16 +1,19 @@
-"""Argv fuzz: numeric flags of synth, compress, dropout, estimate and sample
-set to edge values must end in exit 0, 2 or 3 with at most one stderr line
-and no traceback. Commands run in one child process under an address-space
-cap, so a size that slips past the byte checks fails this test rather than
-filling the machine's memory."""
+"""Input fuzz: numeric flags of synth, compress, dropout, estimate and sample
+set to edge values, and mutated resampler `--weights` archives, must end in
+exit 0, 2 or 3 with at most one stderr line and no traceback. Commands run
+in one child process under an address-space cap, so a size that slips past
+the byte checks fails this test rather than filling the machine's memory."""
 import argparse
+import io as bytes_io
 import json
+import math
 import os
 import select
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -104,3 +107,73 @@ def test_numeric_flag_edge_values_exit_cleanly(child, argv):
     assert result["code"] in (0, 2, 3), (argv, err)
     assert len(err.splitlines()) <= 1, (argv, err)
     assert "Traceback" not in err, (argv, err)
+
+
+# Weights fuzz: `compress --connector resampler` on the 4-frame grid in clips
+# of 3 and 1 frames, so every archive also meets a short final clip.
+QUERIES = 6
+WEIGHTS_ARGV = [
+    "compress", *BASE["compress"], "--connector", "resampler", "--clip-len", "3",
+    "--queries", str(QUERIES), "--weights", "{tmp}/w.npz",
+]
+FINITE = [0.0, 1.0, -0.5, 2.0, 1e300]
+DTYPES = ["float16", "float64", "int64", "bool", "complex128", "<U3", "object"]
+
+
+@st.composite
+def weight_arrays(draw, fits):
+    # The shape that fits this member, or any shape from 0-d to 3-d.
+    shape = draw(st.one_of(st.just(fits), st.lists(st.integers(0, 4), max_size=3).map(tuple)))
+    pool = draw(st.sampled_from([FINITE, FINITE + [math.nan, math.inf]]))
+    count = math.prod(shape)
+    values = draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+    with np.errstate(all="ignore"):
+        return np.array(values).reshape(shape).astype(draw(st.sampled_from(DTYPES)))
+
+
+FITS = {"queries": (QUERIES, 8), "wk": (8, 8), "wv": (8, 3), "extra": (2,)}
+MEMBERS = {name: weight_arrays(fits) for name, fits in FITS.items()}
+OTHERS = {name: MEMBERS[name] for name in ("wk", "wv", "extra")}
+# Half of the archives hold queries; the other half may lack them.
+archives = st.one_of(
+    st.fixed_dictionaries({"queries": MEMBERS["queries"]}, optional=OTHERS),
+    st.fixed_dictionaries({}, optional=MEMBERS),
+)
+# None, or (kind, where in the archive as a fraction of its length, xor mask).
+damages = st.one_of(
+    st.none(),
+    st.tuples(st.sampled_from(["truncate", "flip"]), st.floats(0, 1), st.integers(1, 255)),
+)
+
+
+def archive_bytes(members, damage):
+    buffer = bytes_io.BytesIO()
+    np.savez(buffer, **members)
+    blob = bytearray(buffer.getvalue())
+    if damage is not None:
+        kind, where, mask = damage
+        at = min(int(where * len(blob)), len(blob) - 1)
+        if kind == "truncate":
+            del blob[at:]
+        else:
+            blob[at] ^= mask
+    return bytes(blob)
+
+
+@settings(max_examples=120, deadline=None)
+@given(members=archives, damage=damages)
+# A complex queries array once exited 0 with a ComplexWarning on stderr.
+@example(members={"queries": np.full((QUERIES, 8), 1 + 2j)}, damage=None)
+# np.load(path) once left the file open on a corrupt zip, and the
+# ResourceWarning printed when it was collected.
+@example(members={}, damage=("truncate", 1.0, 1))
+# A flipped compression-method field once ended in NotImplementedError.
+@example(members={"queries": np.zeros((8, 8), bool)}, damage=("flip", 0.796875, 1))
+def test_weights_archives_exit_cleanly(child, members, damage):
+    (child.tmp / "w.npz").write_bytes(archive_bytes(members, damage))
+    argv = [a.format(tmp=child.tmp) for a in WEIGHTS_ARGV]
+    result = child.run(argv)
+    err = result["stderr"]
+    assert result["code"] in (0, 2, 3), (members, damage, err)
+    assert len(err.splitlines()) <= 1, (members, damage, err)
+    assert "Traceback" not in err, (members, damage, err)

@@ -51,8 +51,8 @@ def test_grid_rejects_bad_shapes():
 )
 def test_segment_clips(frames, clip_len, sizes):
     grid = cp.TokenGrid(np.zeros((frames, 2, 2, 3)))
-    # merge stacks the full clips and compresses a short one alone; spatial
-    # compresses every clip alone.
+    # Both kinds get the full clips as one stack and a short one as another;
+    # merge compresses a stack in lockstep, spatial clip by clip.
     for kind in ("merge", "spatial"):
         config = cp.ConnectorConfig(kind=kind, budget=1, factor=1, clip_len=clip_len)
         clips = cp.compress_video(grid, config).clips
@@ -139,6 +139,12 @@ def test_st_mix_preserves_shape_and_finiteness():
 def test_st_mix_rejects_bad_temperature():
     with pytest.raises(DomainError):
         cp.st_mix(rand_grid(0, (1, 2, 2, 3)).data.reshape(-1, 3), temperature=0.0)
+
+
+def test_st_mix_non_finite_is_domain_error():
+    # The scores overflow to inf, and the softmax of an inf row is NaN.
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match="attention mix produced"):
+        cp.st_mix(np.array([[1e200, 0.0], [0.0, 1e200]]), 1.0)
 
 
 def test_st_mix_rejects_non_2d_tokens():

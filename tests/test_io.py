@@ -88,6 +88,13 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     assert np.array_equal(io.read_embeddings(path).data, grid_from(3).data)
 
 
+def test_read_error_names_the_file_and_keeps_its_class(tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(io.encode_embeddings(grid_from(2))[:-4])
+    with pytest.raises(io.TruncatedFileError, match=f"^{re.escape(str(path))}: payload "):
+        io.read_embeddings(path)
+
+
 def test_missing_file_is_oserror(tmp_path):
     with pytest.raises(OSError):
         io.read_embeddings(tmp_path / "absent.bin")
