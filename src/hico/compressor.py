@@ -220,8 +220,44 @@ def st_mix(tokens: np.ndarray, temperature: float = 1.0) -> np.ndarray:
 
 def _unit_rows(vecs: np.ndarray) -> np.ndarray:
     # Zero-norm rows stay zero, giving them cosine similarity 0 to everything.
-    norms = np.sqrt(np.add.reduce(vecs * vecs, axis=1, keepdims=True))
+    norms = np.sqrt(np.add.reduce(vecs * vecs, axis=-1, keepdims=True))
     return vecs / np.where(norms > 0, norms, 1.0)
+
+
+_WAVE_ROWS = 256  # merges per piece of a merge wave
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """np.argsort(keys, kind="stable") for non-negative integer keys.
+
+    Each key takes its position as a tie-break, so a plain sort of the unique
+    keys gives the stable order, several times faster than a stable argsort.
+    Exact while keys·len(keys) < 2**63: for stacks below 3·10^9 tokens.
+    """
+    m = len(keys)
+    return np.sort(keys * m + np.arange(m)) % m
+
+
+def _best_matches(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each A token's most cosine-similar B token in a (clips, n, dim) stack,
+    and that similarity: two (clips, (n + 1) // 2) arrays.
+
+    A tokens are the even rows, B tokens the odd; best[c, i] = j names A
+    token i's match, B token j, which is row 2j + 1. Each clip's rows are
+    normalised once, and its similarities go into one block shared by every
+    clip. Block and unit rows are freed on return.
+    """
+    clips, n, _ = vecs.shape
+    half = (n + 1) // 2
+    best, best_sim = np.empty((clips, half), np.int64), np.empty((clips, half))
+    sims = np.empty((half, n // 2))
+    at_best = np.arange(half) * (n // 2)
+    for c in range(clips):
+        unit = _unit_rows(vecs[c])
+        np.matmul(unit[0::2], unit[1::2].T, out=sims)
+        np.argmax(sims, axis=1, out=best[c])
+        np.take(sims, at_best + best[c], out=best_sim[c])
+    return best, best_sim
 
 
 def tome_merge(vectors: np.ndarray, target: int, sizes: np.ndarray | None = None) -> Columns:
@@ -257,12 +293,12 @@ def tome_merge(vectors: np.ndarray, target: int, sizes: np.ndarray | None = None
     clip_ids = np.arange(clips)[:, None]
     while n > target:
         r = min(n // 2, n - target)
-        half = (n + 1) // 2
-        best, best_sim = np.empty((clips, half), np.int64), np.empty((clips, half))
-        for c in range(clips):  # one (n/2, n/2) similarity block at a time
-            sims = _unit_rows(vecs[c, 0::2]) @ _unit_rows(vecs[c, 1::2]).T
-            best[c] = np.argmax(sims, axis=1)
-            best_sim[c] = sims[np.arange(half), best[c]]
+        # The survivors' array is allocated before the similarity pass, whose
+        # block and unit rows, freed on its return, leave a hole for later
+        # temporaries. Allocated after the pass, the array often did not fit
+        # that hole and extended the heap: merge-long's peak RSS rose 4 MiB.
+        new = np.empty((clips * (n - r), dim))
+        best, best_sim = _best_matches(vecs)
         ranked = np.argsort(-best_sim, axis=1, kind="stable")[:, :r]
         src, dst = 2 * ranked, 2 * np.take_along_axis(best, ranked, axis=1) + 1
         # Flat row ids clip·n + i let one pass serve the whole stack.
@@ -271,31 +307,52 @@ def tome_merge(vectors: np.ndarray, target: int, sizes: np.ndarray | None = None
         np.minimum.at(flat_first, flat_dst, flat_first[flat_src])
         flat_first[flat_src] = owner.shape[1]  # merged-away rows sort last and are dropped
         order = np.argsort(first, axis=1)
-        position = np.argsort(order, axis=1)
+        position = np.empty_like(order)
+        np.put_along_axis(position, order, np.arange(n), axis=1)  # the inverse of order
         position.reshape(-1)[flat_src] = position.reshape(-1)[flat_dst]
         owner = np.take_along_axis(position, owner, axis=1)
-        n -= r
         # Survivors go into half-size arrays before the merges, which then read
         # each source from the old array: sources are even rows and
         # destinations odd, so no source has been merged into yet.
-        keep = order[:, :n]
-        merged, merged_sizes = vecs[clip_ids, keep], sizes[clip_ids, keep]
-        first = first[clip_ids, keep]
-        into = (clip_ids * n + np.take_along_axis(position, dst, axis=1)).ravel()
+        keep = (clip_ids * n + order[:, : n - r]).ravel()
+        n -= r
         old, old_sizes = vecs.reshape(-1, dim), sizes.reshape(-1)
-        new, new_sizes = merged.reshape(-1, dim), merged_sizes.reshape(-1)
+        old.take(keep, axis=0, out=new)
+        new_sizes = old_sizes.take(keep)
+        first = first.reshape(-1).take(keep).reshape(clips, n)
+        into = (clip_ids * n + np.take_along_axis(position, dst, axis=1)).ravel()
         # Merges into one destination must run in rank order to reproduce the
-        # running average bit for bit: wave k applies each destination's k-th.
-        by_dst = np.argsort(flat_dst, kind="stable")
-        wave = np.empty(len(by_dst), np.int64)
-        wave[by_dst] = np.arange(len(by_dst)) - np.searchsorted(flat_dst[by_dst], flat_dst[by_dst])
-        by_wave = np.argsort(wave, kind="stable")
-        for pick in np.split(by_wave, np.cumsum(np.bincount(wave))[:-1]):
-            s, d = flat_src[pick], into[pick]
-            total = old_sizes[s] + new_sizes[d]
-            new[d] = (old_sizes[s, None] * old[s] + new_sizes[d, None] * new[d]) / total[:, None]
-            new_sizes[d] = total
-        vecs, sizes = merged, merged_sizes
+        # running average bit for bit. Sorted by destination, ties in rank
+        # order, each merge's running size is a cumsum over its destination's
+        # segment, so every size is known before a vector moves. Wave k then
+        # applies each destination's k-th merge: new = (a·source + p·new) / t.
+        by_dst = _stable_order(flat_dst)
+        s, d = flat_src[by_dst], into[by_dst]
+        starts = np.r_[True, d[1:] != d[:-1]]
+        seg = np.maximum.accumulate(np.where(starts, np.arange(len(d)), 0))  # segment starts
+        added = old_sizes[s]
+        ran = np.cumsum(added)
+        total = new_sizes[d] + ran - (ran[seg] - added[seg])
+        ends = np.r_[starts[1:], True]
+        new_sizes[d[ends]] = total[ends]
+        wave = np.arange(len(d)) - seg
+        by_wave = _stable_order(wave)
+        s, d = s[by_wave], d[by_wave]
+        a, t = added[by_wave, None].astype(np.float64), total[by_wave, None].astype(np.float64)
+        p = t - a
+        # Waves run in pieces of at most _WAVE_ROWS rows. A whole wave's
+        # temporaries reach megabytes, and on merge-long-sized stacks they
+        # fragmented the heap into a 4 MiB higher peak RSS; pieces stay small.
+        cuts = np.union1d(np.cumsum(np.bincount(wave)), np.arange(0, len(d), _WAVE_ROWS))
+        for lo, hi in itertools.pairwise(cuts.tolist()):
+            x = old.take(s[lo:hi], axis=0)
+            x *= a[lo:hi]
+            y = new.take(d[lo:hi], axis=0)
+            y *= p[lo:hi]
+            x += y
+            x /= t[lo:hi]
+            new[d[lo:hi]] = x
+        vecs, sizes = new.reshape(clips, n, dim), new_sizes.reshape(clips, n)
     return (vecs[0], sizes[0], owner[0]) if one_clip else (vecs, sizes, owner)
 
 
@@ -419,10 +476,18 @@ def _resampler_weights(
     needed = 8 * (config.queries * grid.dim + 4 * largest * tokens + 2 * outputs * grid.dim)
     check_bytes(needed, f"--queries {config.queries} on clips of {tokens} tokens")
     if config.weights_path is not None:
-        queries, wk, wv = _read_weights(config.weights_path)
-        if queries.ndim != 2 or queries.shape[0] != config.queries:
+        path = config.weights_path
+        queries, wk, wv = _read_weights(path)
+        for name, w, rows in (("queries", queries, config.queries), ("wk", wk, grid.dim),
+                              ("wv", wv, grid.dim)):
+            if w is not None and (w.ndim != 2 or w.shape[0] != rows or w.shape[1] < 1):
+                raise DomainError(f"weights file {path} holds {name} of shape {w.shape},"
+                                  f" need ({rows}, d) with d >= 1")
+        key_dim = grid.dim if wk is None else wk.shape[1]
+        if queries.shape[1] != key_dim:
             raise DomainError(
-                f"weights file queries have shape {queries.shape}, need ({config.queries}, d)"
+                f"weights file {path} holds queries of {queries.shape[1]} columns,"
+                f" need the key dim {key_dim}"
             )
         return queries, wk, wv
     rng = np.random.default_rng(config.query_seed)
@@ -454,11 +519,12 @@ def _compress_stack(
     else:
         queries, wk, wv = weights
         queries = queries[: scaled_budget(config.queries, count, config.clip_len)]
-        columns = (
-            (resampler_forward(frames.reshape(-1, dim), queries, wk, wv, config.temperature),
-             np.full(len(queries), count * rows * cols), WHOLE_CLIP)
-            for frames in stack
-        )
+        outputs = [resampler_forward(frames.reshape(-1, dim), queries, wk, wv, config.temperature)
+                   for frames in stack]
+        path = config.weights_path
+        if path is not None and not all(np.all(np.isfinite(out)) for out in outputs):
+            raise DomainError(f"resampler outputs with weights file {path} are non-finite")
+        columns = ((out, np.full(len(queries), count * rows * cols), WHOLE_CLIP) for out in outputs)
     return [CompressedClip(*c, span, (rows, cols)) for span, c in zip(spans, columns)]
 
 

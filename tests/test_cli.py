@@ -290,13 +290,44 @@ def test_resampler_weights_must_be_finite_reals(tmp_path, capsys, queries, messa
     assert err == f"error: weights file {tmp_path / 'w.npz'} {message}\n"
 
 
+def test_resampler_weights_with_non_finite_outputs_name_the_file(tmp_path, capsys):
+    # Finite weights whose scores overflow: the output, not a member, is non-finite.
+    code, out, err = resampler_with_weights(
+        tmp_path, capsys, queries=np.full((5, 8), 1e300), wk=np.full((8, 8), 1e300)
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: resampler outputs with weights file {tmp_path / 'w.npz'} are non-finite\n"
+
+
 def test_resampler_weights_wk_shape_mismatch(tmp_path, capsys):
     code, _, err = resampler_with_weights(
         tmp_path, capsys, queries=np.ones((5, 8)), wk=np.ones((5, 8))
     )
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert "wk" in err
+    assert "wk" in err and str(tmp_path / "w.npz") in err
+
+
+@pytest.mark.parametrize("arrays,message", [
+    ({"queries": np.ones(8)}, "holds queries of shape (8,), need (5, d) with d >= 1"),
+    ({"queries": np.ones((3, 8))}, "holds queries of shape (3, 8), need (5, d) with d >= 1"),
+    ({"queries": np.ones((5, 0)), "wk": np.ones((8, 0))},
+     "holds queries of shape (5, 0), need (5, d) with d >= 1"),
+    ({"queries": np.ones((5, 8)), "wk": np.ones((8, 8, 1))},
+     "holds wk of shape (8, 8, 1), need (8, d) with d >= 1"),
+    ({"queries": np.ones((5, 8)), "wv": np.ones((6, 8))},
+     "holds wv of shape (6, 8), need (8, d) with d >= 1"),
+    ({"queries": np.ones((5, 8)), "wv": np.ones((8, 0))},
+     "holds wv of shape (8, 0), need (8, d) with d >= 1"),
+    ({"queries": np.ones((5, 4))}, "holds queries of 4 columns, need the key dim 8"),
+    ({"queries": np.ones((5, 8)), "wk": np.ones((8, 6))},
+     "holds queries of 8 columns, need the key dim 6"),
+], ids=["queries-1d", "queries-rows", "queries-no-columns", "wk-3d", "wv-rows",
+        "wv-no-columns", "queries-vs-grid-dim", "queries-vs-wk-columns"])
+def test_resampler_weights_shape_errors_name_the_file(tmp_path, capsys, arrays, message):
+    code, out, err = resampler_with_weights(tmp_path, capsys, **arrays)
+    assert code == 2 and out == ""
+    assert err == f"error: weights file {tmp_path / 'w.npz'} {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Input fuzz: numeric flags of synth, compress, dropout, estimate and sample
-set to edge values, and mutated resampler `--weights` archives, must end in
-exit 0, 2 or 3 with at most one stderr line and no traceback. Commands run
+set to edge values, mutated resampler `--weights` archives and damaged
+embedding files must end in exit 0, 2 or 3 with at most one stderr line and
+no traceback. Commands run
 in one child process under an address-space cap, so a size that slips past
 the byte checks fails this test rather than filling the machine's memory."""
 import argparse
@@ -169,6 +170,9 @@ def archive_bytes(members, damage):
 @example(members={}, damage=("truncate", 1.0, 1))
 # A flipped compression-method field once ended in NotImplementedError.
 @example(members={"queries": np.zeros((8, 8), bool)}, damage=("flip", 0.796875, 1))
+# Finite weights whose scores overflow once ended in an error naming no file.
+@example(members={"queries": np.full((QUERIES, 8), 1e300), "wk": np.full((8, 8), 1e300)},
+         damage=None)
 def test_weights_archives_exit_cleanly(child, members, damage):
     (child.tmp / "w.npz").write_bytes(archive_bytes(members, damage))
     argv = [a.format(tmp=child.tmp) for a in WEIGHTS_ARGV]
@@ -177,3 +181,52 @@ def test_weights_archives_exit_cleanly(child, members, damage):
     assert result["code"] in (0, 2, 3), (members, damage, err)
     assert len(err.splitlines()) <= 1, (members, damage, err)
     assert "Traceback" not in err, (members, damage, err)
+    if result["code"] == 2:
+        assert f"{child.tmp}/w.npz" in err, (members, damage, err)
+
+
+# Embedding-file fuzz: `compress --in` and `dropout --in` read a damaged copy
+# of the 4-frame grid's file (header: magic, u16 version, four u32 sizes).
+EMBEDDING_ARGV = {
+    "compress": ["compress", "--in", "{tmp}/e.bin", "--out", "{tmp}/c.bin"],
+    "dropout": ["dropout", "--in", "{tmp}/e.bin", *BASE["dropout"][2:]],
+}
+HEADER = io._HEADER.size
+SHAPE_FIELDS = range(6, HEADER, 4)
+# Sizes whose product overflows int64 (and any u32), or that are zero.
+SIZES = [0, 1, 4, 8, 1 << 16, (1 << 31) - 1, (1 << 32) - 1]
+embedding_damages = st.one_of(
+    # A truncated file, mostly inside the header.
+    st.tuples(st.just("truncate"), st.one_of(st.integers(0, HEADER), st.integers(0, 1 << 12))),
+    # One flipped byte: magic, version and sizes, or anywhere in the file.
+    st.tuples(st.just("flip"), st.one_of(st.integers(0, HEADER - 1), st.integers(0, 1 << 12)),
+              st.integers(1, 255)),
+    # All four sizes rewritten.
+    st.tuples(st.just("sizes"), st.lists(st.sampled_from(SIZES), min_size=4, max_size=4)),
+)
+
+
+def damaged_embeddings(blob, damage):
+    blob = bytearray(blob)
+    if damage[0] == "truncate":
+        del blob[damage[1]:]
+    elif damage[0] == "flip":
+        blob[min(damage[1], len(blob) - 1)] ^= damage[2]
+    else:
+        for at, size in zip(SHAPE_FIELDS, damage[1]):
+            blob[at : at + 4] = size.to_bytes(4, "little")
+    return bytes(blob)
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(EMBEDDING_ARGV)), damage=embedding_damages)
+@example(command="compress", damage=("sizes", [(1 << 32) - 1] * 4))
+@example(command="dropout", damage=("truncate", 5))
+def test_embedding_files_exit_cleanly(child, command, damage):
+    blob = (child.tmp / "grid.bin").read_bytes()
+    (child.tmp / "e.bin").write_bytes(damaged_embeddings(blob, damage))
+    result = child.run([a.format(tmp=child.tmp) for a in EMBEDDING_ARGV[command]])
+    err = result["stderr"]
+    assert result["code"] in (0, 2, 3), (command, damage, err)
+    assert len(err.splitlines()) <= 1, (command, damage, err)
+    assert "Traceback" not in err, (command, damage, err)

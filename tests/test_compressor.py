@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,6 +493,11 @@ def test_tome_merge_matches_reference_with_sizes(seed, n, dim, target_frac, leve
     vecs = rng.integers(-levels, levels + 1, size=(n, dim)).astype(float)
     sizes = rng.integers(1, 4, size=n)
     target = 1 + round(target_frac * (n - 1))
+    assert_merge_matches_reference(vecs, sizes, target, cp.tome_merge(vecs, target, sizes=sizes))
+
+
+def assert_merge_matches_reference(vecs, sizes, target, columns):
+    """`columns` from tome_merge equal ref_tome_merge on tokens with `sizes`."""
     # Input row i holds the consecutive sources starting at first[i].
     first = np.cumsum(np.r_[0, sizes[:-1]])
     tokens = [
@@ -499,13 +505,44 @@ def test_tome_merge_matches_reference_with_sizes(seed, n, dim, target_frac, leve
         for v, s, f in zip(vecs, sizes, first)
     ]
     want = ref_tome_merge(tokens, target)
-    vectors, out_sizes, owner = cp.tome_merge(vecs, target, sizes=sizes)
+    vectors, out_sizes, owner = columns
     assert len(vectors) == len(want)
     for j, t in enumerate(want):
         assert np.array_equal(vectors[j], t.vector)
         assert out_sizes[j] == t.size
         members = np.flatnonzero(owner == j)
         assert t.sources == frozenset((0, 0, int(first[i]) + k) for i in members for k in range(sizes[i]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    clips=st.integers(1, 3),
+    n=st.integers(120, 200),
+    dim=st.integers(2, 5),
+    target_frac=st.floats(0.0, 1.0),
+)
+@example(seed=0, clips=2, n=200, dim=2, target_frac=0.0)
+def test_tome_merge_long_wave_chains(seed, clips, n, dim, target_frac):
+    # Every A token (even row) lies near its clip's unit hub, row 1, and the
+    # other B tokens point away from it, so every A token picks the hub and
+    # round 1 merges r >= 50 of them into it one after another: a wave chain
+    # of at least 50.
+    rng = np.random.default_rng(seed)
+    hub = rng.standard_normal((clips, 1, dim))
+    hub /= np.linalg.norm(hub, axis=-1, keepdims=True)
+    stack = -hub + 0.1 * rng.standard_normal((clips, n, dim))
+    stack[:, 0::2] = hub + 0.05 * rng.standard_normal((clips, (n + 1) // 2, dim))
+    stack[:, 1] = hub[:, 0]
+    sizes = rng.integers(1, 5, size=(clips, n))
+    target = 1 + round(target_frac * (n - 51))
+    vectors, out_sizes, owner = cp.tome_merge(stack, target, sizes=sizes)
+    for c in range(clips):
+        assert np.count_nonzero(owner[c] == owner[c, 1]) > 50
+        columns = (vectors[c], out_sizes[c], owner[c])
+        alone = cp.tome_merge(stack[c], target, sizes=sizes[c])
+        assert all(np.array_equal(x, y) for x, y in zip(columns, alone))
+        assert_merge_matches_reference(stack[c], sizes[c], target, columns)
 
 
 def stack_clip(rng, kind, n, dim, levels):
@@ -546,6 +583,24 @@ def test_tome_merge_stack_matches_each_clip_alone(seed, kinds, n, dim, target_fr
         assert np.array_equal(vectors[c], alone[0])
         assert np.array_equal(out_sizes[c], alone[1])
         assert np.array_equal(owner[c], alone[2])
+
+
+def test_tome_merge_peak_memory_stays_near_the_stack():
+    # A round holds the half-size survivors, one clip's similarity block and
+    # unit rows, and small wave pieces; no array is as large as the stack.
+    # The peak reads 1.18x to 1.32x the stack's bytes (the higher on a
+    # process's first call); the two-normalisation round before it read
+    # 1.91x, and whole-stack normalisation, whole waves or a round's sources
+    # gathered up front read 1.66x or more. It counts bytes allocated, not
+    # time, so it is deterministic.
+    stack = np.random.default_rng(0).standard_normal((16, 1024, 64))
+    tracemalloc.start()
+    try:
+        cp.tome_merge(stack, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * stack.nbytes
 
 
 def test_tome_merge_leaves_its_inputs_alone():
