@@ -41,12 +41,18 @@ Columns = tuple[np.ndarray, np.ndarray, np.ndarray]  # (vectors, sizes, owner)
 
 @dataclass
 class TokenGrid:
-    """Per-frame spatial grid of feature vectors, shape (frames, rows, cols, dim)."""
+    """Per-frame spatial grid of feature vectors, shape (frames, rows, cols, dim).
+
+    A native float32 array is kept as float32, half the bytes, and each
+    connector widens what it computes on; any other input becomes float64.
+    """
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.float64)
+        arr = np.asarray(self.data)
+        if arr.dtype != np.float32:
+            arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 4:
             raise DomainError(f"token grid must be 4-D, got shape {arr.shape}")
         if any(s < 1 for s in arr.shape):
@@ -362,18 +368,18 @@ def spatial_downsample(frames: np.ndarray, factor: int) -> Columns:
     Produces (rows/factor) * (cols/factor) tokens of size factor² per frame,
     frame by frame in row-major block order.
     """
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = np.asarray(frames)
     if frames.ndim != 4:
         raise DomainError("frames must have shape (frames, rows, cols, dim)")
     count, rows, cols, dim = frames.shape
     if rows % factor or cols % factor:
         raise DomainError(f"factor {factor} does not divide frame grid {rows}x{cols}")
     br, bc = rows // factor, cols // factor
-    blocks = (
-        frames.reshape(count, br, factor, bc, factor, dim)
-        .transpose(0, 1, 3, 2, 4, 5)
-        .reshape(count * br * bc, factor * factor, dim)
-    )
+    # One copy gathers each block's values and widens them to float64.
+    blocks = np.empty((count * br * bc, factor * factor, dim))
+    blocks.reshape(count, br, bc, factor, factor, dim)[...] = frames.reshape(
+        count, br, factor, bc, factor, dim
+    ).transpose(0, 1, 3, 2, 4, 5)
     f, r, c = np.indices((count, rows, cols)).reshape(3, -1)
     owner = (f * br + r // factor) * bc + c // factor
     return blocks.mean(axis=1), np.full(len(blocks), factor * factor), owner
@@ -553,7 +559,7 @@ def conservation_residual(inputs: TokenGrid, context: VisualContext) -> float:
 
     Zero (up to float noise) for provenance-preserving connectors.
     """
-    in_sum = inputs.data.reshape(-1, inputs.dim).sum(axis=0)
+    in_sum = np.asarray(inputs.data.reshape(-1, inputs.dim), dtype=np.float64).sum(axis=0)
     out_sum = (context.sizes[:, None] * context.vectors()).sum(axis=0)
     denom = max(float(np.linalg.norm(in_sum)), 1e-30)
     return float(np.linalg.norm(out_sum - in_sum)) / denom

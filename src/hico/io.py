@@ -14,6 +14,7 @@ into place, so readers never observe a partial file.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -80,19 +81,22 @@ def decode_embeddings(blob: bytes) -> TokenGrid:
         raise TruncatedFileError(f"payload {payload} bytes, header declares {expected}")
     if payload > expected:
         raise SizeMismatchError(f"{payload - expected} trailing bytes after payload")
-    # The payload is widened to one float64 copy.
+    # The cap counts 8 bytes a value, the float64 copy a connector widens the
+    # grid to. The grid is one float32 copy of the payload, not a view: the
+    # payload starts at byte 22, so a view would be misaligned and read-only,
+    # and would keep the whole blob alive.
     shape = f"{frames}x{rows}x{cols}x{dim}"
     check_bytes(8 * frames * rows * cols * dim, f"an embedding file of shape {shape}")
-    data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
+    data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).astype(np.float32)
     if not np.all(np.isfinite(data)):
         raise NonFiniteDataError("payload contains NaN or infinity")
-    grid = data.astype(np.float64).reshape(frames, rows, cols, dim)
-    return TokenGrid(grid)
+    return TokenGrid(data.reshape(frames, rows, cols, dim))
 
 
 def encode_embeddings(grid: TokenGrid) -> bytes:
     header = _HEADER.pack(MAGIC, VERSION, grid.frames, grid.rows, grid.cols, grid.dim)
-    return header + np.ascontiguousarray(grid.data, dtype="<f4").tobytes()
+    payload = np.ascontiguousarray(grid.data, dtype="<f4")
+    return b"".join((header, memoryview(payload)))
 
 
 def read_embeddings(path: str | os.PathLike) -> TokenGrid:
@@ -142,16 +146,16 @@ def synth_grid(
               similarity merging recovers the centroids.
     gaussian: iid standard normals.
 
-    Values are rounded to float32 so grids survive file round-trips exactly.
-    Raises DomainError, before allocating, when the grid would pass
-    errors.BYTES_CAP.
+    The grid is float32, so it survives file round-trips exactly. Raises
+    DomainError, before allocating, when the grid would pass errors.BYTES_CAP.
     """
     if kind not in GRID_KINDS:
         raise DomainError(f"unknown grid kind {kind!r}; have {GRID_KINDS}")
     frames, rows, cols, dim = shape
     if min(shape) < 1:
         raise DomainError("all shape entries must be >= 1")
-    # At most three float64 copies of the grid are alive at once.
+    # At most one float64 draw and its float32 rounding are alive at once;
+    # the cap is checked at three float64 copies.
     check_bytes(3 * 8 * frames * rows * cols * dim, f"--shape {frames}x{rows}x{cols}x{dim}")
     rng = np.random.default_rng(seed)
     n = frames * rows * cols
@@ -173,13 +177,20 @@ def synth_grid(
         scales = rng.uniform(1.0, 3.0, size=k)
         for i in range(k):
             centroids[i, i] = scales[i]
-        # Balanced contiguous blocks; every cluster gets at least one token.
-        labels = (np.arange(n) * k) // n
-        flat = centroids[labels]
         if noise > 0:
-            flat = flat + noise * rng.standard_normal((n, dim))
+            flat = rng.standard_normal((n, dim))
+            flat *= noise
+        else:
+            flat = np.zeros((n, dim))
+        # Balanced contiguous blocks, token t in cluster t·k // n; every
+        # cluster gets at least one token. Adding in place gives each value
+        # the float of noise·z + centroid with no gathered centroid array.
+        bounds = -(-np.arange(k + 1) * n // k)
+        for i, (lo, hi) in enumerate(itertools.pairwise(bounds.tolist())):
+            flat[lo:hi] += centroids[i]
 
-    data = flat.reshape(frames, rows, cols, dim).astype(np.float32).astype(np.float64)
+    data = flat.reshape(frames, rows, cols, dim).astype(np.float32)
+    del flat  # freed before the grid's finiteness check allocates
     return TokenGrid(data)
 
 

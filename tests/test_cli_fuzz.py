@@ -1,9 +1,9 @@
 """Input fuzz: numeric flags of synth, compress, dropout, estimate and sample
-set to edge values, mutated resampler `--weights` archives and damaged
-embedding files must end in exit 0, 2 or 3 with at most one stderr line and
-no traceback. Commands run
-in one child process under an address-space cap, so a size that slips past
-the byte checks fails this test rather than filling the machine's memory."""
+set to edge values, mutated resampler `--weights` archives, damaged
+embedding files and damaged config files must end in exit 0, 2 or 3 with at
+most one stderr line and no traceback. Commands run in a child process under
+an address-space cap, so a size that slips past the byte checks fails this
+test rather than filling the machine's memory."""
 import argparse
 import io as bytes_io
 import json
@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import hico
 from hico import cli, io
+from hico.errors import ConfigError
 
 VALUES = ["0", "-1", "nan", "inf", "1e400", "1e-320", "1000000000000", "1" + "0" * 400]
 ADDRESS_SPACE = 1 << 30
@@ -49,10 +50,12 @@ def test_every_command_has_numeric_flags():
 
 
 class Child:
-    def __init__(self, tmp):
+    def __init__(self, tmp, **env_vars):
         self.tmp = tmp
         src = str(Path(hico.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env.pop(cli.ENV_CONFIG, None)
+        env.update(env_vars)
         self.proc = subprocess.Popen(
             [sys.executable, str(Path(__file__).with_name("cli_child.py")), str(ADDRESS_SPACE)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env, cwd=tmp,
@@ -230,3 +233,101 @@ def test_embedding_files_exit_cleanly(child, command, damage):
     assert result["code"] in (0, 2, 3), (command, damage, err)
     assert len(err.splitlines()) <= 1, (command, damage, err)
     assert "Traceback" not in err, (command, damage, err)
+
+
+# Config-file fuzz: a damaged config file reaches the CLI through --config or
+# through $HICO_CONFIG, which the second child reads as {tmp}/env.cfg.
+CONFIG_ARGV = {
+    "compress": BASE["compress"][:4],
+    "dropout": [*BASE["dropout"][:2], "--layers", "4"],
+    "estimate": ["--frames", "64"],
+    "sample": BASE["sample"],
+}
+MANY_DIGITS = "9" * 5000
+CONFIG_VALUES = [
+    # Values of the right type for some key.
+    "0", "1", "4", "-1", "0.5", "true", "merge", "resampler", "7b", "uni:2:0.5,attn:3:0.5",
+    # Values of the wrong type for most keys.
+    "abc", "1.5x", "", "yes please", "0x10", "[1, 2]", "nan", "inf",
+    # 5,000-digit numbers.
+    MANY_DIGITS, "-" + MANY_DIGITS, MANY_DIGITS + ".5", "0." + MANY_DIGITS, "1e" + MANY_DIGITS,
+]
+config_lines = st.one_of(
+    st.tuples(
+        st.sampled_from(sorted(io.CONFIG_SCHEMA) + ["connector.kinds", "seed.x", "", "Seed"]),
+        st.sampled_from(CONFIG_VALUES),
+    ).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.sampled_from(["# comment", "", "no equals sign", "= 1"]),
+)
+DIRECTORY, MISSING = "directory", "missing"
+config_damages = st.one_of(
+    st.none(),
+    # The last line cut short, without its newline.
+    st.tuples(st.just("truncate"), st.integers(1, 40)),
+    # A byte that is never UTF-8 (or starts a sequence it does not finish).
+    st.tuples(st.just("bytes"), st.floats(0, 1), st.sampled_from([b"\xff", b"\xc3", b"\x80\x80"])),
+    st.just(DIRECTORY),
+    st.just(MISSING),
+)
+
+
+def place_config(path, lines, damage):
+    """Make `path` the config file `lines` spell, damaged, or a directory, or nothing."""
+    if path.is_dir():
+        path.rmdir()
+    path.unlink(missing_ok=True)
+    if damage == DIRECTORY:
+        path.mkdir()
+        return
+    if damage == MISSING:
+        return
+    blob = "".join(line + "\n" for line in lines).encode()
+    if damage is not None and damage[0] == "truncate":
+        blob = blob[: max(0, len(blob) - damage[1])]
+    elif damage is not None:
+        at = int(damage[1] * len(blob))
+        blob = blob[:at] + damage[2] + blob[at:]
+    path.write_bytes(blob)
+
+
+@pytest.fixture(scope="module")
+def config_child(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("config")
+    io.write_embeddings(io.synth_grid("clusters", (4, 4, 4, 8), seed=1, k=2, noise=0.1),
+                        tmp / "grid.bin")
+    proc = Child(tmp, **{cli.ENV_CONFIG: str(tmp / "env.cfg")})
+    yield proc
+    proc.close()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(sorted(CONFIG_ARGV)),
+    via=st.sampled_from(["flag", "env"]),
+    lines=st.lists(config_lines, max_size=5).flatmap(
+        # Half of the files repeat one of their lines, a duplicate key or not.
+        lambda ls: st.just(ls) | st.sampled_from(ls).map(lambda l: ls + [l]) if ls else st.just(ls)
+    ),
+    damage=config_damages,
+)
+@example(command="estimate", via="flag", lines=["costmodel.overhead_bytes = " + MANY_DIGITS],
+         damage=None)
+@example(command="sample", via="env", lines=["sampler.fps = 2"], damage=("bytes", 0.0, b"\xff"))
+@example(command="compress", via="env", lines=[], damage=DIRECTORY)
+def test_config_files_exit_cleanly(config_child, command, via, lines, damage):
+    tmp = config_child.tmp
+    path = tmp / ("flag.cfg" if via == "flag" else "env.cfg")
+    place_config(path, lines, damage)
+    argv = [command, *CONFIG_ARGV[command]]
+    if via == "flag":
+        argv = ["--config", str(path), *argv]
+    result = config_child.run([a.format(tmp=tmp) for a in argv])
+    err = result["stderr"]
+    assert result["code"] in (0, 2, 3), (argv, lines, damage, err)
+    assert len(err.splitlines()) <= 1, (argv, lines, damage, err)
+    assert "Traceback" not in err, (argv, lines, damage, err)
+    # Whatever fails to load must fail the command, in a line that names the file.
+    try:
+        io.load_config(path)
+    except (ConfigError, OSError):
+        assert result["code"] in (2, 3) and str(path) in err, (argv, lines, damage, err)

@@ -629,3 +629,76 @@ def test_tome_merge_leaves_its_inputs_alone():
 def test_tome_merge_rejects_bad_shapes(vectors, sizes):
     with pytest.raises(DomainError):
         cp.tome_merge(vectors, 1, sizes=sizes)
+
+
+# ---------------------------------------------------------------------------
+# float32 grids
+
+
+def assert_same_context(got, want):
+    for a, b in zip(got.clips, want.clips, strict=True):
+        assert a.vectors.dtype == b.vectors.dtype == np.float64
+        assert a.vectors.tobytes() == b.vectors.tobytes()
+        assert np.array_equal(a.sizes, b.sizes)
+        assert (a.owner is None and b.owner is None) or np.array_equal(a.owner, b.owner)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    frames=st.integers(1, 7),
+    side=st.sampled_from([2, 4]),
+    dim=st.integers(1, 5),
+    clip_len=st.integers(1, 4),
+    budget_frac=st.floats(0.0, 1.0),
+    st_temperature=st.sampled_from([0.5, 3.0]),
+    queries=st.integers(1, 5),
+)
+# Three clips of two frames and a short final one of a single frame.
+@example(seed=4, frames=7, side=4, dim=3, clip_len=2, budget_frac=0.3, st_temperature=0.5,
+         queries=4)
+def test_float32_grid_compresses_as_its_float64_values(
+    seed, frames, side, dim, clip_len, budget_frac, st_temperature, queries
+):
+    # A float32 grid is widened only where a connector computes, so every
+    # connector gives the same bytes as on a float64 grid of the same values.
+    narrow = oracle_grid(seed, "gaussian", (frames, side, side, dim)).data.astype(np.float32)
+    narrow, wide = cp.TokenGrid(narrow), cp.TokenGrid(narrow.astype(np.float64))
+    assert narrow.data.dtype == np.float32 and wide.data.dtype == np.float64
+    budget = 1 + round(budget_frac * (clip_len * side * side - 1))
+    configs = [
+        cp.ConnectorConfig(kind="merge", budget=budget, clip_len=clip_len),
+        cp.ConnectorConfig(kind="merge", budget=budget, clip_len=clip_len,
+                           st_temperature=st_temperature),
+        cp.ConnectorConfig(kind="spatial", factor=side // 2, clip_len=clip_len),
+        cp.ConnectorConfig(kind="uneven", f_first=1, f_rest=side, clip_len=clip_len),
+        cp.ConnectorConfig(kind="resampler", queries=queries, clip_len=clip_len,
+                           query_seed=seed % 7),
+    ]
+    for config in configs:
+        got, want = cp.compress_video(narrow, config), cp.compress_video(wide, config)
+        assert_same_context(got, want)
+        assert cp.conservation_residual(narrow, got) == cp.conservation_residual(wide, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tokens=st.integers(1, 20_000),
+    dim=st.integers(1, 4),
+    decades=st.sampled_from([0, 4]),
+    column_major=st.booleans(),
+)
+# Summed with dtype=float64 straight from float32, a one-column grid is summed
+# pairwise inside 8,192-value cast buffers and read 3.4e-16 here, not 0.0.
+@example(seed=1, tokens=300_000, dim=1, decades=4, column_major=False)
+def test_conservation_residual_of_float32_grid_matches_float64(
+    seed, tokens, dim, decades, column_major
+):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((1, 1, tokens, dim)) * 10 ** rng.uniform(0, decades, (tokens, 1))
+    values = values.astype(np.float32)
+    narrow = cp.TokenGrid(np.asfortranarray(values) if column_major else values)
+    wide = cp.TokenGrid(narrow.data.astype(np.float64))
+    context = cp.compress_video(wide, cp.ConnectorConfig(kind="spatial", factor=1))
+    assert cp.conservation_residual(narrow, context) == cp.conservation_residual(wide, context)

@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,45 @@ def test_synth_values_survive_float32_round_trip(tmp_path):
     path = tmp_path / "g.bin"
     io.write_embeddings(grid, path)
     assert np.array_equal(io.read_embeddings(path).data, grid.data)
+
+
+# ---------------------------------------------------------------------------
+# memory: bytes allocated, counted by tracemalloc, so deterministic and untimed
+
+
+def traced_peak(call, *args):
+    """The most bytes `call(*args)` held at once, beyond what was alive before."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_synth_grid_peak_memory():
+    # The float64 draw, its float32 rounding and the finiteness mask: 3.18x
+    # the grid's float32 bytes. A gathered centroid array plus a noise sum,
+    # widened back to float64, read 5.21x.
+    shape = (64, 16, 16, 64)
+    peak = traced_peak(io.synth_grid, "clusters", shape, 0, 8, 0.25)
+    assert peak <= 3.5 * 4 * np.prod(shape)
+
+
+def test_decode_embeddings_peak_memory():
+    # One float32 copy of the payload and its finiteness mask: 1.25x the
+    # payload. Widening the grid to float64 read 2.25x.
+    blob = io.encode_embeddings(io.synth_grid("gaussian", (16, 16, 16, 64), seed=0))
+    payload = len(blob) - io._HEADER.size
+    assert traced_peak(io.decode_embeddings, blob) <= 1.5 * payload
+
+
+def test_encode_embeddings_peak_memory():
+    # A float32 grid is joined to its header in one copy: 1.0x the payload.
+    # Copying it to bytes and then adding the header read 2.0x.
+    grid = io.synth_grid("gaussian", (16, 16, 16, 64), seed=0)
+    assert grid.data.dtype == np.float32
+    assert traced_peak(io.encode_embeddings, grid) <= 1.25 * grid.data.nbytes
 
 
 # ---------------------------------------------------------------------------
