@@ -117,9 +117,9 @@ def cmd_estimate(args, cfg: io.ToolConfig) -> int:
     report = costmodel.memory_estimate(tokens, shape, cache_bytes, overhead)
     # Every check runs before the first line, so an exit 2 prints no report.
     schedule_text = _pick(args, cfg, "dropout.schedule")
+    text_tokens = _pick(args, cfg, "dropout.text_tokens")  # checked even when unused
     if schedule_text:
         schedule = dropout.DropSchedule.parse(schedule_text)
-        text_tokens = _pick(args, cfg, "dropout.text_tokens")
         flops = costmodel.flops_with_schedule(tokens, schedule, shape, text_tokens)
     print(f"shape={name}")
     print(f"frames={args.frames}")

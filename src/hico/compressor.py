@@ -43,8 +43,11 @@ Columns = tuple[np.ndarray, np.ndarray, np.ndarray]  # (vectors, sizes, owner)
 class TokenGrid:
     """Per-frame spatial grid of feature vectors, shape (frames, rows, cols, dim).
 
-    A native float32 array is kept as float32, half the bytes, and each
-    connector widens what it computes on; any other input becomes float64.
+    A native float32 array is kept as float32, half the bytes, and no
+    consumer widens the whole grid: a connector widens one clip, a merge
+    round's survivors or a wave piece's rows where it computes, and the
+    conservation residual sums it into float64 accumulators. Any other input
+    becomes float64.
     """
 
     data: np.ndarray
@@ -250,8 +253,8 @@ def _best_matches(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A tokens are the even rows, B tokens the odd; best[c, i] = j names A
     token i's match, B token j, which is row 2j + 1. Each clip's rows are
-    normalised once, and its similarities go into one block shared by every
-    clip. Block and unit rows are freed on return.
+    widened to float64 and normalised once, and its similarities go into one
+    block shared by every clip. Block and unit rows are freed on return.
     """
     clips, n, _ = vecs.shape
     half = (n + 1) // 2
@@ -259,7 +262,7 @@ def _best_matches(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sims = np.empty((half, n // 2))
     at_best = np.arange(half) * (n // 2)
     for c in range(clips):
-        unit = _unit_rows(vecs[c])
+        unit = _unit_rows(vecs[c].astype(np.float64, copy=False))
         np.matmul(unit[0::2], unit[1::2].T, out=sims)
         np.argmax(sims, axis=1, out=best[c])
         np.take(sims, at_best + best[c], out=best_sim[c])
@@ -279,8 +282,15 @@ def tome_merge(vectors: np.ndarray, target: int, sizes: np.ndarray | None = None
     by size-weighted averaging. Ties prefer the smaller index. Survivors are
     re-ordered by smallest source before the next round, which is also the
     final output order. owner[i] is the output row that absorbed input row i.
+
+    A float32 stack is read as it is: round 1 widens one clip, the survivors
+    and each wave piece's sources where it computes, so no float64 copy of
+    the whole stack is made, and the columns are float64, bit-identical to
+    merging the widened stack. Any other input is read as float64.
     """
-    vecs = np.asarray(vectors, dtype=np.float64)
+    vecs = np.asarray(vectors)
+    if vecs.dtype != np.float32:
+        vecs = np.asarray(vecs, dtype=np.float64)
     if vecs.ndim not in (2, 3) or len(vecs) < 1:
         raise DomainError(f"need (tokens, dim) or (clips, tokens, dim) vectors, got {vecs.shape}")
     sizes = np.ones(vecs.shape[:-1], np.int64) if sizes is None else np.array(sizes, np.int64)
@@ -293,7 +303,7 @@ def tome_merge(vectors: np.ndarray, target: int, sizes: np.ndarray | None = None
     if not 1 <= target <= n:
         raise DomainError(f"target {target} must be between 1 and the token count {n}")
     if n == target:
-        vecs = vecs.copy()  # the only round-free case: never hand back the input
+        vecs = vecs.astype(np.float64)  # the only round-free case: a copy, never the input
     first = np.tile(np.arange(n), (clips, 1))  # smallest source of each current token
     owner = first.copy()
     clip_ids = np.arange(clips)[:, None]
@@ -323,7 +333,11 @@ def tome_merge(vectors: np.ndarray, target: int, sizes: np.ndarray | None = None
         keep = (clip_ids * n + order[:, : n - r]).ravel()
         n -= r
         old, old_sizes = vecs.reshape(-1, dim), sizes.reshape(-1)
-        old.take(keep, axis=0, out=new)
+        if old.dtype == new.dtype:
+            old.take(keep, axis=0, out=new)
+        else:  # round 1 of a float32 stack: one clip's survivors widened at a time
+            for lo in range(0, len(keep), n):
+                new[lo : lo + n] = old.take(keep[lo : lo + n], axis=0)
         new_sizes = old_sizes.take(keep)
         first = first.reshape(-1).take(keep).reshape(clips, n)
         into = (clip_ids * n + np.take_along_axis(position, dst, axis=1)).ravel()
@@ -351,7 +365,7 @@ def tome_merge(vectors: np.ndarray, target: int, sizes: np.ndarray | None = None
         # fragmented the heap into a 4 MiB higher peak RSS; pieces stay small.
         cuts = np.union1d(np.cumsum(np.bincount(wave)), np.arange(0, len(d), _WAVE_ROWS))
         for lo, hi in itertools.pairwise(cuts.tolist()):
-            x = old.take(s[lo:hi], axis=0)
+            x = old.take(s[lo:hi], axis=0).astype(np.float64, copy=False)
             x *= a[lo:hi]
             y = new.take(d[lo:hi], axis=0)
             y *= p[lo:hi]
@@ -559,7 +573,14 @@ def conservation_residual(inputs: TokenGrid, context: VisualContext) -> float:
 
     Zero (up to float noise) for provenance-preserving connectors.
     """
-    in_sum = np.asarray(inputs.data.reshape(-1, inputs.dim), dtype=np.float64).sum(axis=0)
+    flat = inputs.data.reshape(-1, inputs.dim)
+    # With two or more columns the sum runs row by row into float64
+    # accumulators, so it matches summing a widened copy bit for bit without
+    # making one. A single column would be summed pairwise inside numpy's
+    # 8,192-value cast buffers instead, so it is widened first.
+    if inputs.dim == 1:
+        flat = flat.astype(np.float64)
+    in_sum = flat.sum(axis=0, dtype=np.float64)
     out_sum = (context.sizes[:, None] * context.vectors()).sum(axis=0)
     denom = max(float(np.linalg.norm(in_sum)), 1e-30)
     return float(np.linalg.norm(out_sum - in_sum)) / denom

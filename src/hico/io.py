@@ -88,9 +88,10 @@ def decode_embeddings(blob: bytes) -> TokenGrid:
     shape = f"{frames}x{rows}x{cols}x{dim}"
     check_bytes(8 * frames * rows * cols * dim, f"an embedding file of shape {shape}")
     data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).astype(np.float32)
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteDataError("payload contains NaN or infinity")
-    return TokenGrid(data.reshape(frames, rows, cols, dim))
+    try:
+        return TokenGrid(data.reshape(frames, rows, cols, dim))
+    except DomainError:  # its finiteness scan: the one check a 4-D grid of this shape can fail
+        raise NonFiniteDataError("payload contains NaN or infinity") from None
 
 
 def encode_embeddings(grid: TokenGrid) -> bytes:
@@ -129,6 +130,7 @@ def write_embeddings(grid: TokenGrid, path: str | os.PathLike) -> None:
 
 
 GRID_KINDS = ("constant", "clusters", "gaussian")
+_DRAW_VALUES = 1 << 16  # float64 values drawn per chunk of rows
 
 
 def synth_grid(
@@ -146,26 +148,25 @@ def synth_grid(
               similarity merging recovers the centroids.
     gaussian: iid standard normals.
 
-    The grid is float32, so it survives file round-trips exactly. Raises
-    DomainError, before allocating, when the grid would pass errors.BYTES_CAP.
+    The grid is float32, so it survives file round-trips exactly. Values are
+    drawn and computed in float64 a chunk of rows at a time and rounded into
+    the grid, so no float64 copy of the whole grid is made; consecutive draws
+    continue one stream, so the bytes do not depend on the chunk size.
+    Raises DomainError, before allocating, when the grid would pass
+    errors.BYTES_CAP.
     """
     if kind not in GRID_KINDS:
         raise DomainError(f"unknown grid kind {kind!r}; have {GRID_KINDS}")
     frames, rows, cols, dim = shape
     if min(shape) < 1:
         raise DomainError("all shape entries must be >= 1")
-    # At most one float64 draw and its float32 rounding are alive at once;
-    # the cap is checked at three float64 copies.
+    # Only the float32 grid and one float64 chunk of rows are alive at once,
+    # well under the three float64 copies of the grid the cap is checked at.
     check_bytes(3 * 8 * frames * rows * cols * dim, f"--shape {frames}x{rows}x{cols}x{dim}")
     rng = np.random.default_rng(seed)
     n = frames * rows * cols
 
-    if kind == "constant":
-        vec = rng.standard_normal(dim)
-        flat = np.tile(vec, (n, 1))
-    elif kind == "gaussian":
-        flat = rng.standard_normal((n, dim))
-    else:
+    if kind == "clusters":
         if not (1 <= k <= dim):
             raise DomainError(f"clusters needs 1 <= k <= dim, got k={k}, dim={dim}")
         if k > n:
@@ -177,21 +178,38 @@ def synth_grid(
         scales = rng.uniform(1.0, 3.0, size=k)
         for i in range(k):
             centroids[i, i] = scales[i]
-        if noise > 0:
-            flat = rng.standard_normal((n, dim))
-            flat *= noise
-        else:
-            flat = np.zeros((n, dim))
         # Balanced contiguous blocks, token t in cluster t·k // n; every
-        # cluster gets at least one token. Adding in place gives each value
-        # the float of noise·z + centroid with no gathered centroid array.
+        # cluster gets at least one token.
         bounds = -(-np.arange(k + 1) * n // k)
-        for i, (lo, hi) in enumerate(itertools.pairwise(bounds.tolist())):
-            flat[lo:hi] += centroids[i]
 
-    data = flat.reshape(frames, rows, cols, dim).astype(np.float32)
-    del flat  # freed before the grid's finiteness check allocates
-    return TokenGrid(data)
+    data = np.empty((n, dim), np.float32)
+    if kind == "constant":
+        data[...] = rng.standard_normal(dim)
+        return TokenGrid(data.reshape(shape))
+    step = max(1, _DRAW_VALUES // dim)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        if kind == "gaussian":
+            data[lo:hi] = rng.standard_normal((hi - lo, dim))
+            continue
+        if noise > 0:
+            chunk = rng.standard_normal((hi - lo, dim))
+            chunk *= noise
+        else:
+            chunk = np.zeros((hi - lo, dim))
+        # Adding in place gives each value the float of noise·z + centroid
+        # with no gathered centroid array.
+        for i in range(lo * k // n, (hi - 1) * k // n + 1):
+            chunk[max(bounds[i], lo) - lo : min(bounds[i + 1], hi) - lo] += centroids[i]
+        data[lo:hi] = chunk
+    return TokenGrid(data.reshape(shape))
+
+
+_ECHO_CHARS = 40  # of a bad value's text, echoed in its one-line error
+
+
+def _clip(text: str) -> str:
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "…"
 
 
 def _parse_bool(text: str) -> bool:
@@ -222,7 +240,7 @@ def _schedule(text: str) -> str | None:
     try:
         DropSchedule.parse(text)
     except ConfigError as exc:
-        return f"must be a drop schedule ({exc})"
+        return f"must be a drop schedule ({_clip(str(exc))})"
     return None
 
 
@@ -247,24 +265,24 @@ CONFIG_SCHEMA: dict[str, ConfigRow] = {
     "sampler.t_max": ConfigRow(int, SamplingPolicy.t_max, flag="--tmax"),
     "sampler.fps": ConfigRow(float, 1.0, flag="--fps"),
     "connector.kind": ConfigRow(str, ConnectorConfig.kind, _one_of(CONNECTOR_KINDS), "--connector"),
-    "connector.budget": ConfigRow(int, ConnectorConfig.budget, flag="--budget"),
-    "connector.clip_len": ConfigRow(int, ConnectorConfig.clip_len, flag="--clip-len"),
+    "connector.budget": ConfigRow(int, ConnectorConfig.budget, _at_least(1), "--budget"),
+    "connector.clip_len": ConfigRow(int, ConnectorConfig.clip_len, _at_least(1), "--clip-len"),
     "connector.st_temperature": ConfigRow(
         float, ConnectorConfig.st_temperature, flag="--st-temperature"
     ),
-    "connector.factor": ConfigRow(int, ConnectorConfig.factor, flag="--factor"),
-    "connector.f_first": ConfigRow(int, ConnectorConfig.f_first, flag="--f-first"),
-    "connector.f_rest": ConfigRow(int, ConnectorConfig.f_rest, flag="--f-rest"),
-    "connector.queries": ConfigRow(int, ConnectorConfig.queries, flag="--queries"),
+    "connector.factor": ConfigRow(int, ConnectorConfig.factor, _at_least(1), "--factor"),
+    "connector.f_first": ConfigRow(int, ConnectorConfig.f_first, _at_least(1), "--f-first"),
+    "connector.f_rest": ConfigRow(int, ConnectorConfig.f_rest, _at_least(1), "--f-rest"),
+    "connector.queries": ConfigRow(int, ConnectorConfig.queries, _at_least(1), "--queries"),
     "connector.temperature": ConfigRow(float, ConnectorConfig.temperature, flag="--temperature"),
     "connector.weights_path": ConfigRow(str, ConnectorConfig.weights_path, flag="--weights"),
     "dropout.schedule": ConfigRow(str, "", _schedule, "--schedule"),
     # The paper's 28-layer decoders, not DecoderGeometry's 4-layer toy.
-    "dropout.layers": ConfigRow(int, 28, flag="--layers"),
-    "dropout.hidden_dim": ConfigRow(int, DecoderGeometry.hidden_dim, flag="--hidden-dim"),
-    "dropout.heads": ConfigRow(int, DecoderGeometry.heads, flag="--heads"),
+    "dropout.layers": ConfigRow(int, 28, _at_least(1), "--layers"),
+    "dropout.hidden_dim": ConfigRow(int, DecoderGeometry.hidden_dim, _at_least(1), "--hidden-dim"),
+    "dropout.heads": ConfigRow(int, DecoderGeometry.heads, _at_least(1), "--heads"),
     # An attention drop ranks tokens by a text query, so keep some text.
-    "dropout.text_tokens": ConfigRow(int, 8, flag="--text-tokens"),
+    "dropout.text_tokens": ConfigRow(int, 8, _at_least(1), "--text-tokens"),
     "costmodel.shape": ConfigRow(str, "7b", _one_of(PRESETS), "--shape"),
     # Unset: the preset's own parameter count and bytes per parameter.
     "costmodel.nonembed_params": ConfigRow(float, None, _finite),
@@ -285,7 +303,7 @@ def check_value(key: str, value: Any) -> Any:
     """Return `value`, or raise ConfigError if it fails `key`'s check."""
     complaint = CONFIG_SCHEMA[key].check(value)
     if complaint:
-        raise ConfigError(f"{key} {complaint}, got {value!r}")
+        raise ConfigError(f"{key} {complaint}, got {_clip(repr(value))}")
     return value
 
 
@@ -304,7 +322,7 @@ class ToolConfig:
         try:
             value = row.parse(text)
         except ValueError:
-            raise ConfigError(f"{key} must be {_TYPE_NAMES[row.parse]}, got {text!r}") from None
+            raise ConfigError(f"{key} must be {_TYPE_NAMES[row.parse]}, got {_clip(repr(text))}") from None
         return check_value(key, value)
 
 
@@ -330,7 +348,7 @@ def load_config(path: str | os.PathLike) -> ToolConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: unknown config key {_clip(repr(key))}")
         cfg.values[key] = value.strip()
         try:
             cfg.get(key)

@@ -796,7 +796,7 @@ FLAG_AND_CONFIG = {
     "dropout.layers": ("6", "12"),
     "dropout.hidden_dim": ("32", "16"),
     "dropout.heads": ("2", "8"),
-    "dropout.text_tokens": ("4", "0"),
+    "dropout.text_tokens": ("4", "16"),
     "costmodel.shape": ("2b", "toy"),
     "costmodel.cache_bytes_per_value": ("1", "4"),
     "costmodel.overhead_bytes": ("0", "1024"),
@@ -810,7 +810,17 @@ FLAG_AND_CONFIG = {
 FAILS_CHECK = {
     "seed": "-1",
     "connector.kind": "bogus",
+    "connector.budget": "0",
+    "connector.clip_len": "0",
+    "connector.factor": "0",
+    "connector.f_first": "0",
+    "connector.f_rest": "-2",
+    "connector.queries": "0",
     "dropout.schedule": "uni:x",
+    "dropout.layers": "0",
+    "dropout.hidden_dim": "-1",
+    "dropout.heads": "0",
+    "dropout.text_tokens": "0",
     "costmodel.shape": "13b",
 }
 

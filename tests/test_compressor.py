@@ -603,6 +603,21 @@ def test_tome_merge_peak_memory_stays_near_the_stack():
     assert peak <= 1.5 * stack.nbytes
 
 
+def test_tome_merge_of_float32_stack_peak_memory():
+    # Round 1 reads the float32 stack as it is: the float64 survivors, one
+    # widened clip with its unit rows and similarity block, and small wave
+    # pieces. The peak reads 2.37x the float32 stack's bytes; widening the
+    # whole stack on entry read 4.31x.
+    stack = np.random.default_rng(0).standard_normal((16, 1024, 64)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        cp.tome_merge(stack, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * stack.nbytes
+
+
 def test_tome_merge_leaves_its_inputs_alone():
     stack = np.random.default_rng(0).standard_normal((3, 8, 2))
     sizes = np.ones((3, 8), np.int64)
@@ -679,6 +694,57 @@ def test_float32_grid_compresses_as_its_float64_values(
         got, want = cp.compress_video(narrow, config), cp.compress_video(wide, config)
         assert_same_context(got, want)
         assert cp.conservation_residual(narrow, got) == cp.conservation_residual(wide, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    clips=st.integers(0, 4),
+    n=st.integers(1, 120),
+    dim=st.integers(1, 39),
+    target_frac=st.floats(0.0, 1.0),
+    repeats=st.integers(0, 3),
+    unit=st.booleans(),
+)
+# One 2-D clip with nothing to merge, and a stack with many duplicate and
+# zero rows.
+@example(seed=0, clips=0, n=5, dim=3, target_frac=1.0, repeats=0, unit=True)
+@example(seed=2, clips=3, n=64, dim=4, target_frac=0.1, repeats=3, unit=False)
+def test_tome_merge_of_float32_stack_matches_float64(
+    seed, clips, n, dim, target_frac, repeats, unit
+):
+    # Round 1 widens only what it computes on, so a float32 stack merges to
+    # the bytes of the same values widened first; clips=0 is one 2-D clip.
+    rng = np.random.default_rng(seed)
+    shape = (n, dim) if clips == 0 else (clips, n, dim)
+    narrow = rng.standard_normal(shape).astype(np.float32)
+    rows = narrow.reshape(-1, n, dim)
+    for _ in range(repeats):  # duplicate rows, and zero rows (cosine 0 to all)
+        rows[:, rng.integers(0, n, n // 2)] = rows[:, rng.integers(0, n, 1)]
+        rows[:, rng.integers(0, n, n // 4)] = 0.0
+    sizes = None if unit else rng.integers(1, 5, size=shape[:-1])
+    target = 1 + round(target_frac * (n - 1))
+    got = cp.tome_merge(narrow, target, sizes=sizes)
+    want = cp.tome_merge(narrow.astype(np.float64), target, sizes=sizes)
+    assert got[0].dtype == np.float64
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_conservation_residual_peak_memory():
+    # A dim-64 float32 grid is summed straight into float64 accumulators:
+    # the peak, numpy's cast buffers and the compressed context's sums, reads
+    # 0.02x the grid's bytes. Widening the grid first read 2.00x.
+    values = np.random.default_rng(0).standard_normal((64, 16, 16, 64))
+    grid = cp.TokenGrid(values.astype(np.float32))
+    context = cp.compress_video(grid, cp.ConnectorConfig(kind="spatial", factor=16))
+    tracemalloc.start()
+    try:
+        cp.conservation_residual(grid, context)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * grid.data.nbytes
 
 
 @settings(max_examples=40, deadline=None)

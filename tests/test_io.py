@@ -1,3 +1,4 @@
+import hashlib
 import re
 import struct
 import tracemalloc
@@ -141,6 +142,41 @@ def test_synth_rejects_bad_args():
         io.synth_grid("gaussian", (0, 1, 1, 1))
 
 
+# sha256 of the grid's bytes, pinned from the code that drew each whole grid
+# in float64 and rounded it once. Chunks of rows must give the same bytes:
+# shapes of one chunk, of several with a partial last one, and of rows wider
+# than a chunk; cluster bounds inside a chunk; noise 0 and 5e-324.
+SYNTH_DIGESTS = [
+    (("constant", (2, 3, 3, 5), 0, 2, 0.0),
+     "13d1e8bdfa526c9e108a86f90f143b4c767ae11d6eabba6b25417640fa3912a8"),
+    (("constant", (1, 1, 3, 70_000), 9, 2, 0.0),
+     "093a076a4a7ba9686c0826e14e74c3194e38144964bceed830cb2ce51c7ece7e"),
+    (("gaussian", (1, 1, 1, 1), 2, 2, 0.0),
+     "7880f5c293507dff93fccb2bbfb51f2e972a32be0ec40f045d79d7dd68010efd"),
+    (("gaussian", (5, 33, 33, 70), 1, 2, 0.0),
+     "f8d8c68efc1092b8cbb2e145830c78c91f7df2dd974fbb00b79f20fbb8f9b386"),
+    (("gaussian", (1, 1, 3, 70_000), 8, 2, 0.0),
+     "647ecd4046af5b795a94fdaa2a0a237999ab4b32b161f41da5b880a699a2fdd5"),
+    (("clusters", (4, 4, 4, 8), 3, 3, 0.0),
+     "c869536473552f9da9717a77ea1463d304fcd8325038774346ce0c807b8d59f5"),
+    (("clusters", (5, 33, 33, 70), 4, 7, 0.5),
+     "c33715fd00ca0cb8b25dd5710cf173fa3362f4c594f1e7a6fcf39566e6ce017b"),
+    (("clusters", (2, 5, 7, 3), 5, 2, 5e-324),
+     "e947719706abf22098cb08cc7a2b4f972f40b43e81563f654268fbc096cab76b"),
+    (("clusters", (3, 37, 41, 3), 6, 3, 1.5),
+     "85d702a5db935f5f6d49d2e7b55ae56a7b08a0c41a37fa132c1367d6463b735f"),
+    (("clusters", (1, 1, 3, 70_000), 7, 3, 0.25),
+     "1988b445e8540ee7b77f79fe3224cc5c06618d10a8b53d63a30046753e0b4f40"),
+]
+
+
+@pytest.mark.parametrize("args, digest", SYNTH_DIGESTS, ids=[str(a) for a, _ in SYNTH_DIGESTS])
+def test_synth_grid_bytes_are_pinned(args, digest):
+    grid = io.synth_grid(*args)
+    assert grid.data.dtype == np.float32 and grid.data.shape == args[1]
+    assert hashlib.sha256(grid.data.tobytes()).hexdigest() == digest
+
+
 def test_synth_values_survive_float32_round_trip(tmp_path):
     grid = io.synth_grid("gaussian", (1, 2, 2, 3), seed=8)
     path = tmp_path / "g.bin"
@@ -163,12 +199,24 @@ def traced_peak(call, *args):
 
 
 def test_synth_grid_peak_memory():
-    # The float64 draw, its float32 rounding and the finiteness mask: 3.18x
-    # the grid's float32 bytes. A gathered centroid array plus a noise sum,
-    # widened back to float64, read 5.21x.
+    # The float32 grid, one float64 chunk of rows and the finiteness mask:
+    # 1.38x the grid's float32 bytes for clusters, 1.25x for gaussian. A
+    # whole-grid float64 draw and its float32 rounding read 3.00x (and a
+    # gathered centroid array plus a noise sum, widened back, 5.21x).
     shape = (64, 16, 16, 64)
     peak = traced_peak(io.synth_grid, "clusters", shape, 0, 8, 0.25)
-    assert peak <= 3.5 * 4 * np.prod(shape)
+    assert peak <= 2.25 * 4 * np.prod(shape)
+    peak = traced_peak(io.synth_grid, "gaussian", shape, 0)
+    assert peak <= 1.75 * 4 * np.prod(shape)
+
+
+def test_decode_embeddings_scans_for_non_finite_values_once(monkeypatch):
+    blob = io.encode_embeddings(grid_from(0))
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda *a, **kw: calls.append(1) or isfinite(*a, **kw))
+    io.decode_embeddings(blob)
+    assert len(calls) == 1
 
 
 def test_decode_embeddings_peak_memory():
@@ -249,6 +297,26 @@ def test_config_validates_presets_and_schedules(tmp_path):
             io.load_config(path)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("niah.hops = " + "9" * 5000, "niah.hops must be an integer, got '" + "9" * 39 + "…"),
+        ("dropout.schedule = uni:" + "4" * 5000,
+         "dropout.schedule must be a drop schedule (bad schedule entry 'uni:" + "4" * 16
+         + "…), got 'uni:" + "4" * 35 + "…"),
+        ("9" * 5000 + " = 1", "unknown config key '" + "9" * 39 + "…"),
+        ("niah.hops = x", "niah.hops must be an integer, got 'x'"),
+    ],
+    ids=["long-value", "long-schedule", "long-key", "short-value"],
+)
+def test_config_error_echoes_at_most_40_characters(tmp_path, body, message):
+    path = tmp_path / "tool.cfg"
+    path.write_text(body + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        io.load_config(path)
+    assert str(exc.value).split(": ", 1)[1] == message
+
+
 def test_config_rejects_missing_equals(tmp_path):
     path = tmp_path / "tool.cfg"
     path.write_text("just some words\n", encoding="utf-8")
@@ -285,7 +353,10 @@ def test_load_config_fuzz_raises_only_config_error(tmp_path_factory, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     try:
         cfg = io.load_config(path)
-    except ConfigError:
+    except ConfigError as exc:
+        # A 5,000-digit value is echoed cut short, so the error stays one
+        # short line after its file and line number.
+        assert len(str(exc)) <= len(f"{path}:6: ") + 160, str(exc)
         return
     for key in cfg.values:
         cfg.get(key)
