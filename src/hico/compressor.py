@@ -29,7 +29,7 @@ import math
 import zipfile
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +37,7 @@ import numpy as np
 from .errors import DomainError, check_bytes
 
 Columns = tuple[np.ndarray, np.ndarray, np.ndarray]  # (vectors, sizes, owner)
+_SCAN_VALUES = 1 << 16  # values per chunk of a grid's finiteness scan
 
 
 @dataclass
@@ -60,7 +61,10 @@ class TokenGrid:
             raise DomainError(f"token grid must be 4-D, got shape {arr.shape}")
         if any(s < 1 for s in arr.shape):
             raise DomainError(f"all grid dimensions must be >= 1, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # One pass in chunks of at most _SCAN_VALUES values, so the scan's
+        # bool mask is small, never one of the whole grid.
+        chunks = np.nditer(arr, flags=["external_loop", "buffered"], buffersize=_SCAN_VALUES)
+        if not all(np.isfinite(chunk).all() for chunk in chunks):
             raise DomainError("token grid contains non-finite values")
         self.data = arr
 
@@ -145,12 +149,24 @@ class TokenView(Sequence):
 @dataclass(eq=False)
 class VisualContext:
     """Compressed clips in clip order, read as joined columns: ``vectors()``
-    (n, dim) and ``sizes`` (n,). Provenance is each clip's ``owner``."""
+    (n, dim) and ``sizes`` (n,). Provenance is each clip's ``owner``.
+
+    The clips' vectors are joined once, on construction, into one read-only
+    array, and each clip's ``vectors`` becomes a view of its rows of it.
+    """
 
     clips: list[CompressedClip]
+    _vectors: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._vectors = np.concatenate([c.vectors for c in self.clips])
+        self._vectors.flags.writeable = False
+        for clip, start in zip(self.clips, self.clip_offsets):
+            clip.vectors = self._vectors[start : start + len(clip.sizes)]
 
     def vectors(self) -> np.ndarray:
-        return np.concatenate([c.vectors for c in self.clips])
+        """The stored (n, dim) array, read-only; a caller that writes copies it first."""
+        return self._vectors
 
     @property
     def sizes(self) -> np.ndarray:
@@ -203,12 +219,6 @@ class ConnectorConfig:
             raise DomainError("st_temperature must be positive")
         if self.temperature <= 0:
             raise DomainError("temperature must be positive")
-
-
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def st_mix(tokens: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -442,8 +452,14 @@ def resampler_forward(
         raise DomainError(
             f"query dim {queries.shape[1]} does not match key dim {k.shape[1]}"
         )
-    scores = (queries @ k.T) / (temperature * math.sqrt(k.shape[1]))
-    return _softmax(scores) @ v
+    scores = queries @ k.T
+    # The softmax runs in place, so the (queries, tokens) scores are the one
+    # array of their size.
+    scores /= temperature * math.sqrt(k.shape[1])
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores @ v
 
 
 def _read_weights(path: str) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
@@ -486,8 +502,9 @@ def _resampler_weights(
     """The video's (queries, wk, wv), with ``config.queries`` query rows.
 
     First refuses, before allocating, queries whose arrays would pass
-    BYTES_CAP: the video's queries and the largest clip's four (queries,
-    tokens) softmax arrays are held at once, the output twice when joined.
+    BYTES_CAP. The check counts the video's queries, four (queries, tokens)
+    arrays for the largest clip, a bound above the one scores array the
+    in-place softmax holds, and the output twice, as the clips and joined.
     """
     count = spans[0][1] - spans[0][0]
     largest = scaled_budget(config.queries, count, config.clip_len)
@@ -530,7 +547,10 @@ def _compress_stack(
     if config.kind == "merge":
         tokens = stack.reshape(len(stack), -1, dim)
         if config.st_temperature is not None:
-            tokens = np.stack([st_mix(clip, config.st_temperature) for clip in tokens])
+            mixed = np.empty(tokens.shape)
+            for clip, out in zip(tokens, mixed):
+                out[...] = st_mix(clip, config.st_temperature)
+            tokens = mixed
         columns = zip(*tome_merge(tokens, scaled_budget(config.budget, count, config.clip_len)))
     elif config.kind == "spatial":
         columns = (spatial_downsample(frames, config.factor) for frames in stack)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import stat
 import struct
 import tempfile
 from dataclasses import dataclass
@@ -60,13 +61,12 @@ class NonFiniteDataError(EmbeddingFormatError):
     pass
 
 
-def decode_embeddings(blob: bytes) -> TokenGrid:
-    """Parse an embedding blob, rejecting any size/payload inconsistency."""
-    if len(blob) < _HEADER.size:
-        raise TruncatedFileError(
-            f"file too short for header: {len(blob)} < {_HEADER.size} bytes"
-        )
-    magic, version, frames, rows, cols, dim = _HEADER.unpack_from(blob)
+def _parse_header(header: bytes, size: int) -> tuple[int, int, int, int]:
+    """The (frames, rows, cols, dim) of an embedding file of `size` bytes
+    whose first bytes are `header`, once the sizes agree and fit BYTES_CAP."""
+    if size < _HEADER.size:
+        raise TruncatedFileError(f"file too short for header: {size} < {_HEADER.size} bytes")
+    magic, version, frames, rows, cols, dim = _HEADER.unpack_from(header)
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -76,49 +76,87 @@ def decode_embeddings(blob: bytes) -> TokenGrid:
             f"non-positive dimension in header: {(frames, rows, cols, dim)}"
         )
     expected = frames * rows * cols * dim * 4
-    payload = len(blob) - _HEADER.size
+    payload = size - _HEADER.size
     if payload < expected:
         raise TruncatedFileError(f"payload {payload} bytes, header declares {expected}")
     if payload > expected:
         raise SizeMismatchError(f"{payload - expected} trailing bytes after payload")
     # The cap counts 8 bytes a value, the float64 copy a connector widens the
-    # grid to. The grid is one float32 copy of the payload, not a view: the
-    # payload starts at byte 22, so a view would be misaligned and read-only,
-    # and would keep the whole blob alive.
+    # grid to.
     shape = f"{frames}x{rows}x{cols}x{dim}"
     check_bytes(8 * frames * rows * cols * dim, f"an embedding file of shape {shape}")
-    data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).astype(np.float32)
+    return frames, rows, cols, dim
+
+
+def _grid(data: np.ndarray) -> TokenGrid:
     try:
-        return TokenGrid(data.reshape(frames, rows, cols, dim))
+        return TokenGrid(data)
     except DomainError:  # its finiteness scan: the one check a 4-D grid of this shape can fail
         raise NonFiniteDataError("payload contains NaN or infinity") from None
 
 
-def encode_embeddings(grid: TokenGrid) -> bytes:
+def decode_embeddings(blob: bytes) -> TokenGrid:
+    """Parse an embedding blob, rejecting any size/payload inconsistency."""
+    shape = _parse_header(blob, len(blob))
+    # The grid is one float32 copy of the payload, not a view: the payload
+    # starts at byte 22, so a view would be misaligned and read-only, and
+    # would keep the whole blob alive.
+    data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).astype(np.float32)
+    return _grid(data.reshape(shape))
+
+
+def _header_and_payload(grid: TokenGrid) -> tuple[bytes, np.ndarray]:
     header = _HEADER.pack(MAGIC, VERSION, grid.frames, grid.rows, grid.cols, grid.dim)
-    payload = np.ascontiguousarray(grid.data, dtype="<f4")
+    return header, np.ascontiguousarray(grid.data, dtype="<f4")
+
+
+def encode_embeddings(grid: TokenGrid) -> bytes:
+    header, payload = _header_and_payload(grid)
     return b"".join((header, memoryview(payload)))
 
 
+_CHANGED_SIZE = "file changed size while it was read"
+
+
 def read_embeddings(path: str | os.PathLike) -> TokenGrid:
-    """Read and decode an embedding file; a format error names the file."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    """Read and decode an embedding file; a format error names the file.
+
+    A regular file is sized with fstat and checked as decode_embeddings
+    checks a blob, then its payload is read straight into the grid, with no
+    bytes copy of the file. Anything else, such as a pipe, is read whole and
+    decoded.
+    """
     try:
-        return decode_embeddings(blob)
+        with open(path, "rb") as f:
+            info = os.fstat(f.fileno())
+            if not stat.S_ISREG(info.st_mode):
+                return decode_embeddings(f.read())
+            header = f.read(_HEADER.size)
+            if len(header) != min(info.st_size, _HEADER.size):
+                raise EmbeddingFormatError(_CHANGED_SIZE)
+            data = np.empty(_parse_header(header, info.st_size), "<f4")
+            if f.readinto(data) != data.nbytes or f.read(1):
+                raise EmbeddingFormatError(_CHANGED_SIZE)
+            return _grid(data.astype(np.float32, copy=False))
     except EmbeddingFormatError as exc:
         raise type(exc)(f"{os.fspath(path)}: {exc}") from None
 
 
 def write_embeddings(grid: TokenGrid, path: str | os.PathLike) -> None:
-    """Write atomically: temp file in the same directory, then rename."""
+    """Write atomically: temp file in the same directory, then rename.
+
+    The header and then the float32 payload go straight to the file, so a
+    float32 grid is written with no copy of its bytes.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    header, payload = _header_and_payload(grid)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as f:
-                f.write(encode_embeddings(grid))
+                f.write(header)
+                f.write(payload)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -1,14 +1,26 @@
 """Shared test oracles: exact merge-tree enumeration, cluster fixtures,
-per-token reference implementations of the four connectors, and the
-full-square reference of the toy decoder."""
+per-token reference implementations of the four connectors, the
+full-square reference of the toy decoder, and a tracemalloc peak."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from hico import compressor, dropout
+
+
+def traced_peak(call, *args, **kwargs):
+    """The most bytes `call(*args, **kwargs)` held at once, beyond what was
+    alive before, counted by tracemalloc: deterministic and untimed."""
+    tracemalloc.start()
+    try:
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def partitions_into_k(n: int, k: int):

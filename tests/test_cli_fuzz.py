@@ -3,7 +3,9 @@ set to edge values, mutated resampler `--weights` archives, damaged
 embedding files and damaged config files must end in exit 0, 2 or 3 with at
 most one stderr line and no traceback. Commands run in a child process under
 an address-space cap, so a size that slips past the byte checks fails this
-test rather than filling the machine's memory."""
+test rather than filling the machine's memory. A damaged embedding file must
+also fail to read as its bytes fail to decode, and a pipe must read as a
+file does."""
 import argparse
 import io as bytes_io
 import json
@@ -20,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import hico
 from hico import cli, io
-from hico.errors import ConfigError
+from hico.errors import ConfigError, DomainError
 
 VALUES = ["0", "-1", "nan", "inf", "1e400", "1e-320", "1000000000000", "1" + "0" * 400]
 ADDRESS_SPACE = 1 << 30
@@ -74,11 +76,14 @@ class Child:
         self.proc.wait()
 
 
+# The 4-frame grid every command reads, and the embedding-file fuzzes damage.
+EMBEDDING_GRID = io.synth_grid("clusters", (4, 4, 4, 8), seed=1, k=2, noise=0.1)
+
+
 @pytest.fixture(scope="module")
 def child(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fuzz")
-    grid = io.synth_grid("clusters", (4, 4, 4, 8), seed=1, k=2, noise=0.1)
-    io.write_embeddings(grid, tmp / "grid.bin")
+    io.write_embeddings(EMBEDDING_GRID, tmp / "grid.bin")
     proc = Child(tmp)
     yield proc
     proc.close()
@@ -235,6 +240,54 @@ def test_embedding_files_exit_cleanly(child, command, damage):
     assert "Traceback" not in err, (command, damage, err)
 
 
+@settings(max_examples=200, deadline=None)
+@given(damage=embedding_damages, tail=st.binary(max_size=9))
+@example(damage=("truncate", 1 << 12), tail=b"")  # a valid file
+@example(damage=("truncate", 1 << 12), tail=b"\x00\x00\x00\x00")  # trailing bytes
+@example(damage=("sizes", [1, 1, 1, 1]), tail=b"")
+def test_read_embeddings_matches_decode_embeddings(tmp_path_factory, damage, tail):
+    # The file is read into the grid, the blob decoded from bytes: the same
+    # grid, or the same error class and message, the file's prefixed.
+    blob = damaged_embeddings(io.encode_embeddings(EMBEDDING_GRID), damage) + tail
+    path = tmp_path_factory.getbasetemp() / "parity.bin"
+    path.write_bytes(blob)
+    try:
+        want = io.decode_embeddings(blob)
+    except (io.EmbeddingFormatError, DomainError) as exc:
+        with pytest.raises(type(exc)) as got:
+            io.read_embeddings(path)
+        assert type(got.value) is type(exc)
+        prefix = f"{path}: " if isinstance(exc, io.EmbeddingFormatError) else ""
+        assert str(got.value) == prefix + str(exc)
+    else:
+        got = io.read_embeddings(path)
+        assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("damage", [None, ("truncate", 100)], ids=["valid", "truncated"])
+def test_compress_reads_a_pipe_as_it_reads_a_file(tmp_path, damage):
+    # A pipe has no size to check before reading, so it is read whole and
+    # decoded; the stdout, stderr, exit code and output file are the file's.
+    blob = io.encode_embeddings(EMBEDDING_GRID)
+    if damage is not None:
+        blob = damaged_embeddings(blob, damage)
+    (tmp_path / "e.bin").write_bytes(blob)
+    src = str(Path(hico.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env.pop(cli.ENV_CONFIG, None)
+    runs = []
+    for source, out in ((str(tmp_path / "e.bin"), "file.out"), ("/dev/stdin", "pipe.out")):
+        argv = ["compress", "--in", source, "--out", str(tmp_path / out)]
+        runs.append(subprocess.run([sys.executable, "-m", "hico.cli", *argv], input=blob,
+                                   capture_output=True, env=env, timeout=TIMEOUT))
+    by_file, by_pipe = runs
+    assert by_pipe.returncode == by_file.returncode == (0 if damage is None else 3)
+    assert by_pipe.stdout == by_file.stdout
+    assert by_pipe.stderr == by_file.stderr.replace(str(tmp_path / "e.bin").encode(), b"/dev/stdin")
+    if damage is None:
+        assert (tmp_path / "pipe.out").read_bytes() == (tmp_path / "file.out").read_bytes()
+
+
 # Config-file fuzz: a damaged config file reaches the CLI through --config or
 # through $HICO_CONFIG, which the second child reads as {tmp}/env.cfg.
 CONFIG_ARGV = {
@@ -293,8 +346,7 @@ def place_config(path, lines, damage):
 @pytest.fixture(scope="module")
 def config_child(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("config")
-    io.write_embeddings(io.synth_grid("clusters", (4, 4, 4, 8), seed=1, k=2, noise=0.1),
-                        tmp / "grid.bin")
+    io.write_embeddings(EMBEDDING_GRID, tmp / "grid.bin")
     proc = Child(tmp, **{cli.ENV_CONFIG: str(tmp / "env.cfg")})
     yield proc
     proc.close()

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from helpers import (
     ref_tome_merge,
     RefToken,
     tome_groups,
+    traced_peak,
     within_merge_variance,
 )
 from hico import compressor as cp
@@ -594,13 +594,7 @@ def test_tome_merge_peak_memory_stays_near_the_stack():
     # gathered up front read 1.66x or more. It counts bytes allocated, not
     # time, so it is deterministic.
     stack = np.random.default_rng(0).standard_normal((16, 1024, 64))
-    tracemalloc.start()
-    try:
-        cp.tome_merge(stack, 16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * stack.nbytes
+    assert traced_peak(cp.tome_merge, stack, 16) <= 1.5 * stack.nbytes
 
 
 def test_tome_merge_of_float32_stack_peak_memory():
@@ -609,13 +603,7 @@ def test_tome_merge_of_float32_stack_peak_memory():
     # pieces. The peak reads 2.37x the float32 stack's bytes; widening the
     # whole stack on entry read 4.31x.
     stack = np.random.default_rng(0).standard_normal((16, 1024, 64)).astype(np.float32)
-    tracemalloc.start()
-    try:
-        cp.tome_merge(stack, 16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.75 * stack.nbytes
+    assert traced_peak(cp.tome_merge, stack, 16) <= 2.75 * stack.nbytes
 
 
 def test_tome_merge_leaves_its_inputs_alone():
@@ -738,13 +726,31 @@ def test_conservation_residual_peak_memory():
     values = np.random.default_rng(0).standard_normal((64, 16, 16, 64))
     grid = cp.TokenGrid(values.astype(np.float32))
     context = cp.compress_video(grid, cp.ConnectorConfig(kind="spatial", factor=16))
-    tracemalloc.start()
-    try:
-        cp.conservation_residual(grid, context)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.25 * grid.data.nbytes
+    assert traced_peak(cp.conservation_residual, grid, context) <= 0.25 * grid.data.nbytes
+
+
+def test_merge_with_st_temperature_peak_memory():
+    # One float64 stack of the mixed clips, one clip's (n, n) scores with its
+    # softmax run in place, and the merge of the stack: 6.5x the float32
+    # grid's bytes. A list of mixed clips joined by np.stack, and a softmax
+    # holding shifted and exponentiated copies of the scores, read 18.0x.
+    values = np.random.default_rng(0).standard_normal((32, 16, 16, 64))
+    grid = cp.TokenGrid(values.astype(np.float32))
+    config = cp.ConnectorConfig(kind="merge", budget=16, clip_len=4, st_temperature=1.0)
+    assert traced_peak(cp.compress_video, grid, config) <= 8 * grid.data.nbytes
+
+
+def test_context_stores_its_vectors_once():
+    # A 128-frame spatial context: vectors() returns the one stored array,
+    # allocating nothing; joining the clips on each call allocated 1.0 MiB.
+    grid = cp.TokenGrid(np.random.default_rng(0).standard_normal((128, 16, 16, 16)))
+    ctx = cp.compress_video(grid, cp.ConnectorConfig(kind="spatial", factor=2))
+    vectors = ctx.vectors()
+    assert ctx.vectors() is vectors and not vectors.flags.writeable
+    assert traced_peak(ctx.vectors) < 1024
+    for clip, start in zip(ctx.clips, ctx.clip_offsets):
+        assert clip.vectors.base is vectors
+        assert np.shares_memory(clip.vectors, vectors[start : start + len(clip.sizes)])
 
 
 @settings(max_examples=40, deadline=None)

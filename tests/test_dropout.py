@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hico import dropout as dp
 from hico.errors import ConfigError, DomainError
 
-from helpers import ref_causal_attention, ref_layer_norm, ref_toy_decoder_run
+from helpers import ref_causal_attention, ref_layer_norm, ref_toy_decoder_run, traced_peak
 
 TABLE_SCHEDULE = dp.DropSchedule.parse("uni:4:0.75,attn:18:0.25")
 
@@ -398,12 +397,7 @@ def test_decoder_peak_memory_below_half_a_score_square():
     heads, seq = 4, 1024 + 8
     geometry = dp.DecoderGeometry(layers=2, hidden_dim=64, heads=heads)
     vis = paper_sized_visual()
-    tracemalloc.start()
-    try:
-        dp.toy_decoder_run(8, vis, geometry, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(dp.toy_decoder_run, 8, vis, geometry, seed=0)
     assert peak < heads * seq * seq * 8 / 2
 
 
@@ -437,10 +431,7 @@ def test_byte_estimate_covers_the_measured_peak(
     monkeypatch.setattr(dp, "check_bytes", lambda needed, what: estimates.append(needed))
     vis = np.random.default_rng(0).standard_normal((tokens, 16))
     geometry = dp.DecoderGeometry(layers=layers, hidden_dim=hidden_dim, heads=heads)
-    tracemalloc.start()
-    try:
-        dp.toy_decoder_run(8, vis, geometry, dp.DropSchedule.parse(schedule), seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(
+        dp.toy_decoder_run, 8, vis, geometry, dp.DropSchedule.parse(schedule), seed=0
+    )
     assert estimates and peak <= estimates[0]

@@ -1,7 +1,7 @@
 import hashlib
+import os
 import re
 import struct
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import traced_peak
 from hico import costmodel, io
 from hico.compressor import TokenGrid, tome_merge
 from hico.errors import ConfigError, DomainError
@@ -188,21 +189,12 @@ def test_synth_values_survive_float32_round_trip(tmp_path):
 # memory: bytes allocated, counted by tracemalloc, so deterministic and untimed
 
 
-def traced_peak(call, *args):
-    """The most bytes `call(*args)` held at once, beyond what was alive before."""
-    tracemalloc.start()
-    try:
-        call(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_synth_grid_peak_memory():
-    # The float32 grid, one float64 chunk of rows and the finiteness mask:
-    # 1.38x the grid's float32 bytes for clusters, 1.25x for gaussian. A
-    # whole-grid float64 draw and its float32 rounding read 3.00x (and a
-    # gathered centroid array plus a noise sum, widened back, 5.21x).
+    # The float32 grid, one float64 chunk of rows and one chunk's finiteness
+    # mask: 1.43x the grid's float32 bytes for clusters, 1.13x for gaussian
+    # (a mask of the whole grid read 1.56x and 1.25x). A whole-grid float64
+    # draw and its float32 rounding read 3.00x (and a gathered centroid array
+    # plus a noise sum, widened back, 5.21x).
     shape = (64, 16, 16, 64)
     peak = traced_peak(io.synth_grid, "clusters", shape, 0, 8, 0.25)
     assert peak <= 2.25 * 4 * np.prod(shape)
@@ -220,11 +212,55 @@ def test_decode_embeddings_scans_for_non_finite_values_once(monkeypatch):
 
 
 def test_decode_embeddings_peak_memory():
-    # One float32 copy of the payload and its finiteness mask: 1.25x the
-    # payload. Widening the grid to float64 read 2.25x.
+    # One float32 copy of the payload and one chunk's finiteness mask: 1.07x
+    # the payload. A mask of the whole grid read 1.25x, and widening the grid
+    # to float64 2.25x.
     blob = io.encode_embeddings(io.synth_grid("gaussian", (16, 16, 16, 64), seed=0))
     payload = len(blob) - io._HEADER.size
-    assert traced_peak(io.decode_embeddings, blob) <= 1.5 * payload
+    assert traced_peak(io.decode_embeddings, blob) <= 1.1 * payload
+
+
+def test_read_embeddings_peak_memory(tmp_path):
+    # The payload is read straight into the grid: 1.07x the payload, the grid
+    # and one chunk's finiteness mask. Reading the file into bytes and
+    # decoding them read 2.25x.
+    path = tmp_path / "g.bin"
+    grid = io.synth_grid("gaussian", (16, 16, 16, 64), seed=0)
+    io.write_embeddings(grid, path)
+    assert traced_peak(io.read_embeddings, path) <= 1.15 * grid.data.nbytes
+
+
+def test_write_embeddings_peak_memory(tmp_path):
+    # A float32 grid's payload goes to the file as it is: 0.005x the payload.
+    # A float64 grid makes its one float32 copy: 1.0x. Joining header and
+    # payload into one bytes object first read 1.0x and 2.0x.
+    grid = io.synth_grid("gaussian", (16, 16, 16, 64), seed=0)
+    payload = grid.data.nbytes
+    assert traced_peak(io.write_embeddings, grid, tmp_path / "a.bin") <= 0.1 * payload
+    wide = TokenGrid(grid.data.astype(np.float64))
+    assert traced_peak(io.write_embeddings, wide, tmp_path / "b.bin") <= 1.1 * payload
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda blob: blob[:-5], lambda blob: blob + bytes(3), lambda blob: blob[:10]],
+    ids=["shrinks", "grows", "shrinks-into-header"],
+)
+def test_read_refuses_a_file_that_changes_size_while_read(tmp_path, monkeypatch, damage):
+    # fstat reports the size the file had before it changed: the header and
+    # that size agree, and the file then ends early or runs on.
+    path = tmp_path / "g.bin"
+    blob = io.encode_embeddings(grid_from(0))
+    path.write_bytes(damage(blob))
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+        [*fstat(fd)[:6], len(blob), *fstat(fd)[7:]]  # st_size
+    ))
+    with pytest.raises(io.EmbeddingFormatError) as exc:
+        io.read_embeddings(path)
+    assert type(exc.value) is io.EmbeddingFormatError
+    assert str(exc.value) == f"{path}: file changed size while it was read"
 
 
 def test_encode_embeddings_peak_memory():
