@@ -187,6 +187,14 @@ def _templates(cfg: io.ToolConfig) -> dict[str, str]:
     }
 
 
+def _naming(path, call, *args, **kwargs):
+    """`call(*args, **kwargs)`; a DomainError it raises gets `path: ` before its message."""
+    try:
+        return call(*args, **kwargs)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+
+
 def _instance_paths(paths: list[str]) -> list[Path]:
     out: list[Path] = []
     for p in paths:
@@ -263,7 +271,7 @@ def cmd_niah_solve(args, cfg: io.ToolConfig) -> int:
     responses = []
     for path in _instance_paths(args.paths):
         inst = niah.load_instance(path)
-        needle_id, answer = niah.oracle_solve(inst, library, **tpl)
+        needle_id, answer = _naming(path, niah.oracle_solve, inst, library, **tpl)
         responses.append(
             niah.Response(instance_id=inst.instance_id, needle_id=needle_id, answer=answer)
         )
@@ -275,7 +283,7 @@ def cmd_niah_solve(args, cfg: io.ToolConfig) -> int:
 def cmd_niah_score(args, cfg: io.ToolConfig) -> int:
     instances = [niah.load_instance(p) for p in _instance_paths(args.paths)]
     responses = niah.load_responses(args.responses)
-    result = niah.score(instances, responses)
+    result = _naming(args.responses, niah.score, instances, responses)
     print(f"instances={len(instances)}")
     print(f"cap={result.cap:.4f}")
     print(f"qa={result.qa:.4f}")
@@ -297,7 +305,10 @@ def cmd_niah_heatmap(args, cfg: io.ToolConfig) -> int:
     library = _library(args, cfg)
     seed = _pick(args, cfg, "seed")
     lengths = _csv(args.lengths, int, "--lengths entry")
-    cells = niah.heatmap_grid(lengths, _csv(args.depths, float, "--depths entry"), library, seed)
+    cells = niah.heatmap_grid(
+        lengths, _csv(args.depths, float, "--depths entry"), library, seed,
+        start_template=cfg.get("niah.start_template"), q1_text=cfg.get("niah.q1_text"),
+    )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["length,depth,instance"]
@@ -310,27 +321,29 @@ def cmd_niah_heatmap(args, cfg: io.ToolConfig) -> int:
 
 
 def cmd_niah_heatmap_score(args, cfg: io.ToolConfig) -> int:
-    grid_lines = niah.read_text(args.grid).strip().splitlines()
+    grid = args.grid
+    grid_lines = niah.read_text(grid).strip().splitlines()
     if not grid_lines or grid_lines[0] != "length,depth,instance":
-        raise DomainError("grid file must start with 'length,depth,instance'")
+        raise DomainError(f"{grid}: grid file must start with 'length,depth,instance'")
     instances = {p.stem: p for p in _instance_paths(args.paths)}
     cells = []
     for line in grid_lines[1:]:
         fields = line.split(",")
         if len(fields) != 3:
-            raise DomainError(f"grid row {line!r} must be length,depth,instance")
+            raise DomainError(f"{grid}: grid row {line!r} must be length,depth,instance")
         length, depth, instance_id = fields
         path = instances.get(instance_id)
         if path is None:
-            raise DomainError(f"grid references missing instance {instance_id}")
+            raise DomainError(f"{grid}: grid references missing instance {instance_id}")
         cells.append(
             niah.HeatmapCell(
-                _number(length, int, "grid length"),
-                _number(depth, float, "grid depth"),
+                _number(length, int, f"{grid}: grid length"),
+                _number(depth, float, f"{grid}: grid depth"),
                 niah.load_instance(path),
             )
         )
-    scores = niah.heatmap_scores(cells, niah.load_responses(args.responses))
+    responses = niah.load_responses(args.responses)
+    scores = _naming(args.responses, niah.heatmap_scores, cells, responses)
     rows = ["length,depth,accuracy"]
     rows += [f"{length},{depth:g},{acc:.4f}" for length, depth, acc in scores]
     Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -503,7 +516,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (io.EmbeddingFormatError, FileFormatError, OSError) as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

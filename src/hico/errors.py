@@ -19,8 +19,8 @@ class CapacityError(DomainError):
 
 
 class FileFormatError(Exception):
-    """An input file does not decode as the UTF-8 text or JSON its reader
-    expects; the message names the file."""
+    """An input file does not decode as the UTF-8 text, JSON or embedding
+    layout its reader expects; a reader's message names the file."""
 
 
 def check_bytes(needed: int, what: str) -> None:

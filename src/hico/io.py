@@ -28,7 +28,7 @@ import numpy as np
 from .compressor import CONNECTOR_KINDS, ConnectorConfig, TokenGrid
 from .costmodel import GIB, PRESETS
 from .dropout import DecoderGeometry, DropSchedule
-from .errors import ConfigError, DomainError, check_bytes
+from .errors import ConfigError, DomainError, FileFormatError, check_bytes
 from .niah import CLUE_TEMPLATE, Q1_TEXT, START_TEMPLATE
 from .sampler import SamplingPolicy
 
@@ -37,7 +37,7 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHIIII")
 
 
-class EmbeddingFormatError(Exception):
+class EmbeddingFormatError(FileFormatError):
     """Base class for embedding-file parse failures."""
 
 
@@ -270,8 +270,12 @@ def _one_of(names):
     return lambda value: None if value in names else f"must be one of {', '.join(sorted(names))}"
 
 
-def _finite(value: float) -> str | None:
-    return None if math.isfinite(value) else "must be finite"
+def _positive(value: float) -> str | None:
+    return None if value > 0 else "must be > 0"  # NaN fails it too
+
+
+def _finite_and(check):
+    return lambda value: check(value) if math.isfinite(value) else "must be finite"
 
 
 def _schedule(text: str) -> str | None:
@@ -299,20 +303,22 @@ class ConfigRow(NamedTuple):
 # The one list of config keys; the CLI builds each key's flag from its row.
 CONFIG_SCHEMA: dict[str, ConfigRow] = {
     "seed": ConfigRow(int, 0, _at_least(0), "--seed"),
-    "sampler.t_min": ConfigRow(int, SamplingPolicy.t_min, flag="--tmin"),
-    "sampler.t_max": ConfigRow(int, SamplingPolicy.t_max, flag="--tmax"),
-    "sampler.fps": ConfigRow(float, 1.0, flag="--fps"),
+    "sampler.t_min": ConfigRow(int, SamplingPolicy.t_min, _at_least(1), "--tmin"),
+    "sampler.t_max": ConfigRow(int, SamplingPolicy.t_max, _at_least(1), "--tmax"),
+    "sampler.fps": ConfigRow(float, 1.0, _finite_and(_positive), "--fps"),
     "connector.kind": ConfigRow(str, ConnectorConfig.kind, _one_of(CONNECTOR_KINDS), "--connector"),
     "connector.budget": ConfigRow(int, ConnectorConfig.budget, _at_least(1), "--budget"),
     "connector.clip_len": ConfigRow(int, ConnectorConfig.clip_len, _at_least(1), "--clip-len"),
     "connector.st_temperature": ConfigRow(
-        float, ConnectorConfig.st_temperature, flag="--st-temperature"
+        float, ConnectorConfig.st_temperature, _positive, "--st-temperature"
     ),
     "connector.factor": ConfigRow(int, ConnectorConfig.factor, _at_least(1), "--factor"),
     "connector.f_first": ConfigRow(int, ConnectorConfig.f_first, _at_least(1), "--f-first"),
     "connector.f_rest": ConfigRow(int, ConnectorConfig.f_rest, _at_least(1), "--f-rest"),
     "connector.queries": ConfigRow(int, ConnectorConfig.queries, _at_least(1), "--queries"),
-    "connector.temperature": ConfigRow(float, ConnectorConfig.temperature, flag="--temperature"),
+    "connector.temperature": ConfigRow(
+        float, ConnectorConfig.temperature, _positive, "--temperature"
+    ),
     "connector.weights_path": ConfigRow(str, ConnectorConfig.weights_path, flag="--weights"),
     "dropout.schedule": ConfigRow(str, "", _schedule, "--schedule"),
     # The paper's 28-layer decoders, not DecoderGeometry's 4-layer toy.
@@ -323,16 +329,16 @@ CONFIG_SCHEMA: dict[str, ConfigRow] = {
     "dropout.text_tokens": ConfigRow(int, 8, _at_least(1), "--text-tokens"),
     "costmodel.shape": ConfigRow(str, "7b", _one_of(PRESETS), "--shape"),
     # Unset: the preset's own parameter count and bytes per parameter.
-    "costmodel.nonembed_params": ConfigRow(float, None, _finite),
-    "costmodel.bytes_per_param": ConfigRow(int, None),
-    "costmodel.cache_bytes_per_value": ConfigRow(int, 2, flag="--cache-bytes"),
-    "costmodel.overhead_bytes": ConfigRow(int, 2 * GIB, flag="--overhead-bytes"),
-    "costmodel.tokens_per_frame": ConfigRow(int, 16, flag="--tokens-per-frame"),
+    "costmodel.nonembed_params": ConfigRow(float, None, _finite_and(_at_least(1))),
+    "costmodel.bytes_per_param": ConfigRow(int, None, _at_least(1)),
+    "costmodel.cache_bytes_per_value": ConfigRow(int, 2, _at_least(1), "--cache-bytes"),
+    "costmodel.overhead_bytes": ConfigRow(int, 2 * GIB, _at_least(0), "--overhead-bytes"),
+    "costmodel.tokens_per_frame": ConfigRow(int, 16, _at_least(1), "--tokens-per-frame"),
     "niah.clue_template": ConfigRow(str, CLUE_TEMPLATE, _placeholder_once("{next_caption}")),
     "niah.start_template": ConfigRow(str, START_TEMPLATE, _placeholder_once("{caption}")),
     "niah.q1_text": ConfigRow(str, Q1_TEXT),
-    "niah.hops": ConfigRow(int, 3, flag="--hops"),
-    "niah.distractors": ConfigRow(int, 1, flag="--distractors"),
+    "niah.hops": ConfigRow(int, 3, _at_least(1), "--hops"),
+    "niah.distractors": ConfigRow(int, 1, _at_least(0), "--distractors"),
     "niah.ordered": ConfigRow(_parse_bool, False, flag="--ordered"),
 }
 

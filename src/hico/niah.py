@@ -55,6 +55,12 @@ class Hop:
     clue: str | None
 
 
+# Each JSON record's (key, JSON type) pairs, in field and file order; its
+# writer and its reader both read the list.
+_ITEM_KEYS = (("id", str), ("caption", str), ("question", str), ("answer", str))
+_HOP_KEYS = (("item_id", str), ("position", int), ("clue", (str, type(None))))
+
+
 @dataclass(frozen=True)
 class ReasoningPath:
     hops: tuple[Hop, ...]
@@ -98,6 +104,9 @@ class Response:
     answer: str
 
 
+_RESPONSE_KEYS = (("instance_id", str), ("needle_id", str), ("answer", str))
+
+
 @dataclass(frozen=True)
 class Score:
     cap: float
@@ -123,29 +132,24 @@ class ValidationReport:
 
 def load_library(path: str | os.PathLike) -> list[NeedleItem]:
     raw = _parse_json(read_text(path), path)
-    if not isinstance(raw, list):
-        raise DomainError("item library must be a JSON array")
-    keys = ("id", "caption", "question", "answer")
+    if not (isinstance(raw, list) and raw):
+        raise DomainError(f"{path}: item library must be a non-empty JSON array")
     items = []
     for i, e in enumerate(raw):
         where = f"{path} item {i}"
-        fields = [_field(e, key, str, where) for key in keys]
+        fields = [_field(e, key, kind, where) for key, kind in _ITEM_KEYS]
         if "" in fields:
-            raise DomainError(f"{where} key {keys[fields.index('')]!r} must be non-empty")
+            raise DomainError(f"{where} key {_ITEM_KEYS[fields.index('')][0]!r} must be non-empty")
         items.append(NeedleItem(*fields))
     ids = [i.id for i in items]
     if len(set(ids)) != len(ids):
-        raise DomainError("item library contains duplicate ids")
+        raise DomainError(f"{path}: item library contains duplicate ids")
     return items
 
 
 def save_library(items: list[NeedleItem], path: str | os.PathLike) -> None:
-    payload = [
-        {"id": i.id, "caption": i.caption, "question": i.question, "answer": i.answer}
-        for i in items
-    ]
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2)
+        json.dump([_record(item, _ITEM_KEYS) for item in items], f, indent=2)
         f.write("\n")
 
 
@@ -214,6 +218,37 @@ def extract_from_template(template: str, placeholder: str, rendered: str) -> str
 # generation
 
 
+def _instance(
+    seed: int,
+    haystack_len: int,
+    paths: list[tuple[list[NeedleItem], list[int]]],
+    clue_template: str,
+    start_template: str,
+    q1_text: str,
+) -> NiahInstance:
+    """The instance whose reasoning paths hold these (items, positions), the
+    first path the correct one; each hop's clue names the next hop's caption."""
+    built = []
+    for n, (items, positions) in enumerate(paths):
+        hops = [
+            Hop(item.id, pos, render_template(clue_template, "next_caption", nxt.caption))
+            for item, nxt, pos in zip(items, items[1:], positions)
+        ]
+        hops.append(Hop(items[-1].id, positions[-1], None))
+        built.append(ReasoningPath(hops=tuple(hops), is_correct=n == 0))
+    start, needle = paths[0][0][0], paths[0][0][-1]
+    return NiahInstance(
+        seed=seed,
+        haystack_len=haystack_len,
+        correct_path=built[0],
+        distractors=tuple(built[1:]),
+        start_hint=render_template(start_template, "caption", start.caption),
+        q1=q1_text,
+        q2=needle.question,
+        ground_truth=(needle.id, needle.answer),
+    )
+
+
 def gen_single_hop(
     haystack_len: int,
     depth: float,
@@ -229,16 +264,8 @@ def gen_single_hop(
     if not (0.0 <= depth <= 1.0):
         raise DomainError("depth must be in [0, 1]")
     position = math.floor(depth * (haystack_len - 1) + 0.5)
-    path = ReasoningPath(hops=(Hop(needle.id, position, None),), is_correct=True)
-    return NiahInstance(
-        seed=seed,
-        haystack_len=haystack_len,
-        correct_path=path,
-        distractors=(),
-        start_hint=render_template(start_template, "caption", needle.caption),
-        q1=q1_text,
-        q2=needle.question,
-        ground_truth=(needle.id, needle.answer),
+    return _instance(
+        seed, haystack_len, [([needle], [position])], CLUE_TEMPLATE, start_template, q1_text
     )
 
 
@@ -247,21 +274,6 @@ def _unique_caption_pool(library: list[NeedleItem]) -> list[NeedleItem]:
     for item in library:
         counts[item.caption] = counts.get(item.caption, 0) + 1
     return [item for item in library if counts[item.caption] == 1]
-
-
-def _build_path(
-    items: list[NeedleItem],
-    positions: list[int],
-    is_correct: bool,
-    clue_template: str,
-) -> ReasoningPath:
-    hops = []
-    for i, (item, pos) in enumerate(zip(items, positions)):
-        clue = None
-        if i + 1 < len(items):
-            clue = render_template(clue_template, "next_caption", items[i + 1].caption)
-        hops.append(Hop(item.id, pos, clue))
-    return ReasoningPath(hops=tuple(hops), is_correct=is_correct)
 
 
 def gen_multi_hop(
@@ -299,29 +311,11 @@ def gen_multi_hop(
     rng = random.Random(seed)
     items = rng.sample(pool, needed)
     positions = rng.sample(range(haystack_len), needed)
-
-    def path_slice(i: int) -> tuple[list[NeedleItem], list[int]]:
-        its = items[i * hops : (i + 1) * hops]
-        ps = positions[i * hops : (i + 1) * hops]
-        return its, sorted(ps) if ordered else ps
-
-    correct_items, correct_pos = path_slice(0)
-    correct = _build_path(correct_items, correct_pos, True, clue_template)
-    distractors = tuple(
-        _build_path(*path_slice(1 + j), False, clue_template)
-        for j in range(distractor_count)
-    )
-    needle = correct_items[-1]
-    return NiahInstance(
-        seed=seed,
-        haystack_len=haystack_len,
-        correct_path=correct,
-        distractors=distractors,
-        start_hint=render_template(start_template, "caption", correct_items[0].caption),
-        q1=q1_text,
-        q2=needle.question,
-        ground_truth=(needle.id, needle.answer),
-    )
+    paths = []
+    for lo in range(0, needed, hops):
+        ps = positions[lo : lo + hops]
+        paths.append((items[lo : lo + hops], sorted(ps) if ordered else ps))
+    return _instance(seed, haystack_len, paths, clue_template, start_template, q1_text)
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +507,9 @@ def heatmap_grid(
     depths: list[float],
     library: list[NeedleItem],
     seed: int = 0,
+    *,
+    start_template: str = START_TEMPLATE,
+    q1_text: str = Q1_TEXT,
 ) -> list[HeatmapCell]:
     """One single-hop instance per (length, depth) cell, row-major order."""
     if not lengths or not depths:
@@ -525,13 +522,10 @@ def heatmap_grid(
     for length in lengths:
         for depth in depths:
             needle = library[rng.randrange(len(library))]
-            cells.append(
-                HeatmapCell(
-                    length=length,
-                    depth=depth,
-                    instance=gen_single_hop(length, depth, needle, seed=seed + index),
-                )
+            instance = gen_single_hop(
+                length, depth, needle, seed + index, start_template=start_template, q1_text=q1_text
             )
+            cells.append(HeatmapCell(length=length, depth=depth, instance=instance))
             index += 1
     return cells
 
@@ -557,13 +551,15 @@ def heatmap_scores(
 # serialization
 
 
+def _record(obj: object, keys: tuple) -> dict:
+    """The JSON object of `obj`'s fields named in `keys`, in their order."""
+    return {key: getattr(obj, key) for key, _ in keys}
+
+
 def instance_to_dict(instance: NiahInstance) -> dict:
     def path_dict(path: ReasoningPath) -> dict:
         return {
-            "hops": [
-                {"item_id": h.item_id, "position": h.position, "clue": h.clue}
-                for h in path.hops
-            ],
+            "hops": [_record(h, _HOP_KEYS) for h in path.hops],
             "is_correct": path.is_correct,
         }
 
@@ -590,7 +586,7 @@ def read_text(path: str | os.PathLike) -> str:
 def _parse_json(text: str, where: str | os.PathLike):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
         raise FileFormatError(f"{where}: {exc}") from None
 
 
@@ -620,16 +616,13 @@ def instance_from_dict(raw: dict, where: str = "instance") -> NiahInstance:
     its message starting with `where`."""
 
     def path_from(d: object, at_path: str) -> ReasoningPath:
+        raw_hops = _field(d, "hops", list, at_path)
+        if not raw_hops:
+            raise DomainError(f"{at_path} key 'hops' must be non-empty")
         hops = []
-        for i, h in enumerate(_field(d, "hops", list, at_path)):
+        for i, h in enumerate(raw_hops):
             at = f"{at_path} hop {i}"
-            hops.append(
-                Hop(
-                    item_id=_field(h, "item_id", str, at),
-                    position=_field(h, "position", int, at),
-                    clue=_field(h, "clue", (str, type(None)), at),
-                )
-            )
+            hops.append(Hop(*[_field(h, key, kind, at) for key, kind in _HOP_KEYS]))
         return ReasoningPath(hops=tuple(hops), is_correct=_field(d, "is_correct", bool, at_path))
 
     gt = _field(raw, "ground_truth", list, where)
@@ -671,26 +664,11 @@ def load_responses(path: str | os.PathLike) -> list[Response]:
             continue
         where = f"{path}:{lineno}"
         raw = _parse_json(line, where)
-        responses.append(
-            Response(
-                instance_id=_field(raw, "instance_id", str, where),
-                needle_id=_field(raw, "needle_id", str, where),
-                answer=_field(raw, "answer", str, where),
-            )
-        )
+        responses.append(Response(*[_field(raw, key, kind, where) for key, kind in _RESPONSE_KEYS]))
     return responses
 
 
 def write_responses(responses: list[Response], path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for r in responses:
-            f.write(
-                json.dumps(
-                    {
-                        "instance_id": r.instance_id,
-                        "needle_id": r.needle_id,
-                        "answer": r.answer,
-                    }
-                )
-                + "\n"
-            )
+            f.write(json.dumps(_record(r, _RESPONSE_KEYS)) + "\n")

@@ -1,6 +1,7 @@
 """Shared test oracles: exact merge-tree enumeration, cluster fixtures,
 per-token reference implementations of the four connectors, the
-full-square reference of the toy decoder, and a tracemalloc peak."""
+full-square reference of the toy decoder, a tracemalloc peak, and the
+slots of a JSON document that the niah fuzzes damage."""
 from __future__ import annotations
 
 import math
@@ -21,6 +22,21 @@ def traced_peak(call, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def json_slots(node) -> list:
+    """Every (container, key) pair inside a JSON document."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return []
+    slots = []
+    for key, value in items:
+        slots.append((node, key))
+        slots.extend(json_slots(value))
+    return slots
 
 
 def partitions_into_k(n: int, k: int):

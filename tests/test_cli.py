@@ -667,6 +667,32 @@ def test_niah_heatmap_score_names_the_file_that_fails_to_decode(tmp_path, capsys
     assert err.startswith(f"io error: {bad}: 'utf-8' codec") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "score", "heatmap-score"])
+def test_niah_errors_name_the_file_they_come_from(tmp_path, capsys, command):
+    cells, grid_csv, responses = tmp_path / "cells", tmp_path / "grid.csv", tmp_path / "r.jsonl"
+    main(["niah", "heatmap", "--lengths", "60", "--depths", "0,1", "--synth-library", "20",
+          "--out-dir", str(cells), "--grid", str(grid_csv)])
+    main(["niah", "solve", str(cells), "--synth-library", "20", "--out", str(responses)])
+    if command == "solve":
+        bad = sorted(cells.iterdir())[0]
+        bad.write_text(bad.read_text().replace('"start_hint": "', '"start_hint": "Go to '))
+        message = 'text does not match template: "Go to The reasoning path starts'
+        argv = ["solve", str(cells), "--synth-library", "20", "--out", str(tmp_path / "o.jsonl")]
+    else:
+        # One response of two: score and heatmap-score find an instance without one.
+        bad = responses
+        bad.write_text(bad.read_text().splitlines()[0] + "\n")
+        missing = grid_csv.read_text().splitlines()[2].split(",")[2]
+        message = {"score": "responses must cover each instance exactly once",
+                   "heatmap-score": f"no response for instance {missing}"}[command]
+        argv = [command, str(cells), "--responses", str(bad)]
+        if command == "heatmap-score":
+            argv += ["--grid", str(grid_csv), "--out", str(tmp_path / "heat.csv")]
+    code, out, err = run(capsys, "niah", *argv)
+    assert (code, out) == (2, "") and one_line_error(code, err)
+    assert err.startswith(f"error: {bad}: {message}")
+
+
 def test_niah_gen_requires_library(tmp_path, capsys):
     code, _, err = run(
         capsys, "niah", "gen", "--mode", "multi", "--length", "100",
@@ -809,19 +835,29 @@ FLAG_AND_CONFIG = {
 # A value that fails the row's check, for every flagged row that has one.
 FAILS_CHECK = {
     "seed": "-1",
+    "sampler.t_min": "0",
+    "sampler.t_max": "-1",
+    "sampler.fps": "nan",
     "connector.kind": "bogus",
     "connector.budget": "0",
     "connector.clip_len": "0",
+    "connector.st_temperature": "0",
     "connector.factor": "0",
     "connector.f_first": "0",
     "connector.f_rest": "-2",
     "connector.queries": "0",
+    "connector.temperature": "nan",
     "dropout.schedule": "uni:x",
     "dropout.layers": "0",
     "dropout.hidden_dim": "-1",
     "dropout.heads": "0",
     "dropout.text_tokens": "0",
     "costmodel.shape": "13b",
+    "costmodel.cache_bytes_per_value": "0",
+    "costmodel.overhead_bytes": "-1",
+    "costmodel.tokens_per_frame": "0",
+    "niah.hops": "0",
+    "niah.distractors": "-1",
 }
 
 
@@ -1035,6 +1071,101 @@ def test_niah_gen_config_golden(tmp_path, capsys):
         "d3f1b69c7b6d5de6e1ecb95b8acbbd6da5f514e2c717c1499996874595fc40bf",
         "d65a8088380c2f76c0b6f176362f532c1cec423a0031ee5871d68ac6d77c56bb",
     ]
+
+
+# Niah outputs no golden above covers: (config body or None, the commands run
+# in order, the last command's outputs under tmp) -> sha256 of its stdout, then
+# of each output file. Pinned from the code in which gen_single_hop and
+# gen_multi_hop each built their instances by hand; heatmap-config from the
+# code in which heatmap first honoured the configured templates.
+GEN_SINGLE = ["niah", "gen", "--mode", "single", "--length", "200", "--depth", "0.3",
+              "--count", "3", "--synth-library", "30", "--out-dir", "{tmp}/out"]
+HEATMAP = ["niah", "heatmap", "--lengths", "40,90", "--depths", "0,0.4,1", "--synth-library",
+           "30", "--out-dir", "{tmp}/out", "--grid", "{tmp}/grid.csv"]
+NIAH_GOLDEN = {
+    "gen-single": (None, [GEN_SINGLE + ["--seed", "5"]], ["out"], [
+        "a2bc17c38c37deab0f264e20e6178c159eb75ae6994a08d1ffd0d1a73bdefdb5",
+        "e9dcfdfafe79bd81485c47d03f5f972a42f46141ecab3b46c2492aee7f43f14c",
+        "88222a1cf18a64c95de49ba67893110533c4150f5f5059d6ab2553dd00da8496",
+        "33c3b145e96cf62b62ad3b417d158ad58dd1c8627fca282110d85217dac940be",
+    ]),
+    "gen-single-config": (NIAH_CONFIG, [GEN_SINGLE], ["out"], [
+        "17c3a5a887d343d6a9ac014f7947bf10ca945a946d3b3620696f975ccba960a8",
+        "a4c957f74bf474eb8ad7c3b6f4f2aaa5a80653ba8cbc90c86e0b967dd3d77fe7",
+        "d4244cb246baa4424329f8ec70de5944bc269b736175b2d00f2e99e09c1f5c7f",
+        "463315c8f5aaedd8268fcfbaa7a4c3c3623894da3729042db0fdb25fd3fc5e98",
+    ]),
+    "heatmap": (None, [HEATMAP + ["--seed", "6"]], ["grid.csv", "out"], [
+        "e1e6869d9753fcf2567179dc299584fc493d1ca3e985dc2d3ef10ede7b2e2812",
+        "5c9e27146fef28913363677b5c680c5fd18c66dd12bc1115b9420019711b3ec8",
+        "2cf44608e5a662fb0a35a9187c1c6c82a909e8887cc3357c26c42c2a6abacf38",
+        "501bca74f9ac66ab12c81d0541664e81de4f8ff960a7d91a053af73f45adeb5b",
+        "44e1fd6e3265fd788d2c91b900459a65a797d20590ed5508f906e738beac15a0",
+        "f6b9e12fc9eaaa685660ef0be739c948a6fb96f4e66758c85773d4baf2d2ea28",
+        "40d2d0ca095072d72b63227bfbfb9bc93ba0ab36c50f25709c7b920c30207bca",
+        "1aa04b2d89ff6d962adee861fbf2ad7420c07c26f1f2565b3a44287a7c7fc785",
+    ]),
+    "heatmap-config": (NIAH_CONFIG, [HEATMAP], ["grid.csv", "out"], [
+        "e1e6869d9753fcf2567179dc299584fc493d1ca3e985dc2d3ef10ede7b2e2812",
+        "0d5edf7e41bd018a731ad282a92a9daa05d83e6fbbadc9e4c653332d8670db39",
+        "385e54faa496e50614cc5c17b5467a76d20f929793d3fab1d143adff1b9ea069",
+        "ee75728bb682a32653051e843dfbe190f8ff1fa7fa75f984bcc30d3670dd9c6c",
+        "ee86f279f3c7bee5f42beb16fd170f502836fd0ea673c8c32a11412d184586ee",
+        "bea4a08252aaf3398ba9e5782f3f326b1b2692e5157ffa88ccef98f5ee8481d6",
+        "b77d7a2943905e50ea26a3cca9221f6bb9d84c5dcf72c8a47b0e0be6b3d58436",
+        "26e4ac00615607c7260cd0f5e6d2c4ca0383eeeaca94af162859951ba1022d23",
+    ]),
+    "synth-library": (
+        None, [["niah", "synth-library", "--size", "25", "--seed", "8", "--out", "{tmp}/lib.json"]],
+        ["lib.json"], [
+            "983b637ff112d7cc80aa7c0ce87e3ab00adfa6392f12a4c5319a36e26080b444",
+            "eefd7dd71fb7ef615e279f581f939be789d0d992dfda960904069420b8c7647e",
+        ],
+    ),
+    "solve": (
+        None,
+        [["niah", "gen", "--length", "300", "--count", "4", "--seed", "2", "--synth-library", "30",
+          "--out-dir", "{tmp}/inst"],
+         ["niah", "solve", "{tmp}/inst", "--seed", "2", "--synth-library", "30",
+          "--out", "{tmp}/r.jsonl"]],
+        ["r.jsonl"], [
+            "51dfc5b8027188a61a28556ce1bd3ab4ff070dbccedf86422832e14897f72c9b",
+            "7d577a4063a096f28746d22b5c9168ff44ce49bcc0a9daae24b848ab5d843045",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NIAH_GOLDEN))
+def test_niah_output_goldens(tmp_path, capsys, case):
+    config, commands, outputs, golden = NIAH_GOLDEN[case]
+    prefix = [] if config is None else ["--config", config_file(tmp_path, config)]
+    for argv in commands:
+        code, out, _ = run(capsys, *prefix, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 0
+    assert digests(out, *(tmp_path / name for name in outputs)) == golden
+
+
+def test_niah_heatmap_honours_config_templates(tmp_path, capsys):
+    # heatmap once wrote the default start hint, which solve under the same
+    # config then refused.
+    cfg = config_file(tmp_path, NIAH_CONFIG)
+    cells, grid_csv = tmp_path / "cells", tmp_path / "g.csv"
+    responses, heat_csv = tmp_path / "r.jsonl", tmp_path / "heat.csv"
+    for argv in (
+        ["heatmap", "--lengths", "50,80", "--depths", "0,0.5,1", "--synth-library", "20",
+         "--out-dir", str(cells), "--grid", str(grid_csv)],
+        ["solve", str(cells), "--synth-library", "20", "--out", str(responses)],
+        ["heatmap-score", str(cells), "--grid", str(grid_csv), "--responses", str(responses),
+         "--out", str(heat_csv)],
+    ):
+        code, _, err = run(capsys, "--config", cfg, "niah", *argv)
+        assert (code, err) == (0, "")
+    instance = json.loads(next(cells.iterdir()).read_text())
+    assert instance["start_hint"].startswith("Begin at '")
+    assert instance["q1"] == "Which item ends the chain?"
+    rows = heat_csv.read_text().splitlines()
+    assert len(rows) == 7 and all(row.endswith(",1.0000") for row in rows[1:])
 
 
 CONNECTOR_CONFIG = """\
@@ -1257,6 +1388,19 @@ def test_non_finite_nonembed_params_is_domain_error(tmp_path, capsys, value):
     assert "finite" in err
 
 
+# The checked rows that have no flag, refused at load as FAILS_CHECK's rows are.
+@pytest.mark.parametrize("key,value,got", [
+    ("costmodel.nonembed_params", "0", "0.0"),
+    ("costmodel.nonembed_params", "-inf", "-inf"),
+    ("costmodel.bytes_per_param", "0", "0"),
+])
+def test_config_only_value_failing_check_names_key_and_file(tmp_path, capsys, key, value, got):
+    cfg = config_file(tmp_path, f"{key} = {value}\n")
+    code, out, err = run(capsys, "--config", cfg, "estimate", "--frames", "64")
+    check = "finite" if value == "-inf" else ">= 1"
+    assert (code, out, err) == (2, "", f"error: {cfg}:1: {key} must be {check}, got {got}\n")
+
+
 @pytest.mark.parametrize("document", ['{"id": "x"}', "[1, 2]"])
 def test_niah_validate_malformed_instance(tmp_path, capsys, document):
     path = tmp_path / "bad.json"
@@ -1295,7 +1439,9 @@ def test_niah_heatmap_non_numeric_axis(tmp_path, capsys, flag, value):
     assert one_line_error(code, err)
 
 
-@pytest.mark.parametrize("row", ["60,0", "60,0,x,y", "a,0,{id}", "60,deep,{id}"])
+@pytest.mark.parametrize(
+    "row", ["60,0", "60,0,x,y", "a,0,{id}", "60,deep,{id}", "60,0,nope", "header"]
+)
 def test_niah_heatmap_score_malformed_grid(tmp_path, capsys, row):
     cells, grid_csv = tmp_path / "cells", tmp_path / "grid.csv"
     main([
@@ -1305,9 +1451,11 @@ def test_niah_heatmap_score_malformed_grid(tmp_path, capsys, row):
     responses = tmp_path / "r.jsonl"
     main(["niah", "solve", str(cells), "--synth-library", "20", "--out", str(responses)])
     instance_id = grid_csv.read_text().splitlines()[1].split(",")[2]
-    grid_csv.write_text("length,depth,instance\n" + row.format(id=instance_id) + "\n")
+    text = "length,depth\n" if row == "header" else "length,depth,instance\n" + row + "\n"
+    grid_csv.write_text(text.format(id=instance_id))
     code, _, err = run(
         capsys, "niah", "heatmap-score", str(cells), "--grid", str(grid_csv),
         "--responses", str(responses), "--out", str(tmp_path / "heat.csv"),
     )
     assert one_line_error(code, err)
+    assert err.startswith(f"error: {grid_csv}: grid ")

@@ -1,7 +1,8 @@
 """Input fuzz: numeric flags of synth, compress, dropout, estimate and sample
 set to edge values, mutated resampler `--weights` archives, damaged
-embedding files and damaged config files must end in exit 0, 2 or 3 with at
-most one stderr line and no traceback. Commands run in a child process under
+embedding files, damaged config files and damaged niah library, instance,
+responses and grid files must end in exit 0, 2 or 3 with at most one stderr
+line and no traceback. Commands run in a child process under
 an address-space cap, so a size that slips past the byte checks fails this
 test rather than filling the machine's memory. A damaged embedding file must
 also fail to read as its bytes fail to decode, and a pipe must read as a
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hico
+from helpers import json_slots
 from hico import cli, io
 from hico.errors import ConfigError, DomainError
 
@@ -383,3 +385,130 @@ def test_config_files_exit_cleanly(config_child, command, via, lines, damage):
         io.load_config(path)
     except (ConfigError, OSError):
         assert result["code"] in (2, 3) and str(path) in err, (argv, lines, damage, err)
+
+
+# Niah file fuzz: each command reads one damaged file, {bad}, beside intact
+# copies of the others, all made once by the commands below.
+NIAH_SETUP = [
+    ["niah", "synth-library", "--size", "12", "--out", "{tmp}/lib.json"],
+    ["niah", "gen", "--length", "60", "--hops", "2", "--count", "2", "--library", "{tmp}/lib.json",
+     "--out-dir", "{tmp}/inst"],
+    ["niah", "solve", "{tmp}/inst", "--library", "{tmp}/lib.json", "--out", "{tmp}/r.jsonl"],
+    ["niah", "heatmap", "--lengths", "30,60", "--depths", "0,1", "--library", "{tmp}/lib.json",
+     "--out-dir", "{tmp}/cells", "--grid", "{tmp}/grid.csv"],
+    ["niah", "solve", "{tmp}/cells", "--library", "{tmp}/lib.json", "--out", "{tmp}/cells.jsonl"],
+]
+# command -> (the intact file it reads damaged, its argv)
+NIAH_ARGV = {
+    "gen": ("lib.json", ["niah", "gen", "--length", "60", "--hops", "2", "--library", "{bad}",
+                         "--out-dir", "{tmp}/out"]),
+    "gen-single": ("lib.json", ["niah", "gen", "--mode", "single", "--length", "60",
+                                "--library", "{bad}", "--out-dir", "{tmp}/out"]),
+    "validate": ("instance.json", ["niah", "validate", "{bad}", "--library", "{tmp}/lib.json"]),
+    "solve": ("instance.json", ["niah", "solve", "{bad}", "--library", "{tmp}/lib.json",
+                                "--out", "{tmp}/out.jsonl"]),
+    "score": ("r.jsonl", ["niah", "score", "{tmp}/inst", "--responses", "{bad}"]),
+    "heatmap-score": ("grid.csv", ["niah", "heatmap-score", "{tmp}/cells", "--grid", "{bad}",
+                                   "--responses", "{tmp}/cells.jsonl", "--out", "{tmp}/heat.csv"]),
+}
+BIG = "<5,000 digits>"  # an integer json.dumps refuses to write
+SAME = "same"  # a duplicated key's value written again
+JSON_SWAPS = [None, True, 0, -3, 2.5, "", "x", [], [1], {}, {"k": 1}, BIG]
+
+
+class Twice(tuple):
+    """A key written twice in its object: (first value, second value)."""
+
+
+def to_json(node):
+    """json.dumps, but a Twice writes its key twice and BIG its digits."""
+    if isinstance(node, dict):
+        pairs = [(k, v) for k, vs in node.items() for v in (vs if isinstance(vs, Twice) else [vs])]
+        return "{" + ", ".join(f"{json.dumps(k)}: {to_json(v)}" for k, v in pairs) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(to_json, node)) + "]"
+    return "9" * 5000 if node == BIG else json.dumps(node)
+
+
+def damaged_niah_file(blob, damage, jsonl):
+    kind = damage[0]
+    if kind in ("truncate", "flip"):
+        blob = bytearray(blob)
+        at = min(int(damage[1] * len(blob)), len(blob) - 1)
+        if kind == "truncate":
+            del blob[at:]
+        else:
+            blob[at] ^= damage[2]
+        return bytes(blob)
+    # A JSON lines file is a list of documents; a JSON file is a list of one.
+    docs = [json.loads(line) for line in blob.splitlines()] if jsonl else [json.loads(blob)]
+    slots = json_slots(docs)
+    if kind != "swap":
+        slots = [(c, k) for c, k in slots if isinstance(c, dict)]
+    container, key = slots[damage[1] % len(slots)]
+    if kind == "swap":
+        container[key] = damage[2]
+    elif kind == "delete":
+        del container[key]
+    else:
+        container[key] = Twice((container[key], container[key] if damage[2] == SAME else damage[2]))
+    return "".join(to_json(doc) + "\n" for doc in docs).encode()
+
+
+@st.composite
+def niah_damages(draw, command):
+    kinds = ["truncate", "flip"]
+    if command != "heatmap-score":  # a CSV file has no JSON to damage
+        kinds += ["swap", "delete", "duplicate"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "truncate":
+        return kind, draw(st.floats(0, 1))
+    if kind == "flip":
+        return kind, draw(st.floats(0, 1)), draw(st.integers(1, 255))
+    if kind == "delete":
+        return kind, draw(st.integers(0, 1 << 16))
+    values = JSON_SWAPS + [SAME] if kind == "duplicate" else JSON_SWAPS
+    return kind, draw(st.integers(0, 1 << 16)), draw(st.sampled_from(values))
+
+
+niah_cases = st.sampled_from(sorted(NIAH_ARGV)).flatmap(
+    lambda command: st.tuples(st.just(command), niah_damages(command))
+)
+
+
+@pytest.fixture(scope="module")
+def niah_dir(child):
+    tmp = child.tmp / "niah"
+    tmp.mkdir()
+    for argv in NIAH_SETUP:
+        assert child.run([a.format(tmp=tmp) for a in argv]) == {"code": 0, "stderr": ""}
+    (tmp / "instance.json").write_bytes(sorted((tmp / "inst").iterdir())[0].read_bytes())
+    return tmp
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=niah_cases)
+# A 5,000-digit integer once escaped json.loads as a bare ValueError.
+@example(case=("score", ("swap", 0, BIG)))
+# An empty responses file, a library that is not an array, an empty library
+# and a path with no hops once ended in errors that named no file; the empty
+# library once ended `gen --mode single` in a traceback.
+@example(case=("score", ("truncate", 0.0)))
+@example(case=("gen", ("swap", 0, None)))
+@example(case=("gen", ("swap", 0, [])))
+@example(case=("gen-single", ("swap", 0, [])))
+@example(case=("solve", ("duplicate", 55764, [])))
+def test_niah_files_exit_cleanly(child, niah_dir, case):
+    command, damage = case
+    intact, argv = NIAH_ARGV[command]
+    bad = niah_dir / ("bad" + Path(intact).suffix)
+    blob = (niah_dir / intact).read_bytes()
+    bad.write_bytes(damaged_niah_file(blob, damage, jsonl=bad.suffix == ".jsonl"))
+    result = child.run([a.format(tmp=niah_dir, bad=bad) for a in argv])
+    code, err = result["code"], result["stderr"]
+    assert code in (0, 2, 3), (command, damage, err)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err, (command, damage, err)
+    if err:
+        assert str(bad) in err, (command, damage, err)
+    else:  # validate reports an unsound instance on stdout and exits 2
+        assert code == 0 or command == "validate", (command, damage, err)

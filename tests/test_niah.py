@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import json_slots
 from hico import niah
 from hico.errors import CapacityError, DomainError
 
@@ -126,27 +127,12 @@ JSON_VALUES = st.recursive(
 )
 
 
-def _slots(node) -> list:
-    """Every (container, key) pair inside a JSON document."""
-    if isinstance(node, dict):
-        items = list(node.items())
-    elif isinstance(node, list):
-        items = list(enumerate(node))
-    else:
-        return []
-    slots = []
-    for key, value in items:
-        slots.append((node, key))
-        slots.extend(_slots(value))
-    return slots
-
-
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 30), data=st.data())
 def test_instance_from_dict_fuzz_raises_only_domain_error(seed, data):
     raw = niah.instance_to_dict(niah.gen_multi_hop(80, 2, 1, LIB, seed=seed))
     for _ in range(data.draw(st.integers(1, 3))):
-        slots = _slots(raw)
+        slots = json_slots(raw)
         if not slots:
             break
         container, key = data.draw(st.sampled_from(slots))
@@ -484,4 +470,20 @@ def test_library_rejects_malformed_items(tmp_path, raw, message):
     path = tmp_path / "lib.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(DomainError, match=f"^{re.escape(f'{path} {message}')}$"):
+        niah.load_library(path)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({}, "item library must be a non-empty JSON array"),
+        ([], "item library must be a non-empty JSON array"),
+        ([LIB[0].__dict__, LIB[0].__dict__], "item library contains duplicate ids"),
+    ],
+    ids=["object", "empty", "duplicate-ids"],
+)
+def test_library_file_errors_name_the_file(tmp_path, raw, message):
+    path = tmp_path / "lib.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(DomainError, match=f"^{re.escape(f'{path}: {message}')}$"):
         niah.load_library(path)
