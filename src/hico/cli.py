@@ -231,17 +231,22 @@ def cmd_niah_gen(args, cfg: io.ToolConfig) -> int:
                 q1_text=q1,
             )
         else:
-            inst = niah.gen_multi_hop(
-                args.length,
-                _pick(args, cfg, "niah.hops"),
-                _pick(args, cfg, "niah.distractors"),
-                library,
-                seed=inst_seed,
-                ordered=_pick(args, cfg, "niah.ordered"),
-                clue_template=tpl["clue_template"],
-                start_template=tpl["start_template"],
-                q1_text=q1,
-            )
+            try:
+                inst = niah.gen_multi_hop(
+                    args.length,
+                    _pick(args, cfg, "niah.hops"),
+                    _pick(args, cfg, "niah.distractors"),
+                    library,
+                    seed=inst_seed,
+                    ordered=_pick(args, cfg, "niah.ordered"),
+                    clue_template=tpl["clue_template"],
+                    start_template=tpl["start_template"],
+                    q1_text=q1,
+                )
+            except niah.LibraryTooSmall as exc:
+                if not args.library:
+                    raise
+                raise niah.LibraryTooSmall(f"{args.library}: {exc}") from None
         name = f"{inst.instance_id}.json"
         niah.write_instance(inst, out_dir / name)
         print(f"wrote {name}")
@@ -281,7 +286,13 @@ def cmd_niah_solve(args, cfg: io.ToolConfig) -> int:
 
 
 def cmd_niah_score(args, cfg: io.ToolConfig) -> int:
-    instances = [niah.load_instance(p) for p in _instance_paths(args.paths)]
+    paths = _instance_paths(args.paths)
+    instances = [niah.load_instance(p) for p in paths]
+    first: dict[str, Path] = {}
+    for path, inst in zip(paths, instances):
+        other = first.setdefault(inst.instance_id, path)
+        if other is not path:
+            raise DomainError(f"{other}, {path}: instances contain duplicate ids")
     responses = niah.load_responses(args.responses)
     result = _naming(args.responses, niah.score, instances, responses)
     print(f"instances={len(instances)}")

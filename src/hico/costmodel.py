@@ -13,9 +13,12 @@ What the convention leaves out, measured against the toy decoder:
 * The causal saving. The toy decoder runs attention in blocks of 32 query
   rows, each against its causal key columns only: about half the square at
   T near 1000, less at the short sequences a schedule leaves, where the
-  diagonal blocks are a larger share.
-* Per-layer costs that do not grow as T^2: projections, MLP, and a fixed
-  number of numpy calls per block.
+  diagonal blocks are a larger share. `score_cells` counts the scores a
+  layer computes exactly.
+* Per-layer costs that do not grow as T^2: projections, MLP, a fixed
+  number of numpy calls per 32-row block (QK, the mask, exp2 and PV, and
+  two more where the row max is shifted), and one normalising divide per
+  attention call.
 * The drop-aware layer before a drop, which runs queries, attention output
   and MLP for the surviving rows only; the convention counts it at full T.
 
@@ -36,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .dropout import DropSchedule, plan_schedule
+from .dropout import _ROW_BLOCK, DropSchedule, plan_schedule
 from .errors import ConfigError, DomainError
 
 GIB = 1024**3
@@ -187,6 +190,35 @@ def flops_with_schedule(
         total += (2.0 * shape.nonembed_params * tf) * (layers / shape.layers)
         total += 4.0 * layers * tf * tf * shape.hidden_dim
     return _finite(total, f"the scheduled FLOP count of {tokens:.6g} tokens")
+
+
+def score_cells(tokens: int, heads: int, survivors=None) -> int:
+    """Attention scores the toy decoder computes at one layer of `tokens` rows.
+
+    Query rows run in blocks of B = _ROW_BLOCK, and a block whose last query
+    sits at position r1 - 1 scores key columns [:r1] only, so a layer
+    computes heads · Σ_blocks rows · r1. With n full blocks and rem rows
+    left over, that is heads · (B²·n(n+1)/2 + rem·T).
+
+    The layer before a drop takes the ascending positions the drop keeps,
+    `survivors`. It runs its final block, rows [s, T) with
+    s = ⌊(T - 1)/B⌋·B, and then the survivors below s in blocks of their own,
+    each working on the columns up to its last survivor:
+    heads · ((T - s)·T + Σ_blocks rows · (last + 1)).
+    """
+    if tokens < 1 or heads < 1:
+        raise DomainError("tokens and heads must be >= 1")
+    b = _ROW_BLOCK
+    if survivors is None:
+        n, rem = divmod(tokens, b)
+        return heads * (b * b * n * (n + 1) // 2 + rem * tokens)
+    start = (tokens - 1) // b * b
+    head = [int(p) for p in survivors if p < start]
+    cells = (tokens - start) * tokens
+    for b0 in range(0, len(head), b):
+        block = head[b0 : b0 + b]
+        cells += len(block) * (block[-1] + 1)
+    return heads * cells
 
 
 def memory_estimate(

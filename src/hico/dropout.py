@@ -204,7 +204,10 @@ def scale_schedule(
 def _layer_norm(x: np.ndarray) -> np.ndarray:
     # One centred pass; the same bits as x.var, which centres x again.
     c = x - x.mean(axis=-1, keepdims=True)
-    return c / np.sqrt((c * c).mean(axis=-1, keepdims=True) + 1e-5)
+    d = (c * c).mean(axis=-1, keepdims=True)
+    d += 1e-5
+    c /= np.sqrt(d, out=d)
+    return c
 
 
 # Query rows per attention step. A block whose last row sits at position
@@ -234,29 +237,34 @@ def _causal_attention(
 ) -> np.ndarray:
     """Causal softmax attention of the queries at ascending positions `pos`, into `out`.
 
-    `q` and `out` are (heads, len(pos), head_dim); `kt` is the keys
-    transposed, (heads, head_dim, T), so each block's QK multiplies plain
-    row-major operands, and `v1` is (heads, T, head_dim + 1), the values with
-    a last column of ones. `q` carries log2(e)/sqrt(head_dim), so q k^T is in
-    log2 units and its exp2 is the softmax's exp. The query at position p
-    attends to keys [:p + 1]. Query rows go _ROW_BLOCK at a time: a block
-    whose last position is r1 - 1 works on key columns [:r1] only, and
-    `buffer` holds at least heads * _ROW_BLOCK * T floats, so each block's
-    (heads, rows, r1) scores are a contiguous view of its front and no
-    (heads, T, T) square is built.
+    `q` and `out` are (heads, len(pos), head_dim), and `out` may be `q`
+    itself: the queries are read only before the final divide. `kt` is the
+    keys transposed, (heads, head_dim, T), so each block's QK multiplies
+    plain row-major operands, and `v1` is (heads, T, head_dim + 1), the
+    values with a last column of ones. `q` carries log2(e)/sqrt(head_dim), so
+    q k^T is in log2 units and its exp2 is the softmax's exp. The query at
+    position p attends to keys [:p + 1]. Query rows go _ROW_BLOCK at a time:
+    a block whose last position is r1 - 1 works on key columns [:r1] only,
+    and `buffer` holds at least heads * _ROW_BLOCK * T floats, so each
+    block's (heads, rows, r1) scores are a contiguous view of its front and
+    no (heads, T, T) square is built.
     max|q_i|·max|k_j| bounds every score (Cauchy–Schwarz); below _EXP_SAFE
-    the row max shift is skipped. PV runs on the unnormalised exp2 block, so
-    the ones column yields the row sums, which then divide the
-    (heads, rows, head_dim) output. Row sums run over [:r1] only, so the last
-    bits can differ from the full-square form. Returns the last query's
-    attention over its keys, (heads, pos[-1] + 1), normalised on its own.
+    the row max shift is skipped, and the masked columns are zeroed after
+    exp2 rather than set to -inf before it, which exp2 takes slowly; both
+    give +0.0. The shifted path sets -inf first, so the row max skips them.
+    PV runs on the unnormalised exp2 block into its rows of one
+    (heads, len(pos), head_dim + 1) array, so the ones column yields the row
+    sums, and one divide by them after the last block writes `out`. Row
+    sums run over [:r1] only, so the last bits can differ from the
+    full-square form. Returns the last query's attention over its keys,
+    (heads, pos[-1] + 1), normalised on its own.
     """
     heads, count, head_dim = out.shape
     # max|q_i|·max|k_j|, from the largest squared row norms.
     q2, k2 = np.einsum("htd,htd->ht", q, q).max(), np.einsum("hdt,hdt->ht", kt, kt).max()
     bound = math.sqrt(q2 * k2)
     shift = not bound < _EXP_SAFE  # a NaN bound shifts
-    scratch = np.empty((heads, _ROW_BLOCK, head_dim + 1))
+    pv = np.empty((heads, count, head_dim + 1))
     for b0 in range(0, count, _ROW_BLOCK):
         b1 = min(b0 + _ROW_BLOCK, count)
         rows = b1 - b0
@@ -268,13 +276,15 @@ def _causal_attention(
             upper = _BLOCK_UPPER[:rows, :rows]
         else:
             upper = np.arange(p0, r1) > pos[b0:b1, None]
-        np.copyto(probs[:, :, p0:], -np.inf, where=upper)
         if shift:
+            np.copyto(probs[:, :, p0:], -np.inf, where=upper)
             np.subtract(probs, probs.max(axis=-1, keepdims=True), out=probs)
-        np.exp2(probs, out=probs)
-        pv = scratch[:, :rows]
-        np.matmul(probs, v1[:, :r1], out=pv)
-        np.divide(pv[:, :, :head_dim], pv[:, :, head_dim:], out=out[:, b0:b1])
+            np.exp2(probs, out=probs)
+        else:
+            np.exp2(probs, out=probs)
+            np.copyto(probs[:, :, p0:], 0.0, where=upper)
+        np.matmul(probs, v1[:, :r1], out=pv[:, b0:b1])
+    np.divide(pv[:, :, :head_dim], pv[:, :, head_dim:], out=out)
     return probs[:, -1] / pv[:, -1, head_dim:]
 
 
@@ -287,12 +297,13 @@ def _attend(
     buffer: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Attention output, (len(pos), hidden), of the layer-normed rows `x` at
-    sequence positions `pos`, and the last one's attention row."""
+    sequence positions `pos`, and the last one's attention row. The output
+    is written over the queries."""
     heads, head_dim, _ = kt.shape
     q = (x @ wq).reshape(len(pos), heads, head_dim)
-    out = np.empty_like(q)
-    last = _causal_attention(q.transpose(1, 0, 2), kt, v1, pos, buffer, out.transpose(1, 0, 2))
-    return out.reshape(len(pos), heads * head_dim), last
+    by_head = q.transpose(1, 0, 2)
+    last = _causal_attention(by_head, kt, v1, pos, buffer, by_head)
+    return q.reshape(len(pos), heads * head_dim), last
 
 
 def _check_bytes(text_tokens: int, visual: np.ndarray, geometry: DecoderGeometry) -> None:
@@ -301,13 +312,14 @@ def _check_bytes(text_tokens: int, visual: np.ndarray, geometry: DecoderGeometry
     # The layers' weights and one zero-padded copy of a layer's value weights.
     weights = 8 * (visual.shape[1] * h + layers * 8 * h * h + h * (h + heads))
     seq = visual.shape[0] + text_tokens
-    # Per token, in floats: states and text; the layer-normed states,
-    # queries, keys and attention output; the values with their ones column;
-    # the MLP's two (T, 2h) activations; the last row's attention, the
-    # bound's two squared norms and one score block; and 13 for index arrays,
-    # the snapshot row, and the kept indices and a drop's selection as Python
+    # Per token, in floats: states and text; the layer-normed states, keys
+    # and queries, which then hold the attention output; the values with
+    # their ones column, and the PV rows with their row-sum column; the MLP's
+    # two (T, 2h) activations; the last row's attention, the bound's two
+    # squared norms and one score block; and 13 for index arrays, the
+    # snapshot row, and the kept indices and a drop's selection as Python
     # ints (40 bytes each). A layer before a drop is counted at full length.
-    arrays = 8 * seq * (11 * h + heads * (4 + _ROW_BLOCK) + 13)
+    arrays = 8 * seq * (11 * h + heads * (5 + _ROW_BLOCK) + 13)
     # Each layer keeps a snapshot and a kept list, 16 bytes a token, and
     # about 2 KiB of objects.
     records = layers * (16 * seq + 2048)

@@ -269,6 +269,10 @@ def gen_single_hop(
     )
 
 
+class LibraryTooSmall(CapacityError):
+    """A library holds fewer items with unique captions than an instance needs."""
+
+
 def _unique_caption_pool(library: list[NeedleItem]) -> list[NeedleItem]:
     counts: dict[str, int] = {}
     for item in library:
@@ -301,7 +305,7 @@ def gen_multi_hop(
     needed = hops * (1 + distractor_count)
     pool = _unique_caption_pool(library)
     if len(pool) < needed:
-        raise CapacityError(
+        raise LibraryTooSmall(
             f"library has {len(pool)} usable items, instance needs {needed}"
         )
     if haystack_len < needed:

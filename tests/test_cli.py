@@ -693,6 +693,31 @@ def test_niah_errors_name_the_file_they_come_from(tmp_path, capsys, command):
     assert err.startswith(f"error: {bad}: {message}")
 
 
+def test_niah_gen_names_the_library_that_is_too_small(tmp_path, capsys):
+    lib = tmp_path / "lib.json"
+    main(["niah", "synth-library", "--size", "3", "--seed", "0", "--out", str(lib)])
+    message = "library has 3 usable items, instance needs 6"
+    for source, prefix in ((["--library", str(lib)], f"{lib}: "), (["--synth-library", "3"], "")):
+        code, out, err = run(
+            capsys, "niah", "gen", "--length", "100", *source, "--out-dir", str(tmp_path / "x"),
+        )
+        assert (code, out) == (2, "") and one_line_error(code, err)
+        assert err == f"error: {prefix}{message}\n"
+
+
+def test_niah_score_blames_the_instance_files_for_duplicate_ids(tmp_path, capsys):
+    cells, responses = tmp_path / "cells", tmp_path / "r.jsonl"
+    main(["niah", "gen", "--length", "100", "--synth-library", "20", "--count", "2",
+          "--out-dir", str(cells)])
+    main(["niah", "solve", str(cells), "--synth-library", "20", "--out", str(responses)])
+    first = sorted(cells.iterdir())[0]
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(first.read_bytes())
+    code, out, err = run(capsys, "niah", "score", str(cells), str(copy), "--responses", str(responses))
+    assert (code, out) == (2, "") and one_line_error(code, err)
+    assert err == f"error: {first}, {copy}: instances contain duplicate ids\n"
+
+
 def test_niah_gen_requires_library(tmp_path, capsys):
     code, _, err = run(
         capsys, "niah", "gen", "--mode", "multi", "--length", "100",

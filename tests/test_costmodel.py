@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hico import costmodel as cm
+from hico import costmodel as cm, dropout as dp
 from hico.dropout import DropSchedule
 from hico.errors import ConfigError, DomainError
 
@@ -113,3 +114,73 @@ def test_memory_ten_thousand_frames_near_reported():
     total_gb = rep.total_infer_bytes / 1e9
     assert abs(total_gb - 33.6) / 33.6 <= 0.40
     assert rep.kv_cache_bytes / 1e9 == pytest.approx(9.175, abs=0.01)
+
+
+# ---------------------------------------------------------------------------
+# score_cells against the toy decoder's own attention calls
+
+BLOCK = dp._ROW_BLOCK
+
+
+def decoder_layer_cells(monkeypatch, text, n, geometry, schedule):
+    """Per layer, heads · Σ_blocks rows · r1 over the `pos` arrays the decoder
+    passes to _causal_attention, with the run. The calls of one layer share
+    its key array."""
+    calls = []
+    real = dp._causal_attention
+
+    def spy(q, kt, v1, pos, buffer, out):
+        blocks = [pos[b0 : b0 + BLOCK] for b0 in range(0, len(pos), BLOCK)]
+        cells = q.shape[0] * sum(len(block) * (int(block[-1]) + 1) for block in blocks)
+        if calls and calls[-1][0] is kt:
+            calls[-1][1] += cells
+        else:
+            calls.append([kt, cells])
+        return real(q, kt, v1, pos, buffer, out)
+
+    monkeypatch.setattr(dp, "_causal_attention", spy)
+    vis = np.random.default_rng(n).standard_normal((n, 16))
+    run = dp.toy_decoder_run(text, vis, geometry, schedule, seed=1)
+    return [cells for _, cells in calls], run
+
+
+@pytest.mark.parametrize(
+    "n,text,layers,schedule",
+    [
+        (27, 4, 2, ""),  # T = 31, below one block
+        (28, 4, 2, ""),  # T = 32, one block
+        (29, 4, 2, ""),  # T = 33, just past one
+        (1024, 8, 6, "uni:2:0.75,attn:4:0.25"),  # T = 1032, 776 and 200
+        (56, 8, 3, "uni:1:0.5,attn:2:0.5"),  # a drop at T = 64 and at T = 36
+        (20, 4, 3, "attn:1:0.5"),  # a drop inside the final block alone
+        (40, 30, 4, "uni:0:0.9,attn:2:1.0"),  # every row survives the drop
+    ],
+)
+def test_score_cells_equals_the_decoders_blocks(monkeypatch, n, text, layers, schedule):
+    sched = DropSchedule.parse(schedule)
+    geometry = dp.DecoderGeometry(layers=layers, hidden_dim=16, heads=2)
+    measured, run = decoder_layer_cells(monkeypatch, text, n, geometry, sched)
+    drops = {e.layer for e in sched.entries}
+    want = []
+    for layer, kept in enumerate(run.kept):
+        seq = len(kept) + text
+        survivors = None
+        if layer + 1 in drops:
+            sel = np.searchsorted(kept, run.kept[layer + 1])
+            survivors = np.concatenate([sel, np.arange(len(kept), seq)])
+        want.append(cm.score_cells(seq, geometry.heads, survivors))
+    assert measured == want
+
+
+@given(tokens=st.integers(min_value=1, max_value=5 * BLOCK), heads=st.integers(1, 8))
+def test_score_cells_closed_form_is_the_block_sum(tokens, heads):
+    full = cm.score_cells(tokens, heads)
+    ends = [min(b0 + BLOCK, tokens) for b0 in range(0, tokens, BLOCK)]
+    assert full == heads * sum((r1 - b0) * r1 for b0, r1 in zip(range(0, tokens, BLOCK), ends))
+    # A drop that every row survives computes what a full layer does.
+    assert cm.score_cells(tokens, heads, range(tokens)) == full
+
+
+def test_score_cells_refuses_empty_layers():
+    with pytest.raises(DomainError):
+        cm.score_cells(0, 4)

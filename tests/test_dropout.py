@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -364,6 +365,43 @@ def test_causal_attention_matches_full_square_softmax(heads, seq, head_dim, peak
     for got, want in ((out, want_out[:, pos]), (last, want_last)):
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want)) <= TOLERANCE * np.max(np.abs(want))
+
+
+# sha256 of _causal_attention's `out` and `last` on the shifted path, from
+# the parent of the change that zeroes the masked columns after exp2 on the
+# unshifted path alone. The decoder goldens never reach this path.
+SHIFTED_GOLDEN = {
+    "consecutive": (
+        "60faafa7b0223d060b39949fe0fafdacad68dbb2d7b2beda71426cae59617586",
+        "8f52e416e3cd8d5255d7562b1ba745893306d5af71d914628ae14a4a96f706c1",
+    ),
+    "sparse": (
+        "9fd8e3543be781400eb5503af83a2739ad45ebcc1772e54074db55112a0c8856",
+        "8f52e416e3cd8d5255d7562b1ba745893306d5af71d914628ae14a4a96f706c1",
+    ),
+}
+
+
+@pytest.mark.parametrize("positions", sorted(SHIFTED_GOLDEN))
+def test_shifted_causal_attention_golden_digests(positions):
+    rng = np.random.default_rng(2000)
+    heads, seq, head_dim = 4, 3 * BLOCK + 5, 16
+    q, k, v = (rng.standard_normal((heads, seq, head_dim)) for _ in range(3))
+    scale = math.sqrt(head_dim)
+    # The largest causal score is exactly +-2000.
+    q *= 2000.0 / np.abs(np.tril(q @ k.transpose(0, 2, 1) / scale)).max()
+    assert score_bound(q, k, scale) * LOG2E > dp._EXP_SAFE
+    pos = np.arange(seq)
+    if positions == "sparse":
+        pos = np.flatnonzero((rng.random(seq) < 0.4) | (pos == seq - 1))
+        assert len(pos) == 46
+    v1 = np.concatenate([v, np.ones((heads, seq, 1))], axis=-1)
+    out = np.empty((heads, len(pos), head_dim))
+    buffer = np.empty(heads * BLOCK * seq)
+    kt = k.transpose(0, 2, 1).copy()
+    last = dp._causal_attention(q[:, pos] * (LOG2E / scale), kt, v1, pos, buffer, out)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (out, last))
+    assert digests == SHIFTED_GOLDEN[positions]
 
 
 @settings(max_examples=60, deadline=None)
