@@ -248,7 +248,7 @@ def cmd_niah_gen(args, cfg: io.ToolConfig) -> int:
                     raise
                 raise niah.LibraryTooSmall(f"{args.library}: {exc}") from None
         name = f"{inst.instance_id}.json"
-        niah.write_instance(inst, out_dir / name)
+        io.write_output(out_dir / name, [niah.dump_instance(inst).encode()])
         print(f"wrote {name}")
     return 0
 
@@ -280,7 +280,7 @@ def cmd_niah_solve(args, cfg: io.ToolConfig) -> int:
         responses.append(
             niah.Response(instance_id=inst.instance_id, needle_id=needle_id, answer=answer)
         )
-    niah.write_responses(responses, args.out)
+    io.write_output(args.out, [niah.dump_responses(responses).encode()])
     print(f"solved={len(responses)}")
     return 0
 
@@ -324,9 +324,10 @@ def cmd_niah_heatmap(args, cfg: io.ToolConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["length,depth,instance"]
     for cell in cells:
-        niah.write_instance(cell.instance, out_dir / f"{cell.instance.instance_id}.json")
+        path = out_dir / f"{cell.instance.instance_id}.json"
+        io.write_output(path, [niah.dump_instance(cell.instance).encode()])
         lines.append(f"{cell.length},{cell.depth:g},{cell.instance.instance_id}")
-    Path(args.grid).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    io.write_output(args.grid, ["\n".join(lines).encode(), b"\n"])
     print(f"cells={len(cells)}")
     return 0
 
@@ -357,7 +358,7 @@ def cmd_niah_heatmap_score(args, cfg: io.ToolConfig) -> int:
     scores = _naming(args.responses, niah.heatmap_scores, cells, responses)
     rows = ["length,depth,accuracy"]
     rows += [f"{length},{depth:g},{acc:.4f}" for length, depth, acc in scores]
-    Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    io.write_output(args.out, ["\n".join(rows).encode(), b"\n"])
     print(f"rows={len(rows) - 1}")
     return 0
 
@@ -365,7 +366,7 @@ def cmd_niah_heatmap_score(args, cfg: io.ToolConfig) -> int:
 def cmd_niah_synth_library(args, cfg: io.ToolConfig) -> int:
     seed = _pick(args, cfg, "seed")
     items = niah.synth_library(args.size, seed=seed)
-    niah.save_library(items, args.out)
+    io.write_output(args.out, [niah.dump_library(items).encode()])
     print(f"items={len(items)}")
     return 0
 

@@ -9,19 +9,18 @@ Embedding file layout (little-endian throughout):
                   row-major (C order)
 
 Declared sizes must match the payload length exactly and every float must
-be finite. Writes go to a temp file in the target directory and are renamed
-into place, so readers never observe a partial file.
+be finite. Every output goes through write_output, which replaces a regular
+file atomically and writes through to a pipe or device. A payload is written
+in float32 chunks of 64K values, so a float64 grid is never copied whole.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import stat
 import struct
-import tempfile
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .sampler import SamplingPolicy
 MAGIC = b"HICO"
 VERSION = 1
 _HEADER = struct.Struct("<4sHIIII")
+_CHUNK_VALUES = 1 << 16  # values drawn, or written, per chunk of rows
 
 
 class EmbeddingFormatError(FileFormatError):
@@ -105,14 +105,18 @@ def decode_embeddings(blob: bytes) -> TokenGrid:
     return _grid(data.reshape(shape))
 
 
-def _header_and_payload(grid: TokenGrid) -> tuple[bytes, np.ndarray]:
-    header = _HEADER.pack(MAGIC, VERSION, grid.frames, grid.rows, grid.cols, grid.dim)
-    return header, np.ascontiguousarray(grid.data, dtype="<f4")
+def _file_chunks(grid: TokenGrid) -> Iterator:
+    """The header, then the payload in float32 chunks of whole rows: views of
+    a float32 grid, or one chunk at a time rounded from a float64 one."""
+    yield _HEADER.pack(MAGIC, VERSION, grid.frames, grid.rows, grid.cols, grid.dim)
+    rows = grid.data.reshape(-1, grid.dim)
+    step = max(1, _CHUNK_VALUES // grid.dim)
+    for lo in range(0, len(rows), step):
+        yield np.ascontiguousarray(rows[lo : lo + step], dtype="<f4")
 
 
 def encode_embeddings(grid: TokenGrid) -> bytes:
-    header, payload = _header_and_payload(grid)
-    return b"".join((header, memoryview(payload)))
+    return b"".join(_file_chunks(grid))
 
 
 _CHANGED_SIZE = "file changed size while it was read"
@@ -142,33 +146,45 @@ def read_embeddings(path: str | os.PathLike) -> TokenGrid:
         raise type(exc)(f"{os.fspath(path)}: {exc}") from None
 
 
-def write_embeddings(grid: TokenGrid, path: str | os.PathLike) -> None:
-    """Write atomically: temp file in the same directory, then rename.
+def write_output(path: str | os.PathLike, chunks: Iterable) -> None:
+    """Write the bytes-like `chunks` to `path`, as the target found there needs.
 
-    The header and then the float32 payload go straight to the file, so a
-    float32 grid is written with no copy of its bytes.
+    A missing path or a regular file, also one behind a symlink, is written
+    to a temp file beside the real target, given the replaced file's mode
+    (or the mode open() gives a new file) and renamed into place, so a
+    failed write leaves the old file and no temp file. Anything else, such
+    as a FIFO, a character device or a /proc/self/fd link, is opened and
+    written through. An OSError names `path`.
     """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    header, payload = _header_and_payload(grid)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        mode = os.stat(path).st_mode if os.path.exists(path) else None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "wb") as f:
+                f.writelines(chunks)
+            return
+        real = os.path.realpath(path)
+        tmp = os.path.join(os.path.dirname(real), f"tmp{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(header)
-                f.write(payload)
-            os.replace(tmp, path)
+            with open(fd, "wb") as f:
+                if mode is not None:
+                    os.fchmod(fd, stat.S_IMODE(mode))
+                f.writelines(chunks)
+            os.replace(tmp, real)
         except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            os.unlink(tmp)
             raise
     except OSError as exc:
         # Name the target, not the temp file the failure happened on.
         raise OSError(exc.errno, exc.strerror, path) from exc
 
 
+def write_embeddings(grid: TokenGrid, path: str | os.PathLike) -> None:
+    write_output(path, _file_chunks(grid))
+
+
 GRID_KINDS = ("constant", "clusters", "gaussian")
-_DRAW_VALUES = 1 << 16  # float64 values drawn per chunk of rows
 
 
 def synth_grid(
@@ -224,7 +240,7 @@ def synth_grid(
     if kind == "constant":
         data[...] = rng.standard_normal(dim)
         return TokenGrid(data.reshape(shape))
-    step = max(1, _DRAW_VALUES // dim)
+    step = max(1, _CHUNK_VALUES // dim)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         if kind == "gaussian":

@@ -9,7 +9,8 @@ needle (scored as CAP) and answer the needle's question (scored as QA; QA
 also requires the needle to be found, so QA <= CAP always).
 
 Library items, instances, and responses all have JSON representations with
-fixed key order, so serialization is byte-deterministic per seed.
+fixed key order, so serialization is byte-deterministic per seed; the dump_*
+functions give their text, and io.write_output writes it.
 """
 from __future__ import annotations
 
@@ -147,10 +148,8 @@ def load_library(path: str | os.PathLike) -> list[NeedleItem]:
     return items
 
 
-def save_library(items: list[NeedleItem], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump([_record(item, _ITEM_KEYS) for item in items], f, indent=2)
-        f.write("\n")
+def dump_library(items: list[NeedleItem]) -> str:
+    return json.dumps([_record(item, _ITEM_KEYS) for item in items], indent=2) + "\n"
 
 
 _COLORS = (
@@ -655,11 +654,6 @@ def load_instance(path: str | os.PathLike) -> NiahInstance:
     return instance_from_dict(_parse_json(read_text(path), path), str(path))
 
 
-def write_instance(instance: NiahInstance, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dump_instance(instance))
-
-
 def load_responses(path: str | os.PathLike) -> list[Response]:
     responses = []
     for lineno, line in enumerate(read_text(path).split("\n"), 1):
@@ -672,7 +666,5 @@ def load_responses(path: str | os.PathLike) -> list[Response]:
     return responses
 
 
-def write_responses(responses: list[Response], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for r in responses:
-            f.write(json.dumps(_record(r, _RESPONSE_KEYS)) + "\n")
+def dump_responses(responses: list[Response]) -> str:
+    return "".join(json.dumps(_record(r, _RESPONSE_KEYS)) + "\n" for r in responses)

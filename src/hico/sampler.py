@@ -92,11 +92,6 @@ def compute_frame_count(duration: float, policy: SamplingPolicy) -> int:
     return min(policy.t_max, max(math.floor(duration), policy.t_min))
 
 
-def sampling_density(duration: float, policy: SamplingPolicy) -> float:
-    """Sampled frames per second of source video."""
-    return compute_frame_count(duration, policy) / duration
-
-
 # A plan's index and timestamp per frame, as Python objects and again as the
 # report's text, with the join's temporaries.
 _PLAN_BYTES_PER_FRAME = 256

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import json_slots
-from hico import niah
+from hico import io, niah
 from hico.errors import CapacityError, DomainError
 
 LIB = niah.synth_library(100, seed=0)
@@ -441,7 +441,7 @@ def test_synth_library_distinct():
 
 def test_library_round_trip(tmp_path):
     path = tmp_path / "lib.json"
-    niah.save_library(LIB[:7], path)
+    io.write_output(path, [niah.dump_library(LIB[:7]).encode()])
     again = niah.load_library(path)
     assert again == LIB[:7]
 
@@ -449,7 +449,7 @@ def test_library_round_trip(tmp_path):
 def test_library_rejects_duplicate_ids(tmp_path):
     path = tmp_path / "lib.json"
     items = [LIB[0], LIB[0]]
-    niah.save_library(items, path)
+    io.write_output(path, [niah.dump_library(items).encode()])
     with pytest.raises(DomainError):
         niah.load_library(path)
 

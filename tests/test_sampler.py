@@ -7,6 +7,11 @@ from hico.errors import DomainError
 POLICY = sampler.SamplingPolicy(t_min=64, t_max=512)
 
 
+def density(duration, policy):
+    """A plan's sampled frames per second for a `duration`-second video at 1 fps."""
+    return sampler.build_plan(sampler.VideoMeta.from_rate(duration, 1.0), policy).density
+
+
 @pytest.mark.parametrize(
     "duration,expected",
     [(30, 64), (128, 128), (4000, 512)],
@@ -20,7 +25,7 @@ def test_frame_count_clamp(duration, expected):
     [(32, 2.0), (512, 1.0), (5120, 0.1)],
 )
 def test_density_examples(duration, expected):
-    assert sampler.sampling_density(duration, POLICY) == pytest.approx(expected)
+    assert density(duration, POLICY) == pytest.approx(expected)
 
 
 @pytest.mark.parametrize("duration", [0, -1, -0.5])
@@ -28,7 +33,7 @@ def test_nonpositive_duration_rejected(duration):
     with pytest.raises(DomainError):
         sampler.compute_frame_count(duration, POLICY)
     with pytest.raises(DomainError):
-        sampler.sampling_density(duration, POLICY)
+        density(duration, POLICY)
 
 
 def test_policy_validation():
@@ -124,9 +129,7 @@ def test_frame_count_monotone(d1, d2, policy):
 )
 def test_density_decreases_for_short_videos(policy, frac, step):
     d = policy.t_min * frac
-    assert sampler.sampling_density(d, policy) > sampler.sampling_density(
-        d + step * policy.t_min, policy
-    )
+    assert density(d, policy) > density(d + step * policy.t_min, policy)
 
 
 @given(
@@ -136,9 +139,7 @@ def test_density_decreases_for_short_videos(policy, frac, step):
 )
 def test_density_decreases_for_long_videos(policy, extra, step):
     d = policy.t_max + extra
-    assert sampler.sampling_density(d, policy) > sampler.sampling_density(
-        d + step, policy
-    )
+    assert density(d, policy) > density(d + step, policy)
 
 
 @given(
