@@ -561,9 +561,10 @@ def _compress_stack(
         queries = queries[: scaled_budget(config.queries, count, config.clip_len)]
         outputs = [resampler_forward(frames.reshape(-1, dim), queries, wk, wv, config.temperature)
                    for frames in stack]
-        path = config.weights_path
-        if path is not None and not all(np.all(np.isfinite(out)) for out in outputs):
-            raise DomainError(f"resampler outputs with weights file {path} are non-finite")
+        if not all(np.all(np.isfinite(out)) for out in outputs):
+            path = config.weights_path
+            cause = f"--temperature {config.temperature}" if path is None else f"weights file {path}"
+            raise DomainError(f"resampler outputs with {cause} are non-finite")
         columns = ((out, np.full(len(queries), count * rows * cols), WHOLE_CLIP) for out in outputs)
     return [CompressedClip(*c, span, (rows, cols)) for span, c in zip(spans, columns)]
 

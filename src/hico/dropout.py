@@ -4,7 +4,8 @@ Visual tokens are discarded between decoder layers: uniformly strided drops
 at shallow layers (cheap, structure-preserving) and attention-guided
 selection at deep layers (keeps the tokens the text is actually attending
 to). A seeded toy decoder executes schedules end to end and produces the
-attention snapshots the attention-guided stage consumes.
+attention snapshots the attention-guided stage consumes. A ToyModel holds
+its weights, drawn once, folded at build and read-only, for every run.
 
 Schedules are written as ``uni:<layer>:<ratio>,attn:<layer>:<ratio>``;
 each entry keeps ceil(ratio * current_count) tokens just before the named
@@ -306,12 +307,12 @@ def _attend(
     return q.reshape(len(pos), heads * head_dim), last
 
 
-def _check_bytes(text_tokens: int, visual: np.ndarray, geometry: DecoderGeometry) -> None:
-    """Refuse a run whose weights, per-layer arrays or records would pass BYTES_CAP."""
+def _check_bytes(geometry: DecoderGeometry, in_dim: int, text_tokens=0, visual_tokens=0) -> None:
+    """Refuse a model, or a run with the model it reads, that would pass BYTES_CAP."""
     h, heads, layers = geometry.hidden_dim, geometry.heads, geometry.layers
-    # The layers' weights and one zero-padded copy of a layer's value weights.
-    weights = 8 * (visual.shape[1] * h + layers * 8 * h * h + h * (h + heads))
-    seq = visual.shape[0] + text_tokens
+    # The weights and a run's zero-padded copy of one layer's value weights.
+    weights = 8 * (in_dim * h + layers * 8 * h * h + h * (h + heads))
+    seq = visual_tokens + text_tokens
     # Per token, in floats: states and text; the layer-normed states, keys
     # and queries, which then hold the attention output; the values with
     # their ones column, and the PV rows with their row-sum column; the MLP's
@@ -320,9 +321,9 @@ def _check_bytes(text_tokens: int, visual: np.ndarray, geometry: DecoderGeometry
     # snapshot row, and the kept indices and a drop's selection as Python
     # ints (40 bytes each). A layer before a drop is counted at full length.
     arrays = 8 * seq * (11 * h + heads * (5 + _ROW_BLOCK) + 13)
-    # Each layer keeps a snapshot and a kept list, 16 bytes a token, and
-    # about 2 KiB of objects.
-    records = layers * (16 * seq + 2048)
+    # Each layer of a run keeps a snapshot and a kept list, 16 bytes a token,
+    # and about 2 KiB of objects.
+    records = layers * (16 * seq + 2048) if seq else 0
     if weights > arrays + records:
         what = f"the toy decoder's weights at layers={layers}, hidden_dim {h}"
     else:
@@ -330,23 +331,116 @@ def _check_bytes(text_tokens: int, visual: np.ndarray, geometry: DecoderGeometry
     check_bytes(weights + arrays + records, what)
 
 
-class _ToyWeights:
-    def __init__(self, rng: np.random.Generator, geometry: DecoderGeometry, in_dim: int):
-        h = geometry.hidden_dim
-        s = 1.0 / math.sqrt(h)
+def _checked(text_tokens: int, visual, geometry: DecoderGeometry, schedule: DropSchedule):
+    """`visual` as float64, once the run's sizes, schedule and bytes pass."""
+    if text_tokens < 1:
+        raise DomainError("need at least one text token for the attention query")
+    vis = np.asarray(visual, dtype=np.float64)
+    if vis.ndim != 2 or vis.shape[0] < 1:
+        raise DomainError("visual context must be a non-empty (tokens, dim) array")
+    _check_depth(schedule, geometry.layers)
+    if any(e.method == ATTENTION and e.layer == 0 for e in schedule.entries):
+        raise ConfigError("attention drop at layer 0 has no prior snapshot")
+    _check_bytes(geometry, vis.shape[1], text_tokens, vis.shape[0])
+    return vis
+
+
+class ToyModel:
+    """A seeded toy decoder's weights, drawn once, read-only and read by every run.
+
+    `rng` draws `w_in`, then all layers' wq, wk, wv, wo, w1 and w2 as one
+    (layers, 8·hidden²) array: the stream of one draw per matrix. wq carries
+    the softmax scale and log2(e), so q k^T is in log2 units. Each kind is a
+    (layers, …) view. Raises DomainError, before drawing, when the weights
+    would pass errors.BYTES_CAP."""
+
+    def __init__(self, geometry: DecoderGeometry, in_dim: int, rng: np.random.Generator):
+        _check_bytes(geometry, in_dim)
+        h, layers = geometry.hidden_dim, geometry.layers
+        self.geometry = geometry
         self.w_in = rng.standard_normal((in_dim, h)) / math.sqrt(in_dim)
-        self.layers = []
-        for _ in range(geometry.layers):
-            self.layers.append(
-                {
-                    "wq": rng.standard_normal((h, h)) * s,
-                    "wk": rng.standard_normal((h, h)) * s,
-                    "wv": rng.standard_normal((h, h)) * s,
-                    "wo": rng.standard_normal((h, h)) * s,
-                    "w1": rng.standard_normal((h, 2 * h)) * s,
-                    "w2": rng.standard_normal((2 * h, h)) / math.sqrt(2 * h),
-                }
+        w = rng.standard_normal((layers, 8 * h * h))
+        w[:, : 6 * h * h] *= 1.0 / math.sqrt(h)
+        w[:, 6 * h * h :] /= math.sqrt(2 * h)
+        w[:, : h * h] *= math.log2(math.e) / math.sqrt(h // geometry.heads)
+        self.w_in.flags.writeable = w.flags.writeable = False
+        parts = np.split(w, h * h * np.array([1, 2, 3, 4, 6]), axis=1)
+        shapes = [(h, h)] * 4 + [(h, 2 * h), (2 * h, h)]
+        self.wq, self.wk, self.wv, self.wo, self.w1, self.w2 = (
+            part.reshape(layers, *shape) for part, shape in zip(parts, shapes)
+        )
+
+    def run(self, visual: np.ndarray, text: np.ndarray, schedule=DropSchedule()) -> DecoderRun:
+        """Run over (visual tokens, `text`), a (tokens, hidden) array, as
+        toy_decoder_run does. Raises DomainError, before allocating, when the
+        run with this model would pass errors.BYTES_CAP."""
+        vis = _checked(len(text), visual, self.geometry, schedule)
+        h, heads = self.geometry.hidden_dim, self.geometry.heads
+        head_dim = h // heads
+        # Each layer's value weights are copied into this array, which has a
+        # zero column after each head. The projection then leaves a column
+        # per head that is set to ones, and PV also yields the row sums.
+        wv_pad = np.zeros((h, heads, head_dim + 1))
+
+        states = np.concatenate([vis @ self.w_in, text], axis=0)
+        kept = list(range(vis.shape[0]))
+        by_layer = {e.layer: e for e in schedule.entries}
+        if 0 in by_layer:  # a uniform drop; attention drops at layer 0 were refused above
+            kept = uniform_drop(len(kept), by_layer[0].keep_ratio)
+            states = np.concatenate([states[kept], text])
+
+        snapshots: list[AttentionSnapshot] = []
+        kept_per_layer: list[list[int]] = []
+        # Sequence length never grows, so the first layer's row block fits every layer.
+        buffer = np.empty(heads * _ROW_BLOCK * states.shape[0])
+
+        weights = zip(self.wq, self.wk, self.wv, self.wo, self.w1, self.w2)
+        for layer, (wq, wk, wv, wo, w1, w2) in enumerate(weights):
+            kept_per_layer.append(list(kept))
+            seq = states.shape[0]
+            normed = _layer_norm(states)
+            kt = (wk.T @ normed.T).reshape(heads, head_dim, seq)
+            wv_pad[:, :, :head_dim] = wv.reshape(h, heads, head_dim)
+            v1 = (normed @ wv_pad.reshape(h, -1)).reshape(seq, heads, head_dim + 1)
+            v1[:, :, head_dim] = 1.0
+            v1 = v1.transpose(1, 0, 2)
+            # Every row is a key. Before a drop, queries run first for the final row
+            # block alone, whose last row gives the snapshot the drop may read.
+            entry = by_layer.get(layer + 1)
+            start = 0 if entry is None else (seq - 1) // _ROW_BLOCK * _ROW_BLOCK
+            attn, last = _attend(normed[start:], np.arange(start, seq), wq, kt, v1, buffer)
+
+            last_row = last.mean(axis=0)
+            snapshots.append(
+                AttentionSnapshot(
+                    layer=layer,
+                    scores=last_row[: len(kept)].copy(),
+                    text_scores=last_row[len(kept) :].copy(),
+                )
             )
+
+            if entry is not None:
+                # Only the survivors, the kept visual rows and every text
+                # row, go on; the rest of the layer runs for them alone.
+                if entry.method == UNIFORM:
+                    sel = uniform_drop(len(kept), entry.keep_ratio)
+                else:
+                    sel = attention_select(snapshots[-1].scores, entry.keep_ratio)
+                rows = np.concatenate([sel, np.arange(len(kept), seq)])
+                kept = [kept[i] for i in sel]
+                split = int(np.searchsorted(rows, start))
+                attn = attn[rows[split:] - start]
+                if split:
+                    head = rows[:split]
+                    head_attn = _attend(normed[head], head, wq, kt, v1, buffer)[0]
+                    attn = np.concatenate([head_attn, attn])
+                states = states[rows]
+            states = states + attn @ wo
+            # Freed before the MLP allocates its activations: a lower peak.
+            del normed, kt, v1, attn
+            states = states + np.maximum(_layer_norm(states) @ w1, 0.0) @ w2
+
+        return DecoderRun(states=states, snapshots=snapshots, kept=kept_per_layer)
 
 
 def toy_decoder_run(
@@ -356,7 +450,7 @@ def toy_decoder_run(
     schedule: DropSchedule = DropSchedule(),
     seed: int = 0,
 ) -> DecoderRun:
-    """Run a seeded causal decoder over (visual tokens, synthetic text).
+    """Build a ToyModel from `seed` and run it over (visual tokens, synthetic text).
 
     `visual` is an (n, dim) array, e.g. a context's ``vectors()``. Visual
     tokens come first, then `text_tokens` seeded text embeddings.
@@ -367,93 +461,10 @@ def toy_decoder_run(
     and MLP only for the rows the drop keeps and for its final row block,
     whose last row gives the snapshot; the next layer starts from the
     survivors. Bit-reproducible per seed.
-    Raises DomainError, before allocating, when the run would need more than
-    errors.BYTES_CAP bytes.
+    Raises DomainError, before allocating, when the weights and the run
+    together would need more than errors.BYTES_CAP bytes.
     """
-    if text_tokens < 1:
-        raise DomainError("need at least one text token for the attention query")
-    vis = np.asarray(visual, dtype=np.float64)
-    if vis.ndim != 2 or vis.shape[0] < 1:
-        raise DomainError("visual context must be a non-empty (tokens, dim) array")
-    _check_depth(schedule, geometry.layers)
-    if any(e.method == ATTENTION and e.layer == 0 for e in schedule.entries):
-        raise ConfigError("attention drop at layer 0 has no prior snapshot")
-    _check_bytes(text_tokens, vis, geometry)
-
+    vis = _checked(text_tokens, visual, geometry, schedule)
     rng = np.random.default_rng(seed)
-    weights = _ToyWeights(rng, geometry, vis.shape[1])
-    text = rng.standard_normal((text_tokens, geometry.hidden_dim))
-
-    h = geometry.hidden_dim
-    heads = geometry.heads
-    head_dim = h // heads
-    # q carries the softmax scale and log2(e), so its scores are in log2
-    # units.
-    fold = math.log2(math.e) / math.sqrt(head_dim)
-    for w in weights.layers:
-        w["wq"] *= fold
-    # Each layer's value weights are copied into this array, which has a zero
-    # column after each head. The projection then leaves a column per head
-    # that is set to ones, and PV also yields the row sums.
-    wv = np.zeros((h, heads, head_dim + 1))
-
-    states = np.concatenate([vis @ weights.w_in, text], axis=0)
-    kept = list(range(vis.shape[0]))
-    by_layer = {e.layer: e for e in schedule.entries}
-    if 0 in by_layer:  # a uniform drop; attention drops at layer 0 were refused above
-        kept = uniform_drop(len(kept), by_layer[0].keep_ratio)
-        states = np.concatenate([states[kept], text])
-
-    snapshots: list[AttentionSnapshot] = []
-    kept_per_layer: list[list[int]] = []
-    # Sequence length never grows, so the first layer's row block fits every layer.
-    buffer = np.empty(heads * _ROW_BLOCK * states.shape[0])
-
-    for layer in range(geometry.layers):
-        kept_per_layer.append(list(kept))
-        w = weights.layers[layer]
-        seq = states.shape[0]
-        normed = _layer_norm(states)
-        kt = (w["wk"].T @ normed.T).reshape(heads, head_dim, seq)
-        wv[:, :, :head_dim] = w["wv"].reshape(h, heads, head_dim)
-        v1 = (normed @ wv.reshape(h, -1)).reshape(seq, heads, head_dim + 1)
-        v1[:, :, head_dim] = 1.0
-        v1 = v1.transpose(1, 0, 2)
-        # Every row is a key. Before a drop, queries run first for the final
-        # row block alone, whose last row gives the snapshot the drop may read.
-        entry = by_layer.get(layer + 1)
-        start = 0 if entry is None else (seq - 1) // _ROW_BLOCK * _ROW_BLOCK
-        attn, last = _attend(normed[start:], np.arange(start, seq), w["wq"], kt, v1, buffer)
-
-        last_row = last.mean(axis=0)
-        snapshots.append(
-            AttentionSnapshot(
-                layer=layer,
-                scores=last_row[: len(kept)].copy(),
-                text_scores=last_row[len(kept) :].copy(),
-            )
-        )
-
-        if entry is not None:
-            # Only the survivors, the kept visual rows and every text row, go
-            # on; the rest of the layer runs for them alone.
-            if entry.method == UNIFORM:
-                sel = uniform_drop(len(kept), entry.keep_ratio)
-            else:
-                sel = attention_select(snapshots[-1].scores, entry.keep_ratio)
-            rows = np.concatenate([sel, np.arange(len(kept), seq)])
-            kept = [kept[i] for i in sel]
-            split = int(np.searchsorted(rows, start))
-            attn = attn[rows[split:] - start]
-            if split:
-                head = rows[:split]
-                attn = np.concatenate(
-                    [_attend(normed[head], head, w["wq"], kt, v1, buffer)[0], attn]
-                )
-            states = states[rows]
-        states = states + attn @ w["wo"]
-        # Freed before the MLP allocates its activations: a lower peak.
-        del normed, kt, v1, attn
-        states = states + np.maximum(_layer_norm(states) @ w["w1"], 0.0) @ w["w2"]
-
-    return DecoderRun(states=states, snapshots=snapshots, kept=kept_per_layer)
+    model = ToyModel(geometry, vis.shape[1], rng)
+    return model.run(vis, rng.standard_normal((text_tokens, geometry.hidden_dim)), schedule)

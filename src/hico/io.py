@@ -207,7 +207,7 @@ def synth_grid(
     the grid, so no float64 copy of the whole grid is made; consecutive draws
     continue one stream, so the bytes do not depend on the chunk size.
     Raises DomainError, before allocating, when the grid would pass
-    errors.BYTES_CAP.
+    errors.BYTES_CAP, and when a clusters value overflows float32.
     """
     if kind not in GRID_KINDS:
         raise DomainError(f"unknown grid kind {kind!r}; have {GRID_KINDS}")
@@ -256,6 +256,8 @@ def synth_grid(
         for i in range(lo * k // n, (hi - 1) * k // n + 1):
             chunk[max(bounds[i], lo) - lo : min(bounds[i + 1], hi) - lo] += centroids[i]
         data[lo:hi] = chunk
+        if not np.isfinite(data[lo:hi]).all():
+            raise DomainError(f"--noise {noise} overflows the float32 grid")
     return TokenGrid(data.reshape(shape))
 
 

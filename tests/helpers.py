@@ -281,10 +281,23 @@ def ref_toy_decoder_run(
 ) -> dropout.DecoderRun:
     vis = np.asarray(visual, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    weights = dropout._ToyWeights(rng, geometry, vis.shape[1])
-    text = rng.standard_normal((text_tokens, geometry.hidden_dim))
+    h = geometry.hidden_dim
+    s = 1.0 / math.sqrt(h)
+    w_in = rng.standard_normal((vis.shape[1], h)) / math.sqrt(vis.shape[1])
+    weights = [
+        {
+            "wq": rng.standard_normal((h, h)) * s,
+            "wk": rng.standard_normal((h, h)) * s,
+            "wv": rng.standard_normal((h, h)) * s,
+            "wo": rng.standard_normal((h, h)) * s,
+            "w1": rng.standard_normal((h, 2 * h)) * s,
+            "w2": rng.standard_normal((2 * h, h)) / math.sqrt(2 * h),
+        }
+        for _ in range(geometry.layers)
+    ]
+    text = rng.standard_normal((text_tokens, h))
 
-    states = np.concatenate([vis @ weights.w_in, text], axis=0)
+    states = np.concatenate([vis @ w_in, text], axis=0)
     kept = list(range(vis.shape[0]))
     by_layer = {e.layer: e for e in schedule.entries}
 
@@ -304,7 +317,7 @@ def ref_toy_decoder_run(
             states = np.concatenate([states[sel], states[len(states) - text_tokens :]])
         kept_per_layer.append(list(kept))
 
-        w = weights.layers[layer]
+        w = weights[layer]
         seq = states.shape[0]
         normed = ref_layer_norm(states)
         q = (normed @ w["wq"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)

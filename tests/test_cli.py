@@ -1372,16 +1372,16 @@ def test_synth_bad_noise_is_domain_error(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,cause",
     [
-        ["compress", "--in", "{grid}", "--out", "{tmp}/c.bin", "--connector", "resampler",
-         "--temperature", "1e-320"],
-        ["synth", "--kind", "clusters", "--shape", "2x4x4x8", "--noise", "1e308",
-         "--out", "{tmp}/s.bin"],
+        (["compress", "--in", "{grid}", "--out", "{tmp}/c.bin", "--connector", "resampler",
+          "--temperature", "1e-320"], "resampler outputs with --temperature 1e-320 are non-finite"),
+        (["synth", "--kind", "clusters", "--shape", "2x4x4x8", "--noise", "1e308",
+          "--out", "{tmp}/s.bin"], "--noise 1e+308 overflows the float32 grid"),
     ],
     ids=["resampler-temperature", "synth-noise"],
 )
-def test_float_overflow_warns_nothing_before_the_one_line_error(tmp_path, capsys, argv):
+def test_float_overflow_warns_nothing_before_the_one_line_error(tmp_path, capsys, argv, cause):
     grid = synth(tmp_path, shape="2x4x4x8")
     argv = [a.format(tmp=tmp_path, grid=grid) for a in argv]
     # A warning raised here would print to stderr ahead of the error line.
@@ -1389,7 +1389,8 @@ def test_float_overflow_warns_nothing_before_the_one_line_error(tmp_path, capsys
         warnings.simplefilter("always")
         code, out, err = run(capsys, *argv)
     assert one_line_error(code, err) and out == ""
-    assert err == "error: token grid contains non-finite values\n"
+    # The line names the flag that made the values overflow.
+    assert err == f"error: {cause}\n"
     assert [str(w.message) for w in caught] == []
 
 

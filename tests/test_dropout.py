@@ -431,6 +431,38 @@ def test_decoder_matches_reference_at_paper_size():
     assert_matches_reference(got, want)
 
 
+def test_one_model_serves_every_run_bit_for_bit_and_is_read_only():
+    geometry = dp.DecoderGeometry(layers=4, hidden_dim=8, heads=2)
+    schedule = dp.DropSchedule.parse("uni:1:0.5,attn:3:0.5")
+    sizes = ((0, 40, 3), (1, 70, 5))  # seed, visual tokens, text tokens
+    inputs = [(np.random.default_rng(i).standard_normal((n, 6)), t) for i, n, t in sizes]
+    shared = dp.ToyModel(geometry, 6, np.random.default_rng(7))
+
+    def bits(run):
+        arrays = [run.states] + [a for s in run.snapshots for a in (s.scores, s.text_scores)]
+        return [a.tobytes() for a in arrays], run.kept
+
+    for vis, text_tokens in inputs:
+        rng = np.random.default_rng(7)
+        fresh = dp.ToyModel(geometry, 6, rng)  # the text follows the weights in the stream
+        text = rng.standard_normal((text_tokens, geometry.hidden_dim))
+        want = bits(dp.toy_decoder_run(text_tokens, vis, geometry, schedule, seed=7))
+        assert bits(shared.run(vis, text, schedule)) == want
+        assert bits(fresh.run(vis, text, schedule)) == want
+    for array in (shared.w_in, shared.wq, shared.wk, shared.wv, shared.wo, shared.w1, shared.w2):
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2.0
+
+
+def test_model_and_run_refuse_over_cap_sizes_before_allocating():
+    with pytest.raises(DomainError, match="weights at layers=100000000"):
+        dp.ToyModel(dp.DecoderGeometry(layers=10**8), 4, None)  # None draws nothing
+    model = dp.ToyModel(dp.DecoderGeometry(layers=1, hidden_dim=8, heads=2), 4, np.random.default_rng(0))
+    text = np.broadcast_to(np.zeros(8), (10**9, 8))  # no memory behind its rows
+    with pytest.raises(DomainError, match="text_tokens=1000000000"):
+        model.run(np.ones((4, 4)), text)
+
+
 def test_decoder_peak_memory_below_half_a_score_square():
     heads, seq = 4, 1024 + 8
     geometry = dp.DecoderGeometry(layers=2, hidden_dim=64, heads=heads)
