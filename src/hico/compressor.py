@@ -15,12 +15,12 @@ squeezed down to a small token budget by one of four connector families:
 The connector functions take arrays and return columns; no clip object sits
 between them and the grid. ``compress_video`` cuts clip i's frames
 [i·clip_len, min((i+1)·clip_len, frames)) out of the grid, as one stack of
-the full clips and one of a short final clip, and compresses each stack.
-Outputs are stored as columns (CompressedClip): vectors, sizes, and the
-output token that absorbed each (frame, row, col) input token. Merge,
-spatial and uneven vectors are size-weighted means of their sources, so
-token mass is conserved. Resampler outputs are attention-weighted blends of
-the whole clip and carry the whole clip as provenance.
+the full clips and one of a short final clip, and writes each clip into its
+rows of one set of columns allocated up front: vectors, sizes, and
+``owner``, the row that absorbed each (frame, row, col) input token of the
+grid. Merge, spatial and uneven vectors are size-weighted means of their
+sources, so token mass is conserved. Resampler outputs blend their whole
+clip: the context has no owner, and each size is the clip's token count.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import math
 import zipfile
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -89,97 +89,65 @@ class TokenGrid:
         return self.frames * self.rows * self.cols
 
 
-WHOLE_CLIP = None  # owner marker: every output token blends the whole clip
-
-
-@dataclass(eq=False)
-class CompressedClip:
-    """One clip's compressed tokens as columns: (n, dim) ``vectors``, (n,) ``sizes``.
-
-    ``owner[i]`` is the output token that absorbed input token i, counted
-    frame-major and row-major over ``frame_span`` x ``frame_shape`` (rows,
-    cols); it is WHOLE_CLIP when every output draws on the whole clip.
-    """
-
-    vectors: np.ndarray
-    sizes: np.ndarray
-    owner: np.ndarray | None
-    frame_span: tuple[int, int]
-    frame_shape: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        self.sizes = np.asarray(self.sizes, dtype=np.int64)
-        n = len(self.vectors)
-        if self.vectors.ndim != 2 or self.sizes.shape != (n,) or np.any(self.sizes < 1):
-            raise DomainError("need a (tokens, dim) vector array and a size >= 1 per token")
-        inputs = (self.frame_span[1] - self.frame_span[0]) * math.prod(self.frame_shape)
-        if self.owner is WHOLE_CLIP:
-            counts = np.full(n, inputs)
-        else:
-            self.owner = np.asarray(self.owner, dtype=np.int64)
-            if self.owner.shape != (inputs,) or np.any((self.owner < 0) | (self.owner >= n)):
-                raise DomainError("owner must map every input token to an output token")
-            counts = np.bincount(self.owner, minlength=n)
-        if not np.array_equal(self.sizes, counts):
-            raise DomainError("token size must equal the number of sources")
-
-
 class MergedToken(NamedTuple):
     vector: np.ndarray
     size: int
 
 
 class TokenView(Sequence):
-    """Read-only list of the (vector, size) tokens of some clips, each built when read."""
+    """Read-only list of a context's (vector, size) tokens, each built when read."""
 
-    def __init__(self, clips: list[CompressedClip]):
-        self._at = [(c, j) for c in clips for j in range(len(c.sizes))]
+    def __init__(self, vectors: np.ndarray, sizes: np.ndarray):
+        self._vectors, self._sizes = vectors, sizes
 
     def __len__(self) -> int:
-        return len(self._at)
+        return len(self._sizes)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [MergedToken(c.vectors[j], int(c.sizes[j])) for c, j in self._at[i]]
-        c, j = self._at[i]
-        return MergedToken(c.vectors[j], int(c.sizes[j]))
+            return [MergedToken(v, int(s)) for v, s in zip(self._vectors[i], self._sizes[i])]
+        return MergedToken(self._vectors[i], int(self._sizes[i]))
 
 
-@dataclass(eq=False)
 class VisualContext:
-    """Compressed clips in clip order, read as joined columns: ``vectors()``
-    (n, dim) and ``sizes`` (n,). Provenance is each clip's ``owner``.
+    """A compressed video as one set of read-only columns, in clip order.
 
-    The clips' vectors are joined once, on construction, into one read-only
-    array, and each clip's ``vectors`` becomes a view of its rows of it.
+    ``vectors()`` is (n, dim) float64 and ``sizes`` (n,) int64; clip i's rows
+    start at ``clip_offsets[i]``. ``owner[i]`` is the row that absorbed input
+    token i of the grid, counted frame-major and row-major; it is None for the
+    resampler, whose every output blends its whole clip. ``clip_inputs``, each
+    clip's input-token count, is checked against the columns and not kept.
     """
 
-    clips: list[CompressedClip]
-    _vectors: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._vectors = np.concatenate([c.vectors for c in self.clips])
-        self._vectors.flags.writeable = False
-        for clip, start in zip(self.clips, self.clip_offsets):
-            clip.vectors = self._vectors[start : start + len(clip.sizes)]
+    def __init__(self, vectors, sizes, owner, clip_offsets: list[int], clip_inputs: list[int]):
+        vectors = np.asarray(vectors, dtype=np.float64)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        n = len(vectors)
+        if vectors.ndim != 2 or sizes.shape != (n,) or np.any(sizes < 1):
+            raise DomainError("need a (tokens, dim) vector array and a size >= 1 per token")
+        if owner is None:
+            counts = np.repeat(clip_inputs, np.diff([*clip_offsets, n]))
+        else:
+            owner = np.asarray(owner, dtype=np.int64)
+            if owner.shape != (sum(clip_inputs),) or np.any((owner < 0) | (owner >= n)):
+                raise DomainError("owner must map every input token to an output token")
+            counts = np.bincount(owner, minlength=n)
+        if not np.array_equal(sizes, counts):
+            raise DomainError("token size must equal the number of sources")
+        for column in (vectors, sizes, owner):
+            if column is not None:
+                column.flags.writeable = False
+        self._vectors, self.sizes, self.owner = vectors, sizes, owner
+        self.clip_offsets = clip_offsets
 
     def vectors(self) -> np.ndarray:
         """The stored (n, dim) array, read-only; a caller that writes copies it first."""
         return self._vectors
 
     @property
-    def sizes(self) -> np.ndarray:
-        return np.concatenate([c.sizes for c in self.clips])
-
-    @property
-    def clip_offsets(self) -> list[int]:
-        return list(itertools.accumulate((len(c.sizes) for c in self.clips[:-1]), initial=0))
-
-    @property
     def tokens(self) -> TokenView:
         """A lazy (vector, size) view; only the benchmark still reads it."""
-        return TokenView(self.clips)
+        return TokenView(self._vectors, self.sizes)
 
 
 CONNECTOR_KINDS = ("merge", "spatial", "uneven", "resampler")
@@ -497,20 +465,18 @@ def scaled_budget(budget: int, frames_in_clip: int, clip_len: int) -> int:
 
 
 def _resampler_weights(
-    grid: TokenGrid, config: ConnectorConfig, spans
+    grid: TokenGrid, config: ConnectorConfig, counts: list[int]
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """The video's (queries, wk, wv), with ``config.queries`` query rows.
 
     First refuses, before allocating, queries whose arrays would pass
-    BYTES_CAP. The check counts the video's queries, four (queries, tokens)
-    arrays for the largest clip, a bound above the one scores array the
-    in-place softmax holds, and the output twice, as the clips and joined.
+    BYTES_CAP; ``counts`` are the clips' output rows. The check counts the
+    video's queries, four (queries, tokens) arrays for the largest clip, a
+    bound above the one scores array the in-place softmax holds, and the
+    output twice, a bound above the context's rows and one clip's output.
     """
-    count = spans[0][1] - spans[0][0]
-    largest = scaled_budget(config.queries, count, config.clip_len)
-    tokens = count * grid.rows * grid.cols
-    outputs = sum(scaled_budget(config.queries, b - a, config.clip_len) for a, b in spans)
-    needed = 8 * (config.queries * grid.dim + 4 * largest * tokens + 2 * outputs * grid.dim)
+    tokens = min(config.clip_len, grid.frames) * grid.rows * grid.cols
+    needed = 8 * (config.queries * grid.dim + 4 * counts[0] * tokens + 2 * sum(counts) * grid.dim)
     check_bytes(needed, f"--queries {config.queries} on clips of {tokens} tokens")
     if config.weights_path is not None:
         path = config.weights_path
@@ -532,41 +498,64 @@ def _resampler_weights(
     return queries, None, None
 
 
-def _compress_stack(
-    stack: np.ndarray, spans, config: ConnectorConfig, weights
-) -> list[CompressedClip]:
-    """Compress a stack of equal-length clips, (clips, frames, rows, cols, dim).
+def _clip_outputs(config: ConnectorConfig, frames: int, rows: int, cols: int) -> int:
+    """The rows a clip of `frames` frames compresses to, known before any connector runs.
 
-    Merge runs the whole stack through tome_merge in lockstep; the other
-    kinds compress one clip at a time. Merge and resampler budgets are
-    scaled to the clips' frame count, and a short clip reads the first rows
-    of the video's resampler ``weights`` (queries, wk, wv); for the
-    downsampling kinds the output length is the analytic block count.
+    A pooling factor that does not divide the grid, or a merge budget above
+    the clip's tokens, is refused by its connector; the count is floored or
+    capped only so that the allocation made before the refusal stays small.
     """
-    count, rows, cols, dim = stack.shape[1:]
     if config.kind == "merge":
-        tokens = stack.reshape(len(stack), -1, dim)
+        return min(scaled_budget(config.budget, frames, config.clip_len), frames * rows * cols)
+    if config.kind == "resampler":
+        return scaled_budget(config.queries, frames, config.clip_len)
+    uneven = config.kind == "uneven"
+    first, rest = (config.f_first, config.f_rest) if uneven else (config.factor, config.factor)
+    return (rows // first) * (cols // first) + (frames - 1) * (rows // rest) * (cols // rest)
+
+
+def _compress_stack(
+    stack: np.ndarray, config: ConnectorConfig, weights, vectors, sizes, owner, first_row: int
+) -> None:
+    """Compress a stack of equal-length clips, (clips, frames, rows, cols, dim),
+    into the stack's rows of the context's ``vectors`` and ``sizes``.
+
+    ``owner`` covers the stack's inputs (None for the resampler) and holds
+    context rows, counted from ``first_row``. Merge runs the whole stack
+    through tome_merge in lockstep; the other kinds compress one clip at a
+    time. Merge and resampler budgets are scaled to the clips' frame count,
+    and a short clip reads the first rows of the video's resampler
+    ``weights`` (queries, wk, wv).
+    """
+    clips, count, rows, cols, dim = stack.shape
+    per = len(sizes) // clips
+    if config.kind == "merge":
+        tokens = stack.reshape(clips, -1, dim)
         if config.st_temperature is not None:
             mixed = np.empty(tokens.shape)
             for clip, out in zip(tokens, mixed):
                 out[...] = st_mix(clip, config.st_temperature)
             tokens = mixed
-        columns = zip(*tome_merge(tokens, scaled_budget(config.budget, count, config.clip_len)))
+        outputs = zip(*tome_merge(tokens, scaled_budget(config.budget, count, config.clip_len)))
     elif config.kind == "spatial":
-        columns = (spatial_downsample(frames, config.factor) for frames in stack)
+        outputs = (spatial_downsample(frames, config.factor) for frames in stack)
     elif config.kind == "uneven":
-        columns = (uneven_downsample(frames, config.f_first, config.f_rest) for frames in stack)
+        outputs = (uneven_downsample(frames, config.f_first, config.f_rest) for frames in stack)
     else:
         queries, wk, wv = weights
-        queries = queries[: scaled_budget(config.queries, count, config.clip_len)]
-        outputs = [resampler_forward(frames.reshape(-1, dim), queries, wk, wv, config.temperature)
-                   for frames in stack]
-        if not all(np.all(np.isfinite(out)) for out in outputs):
-            path = config.weights_path
-            cause = f"--temperature {config.temperature}" if path is None else f"weights file {path}"
-            raise DomainError(f"resampler outputs with {cause} are non-finite")
-        columns = ((out, np.full(len(queries), count * rows * cols), WHOLE_CLIP) for out in outputs)
-    return [CompressedClip(*c, span, (rows, cols)) for span, c in zip(spans, columns)]
+        outputs = (
+            (resampler_forward(frames.reshape(-1, dim), queries[:per], wk, wv, config.temperature),
+             count * rows * cols, None)
+            for frames in stack
+        )
+    for c, (v, s, o) in enumerate(outputs):
+        vectors[c * per : (c + 1) * per], sizes[c * per : (c + 1) * per] = v, s
+        if o is not None:
+            np.add(o, first_row + c * per, out=owner[c * len(o) : (c + 1) * len(o)])
+    if config.kind == "resampler" and not np.all(np.isfinite(vectors)):
+        path = config.weights_path
+        cause = f"--temperature {config.temperature}" if path is None else f"weights file {path}"
+        raise DomainError(f"resampler outputs with {cause} are non-finite")
 
 
 def compress_video(grid: TokenGrid, config: ConnectorConfig) -> VisualContext:
@@ -574,19 +563,28 @@ def compress_video(grid: TokenGrid, config: ConnectorConfig) -> VisualContext:
 
     Clip i spans frames [i·clip_len, min((i+1)·clip_len, frames)). A short
     final clip gets a proportionally smaller budget so the average
-    tokens-per-frame rate stays constant across the video. The full clips
-    go to ``_compress_stack`` as one stack, a view of the grid, and a short
-    final clip as a second.
+    tokens-per-frame rate stays constant across the video. The columns are
+    allocated once, before any connector runs; the full clips go to
+    ``_compress_stack`` as one stack, a view of the grid, and a short final
+    clip as a second.
     """
-    frames, clip_len = grid.frames, config.clip_len
-    spans = [(start, min(start + clip_len, frames)) for start in range(0, frames, clip_len)]
-    weights = _resampler_weights(grid, config, spans) if config.kind == "resampler" else None
-    clips = []
-    for _, same_length in itertools.groupby(spans, lambda span: span[1] - span[0]):
-        group = list(same_length)
-        stack = grid.data[group[0][0] : group[-1][1]].reshape(len(group), -1, *grid.data.shape[1:])
-        clips += _compress_stack(stack, group, config, weights)
-    return VisualContext(clips)
+    frames, rows, cols, dim = grid.data.shape
+    lengths = [min(config.clip_len, frames - a) for a in range(0, frames, config.clip_len)]
+    counts = [_clip_outputs(config, n, rows, cols) for n in lengths]
+    weights = _resampler_weights(grid, config, counts) if config.kind == "resampler" else None
+    width = dim if weights is None or weights[2] is None else weights[2].shape[1]  # wv's columns
+    offsets = list(itertools.accumulate(counts, initial=0))
+    vectors, sizes = np.empty((offsets[-1], width)), np.empty(offsets[-1], np.int64)
+    owner = None if config.kind == "resampler" else np.empty(grid.token_count, np.int64)
+    full = frames // config.clip_len
+    for first, last in (0, full), (full, len(lengths)):  # the stack's clips
+        a, b = first * config.clip_len, min(last * config.clip_len, frames)  # and its frames
+        if a < b:
+            lo, hi = offsets[first], offsets[last]
+            inputs = None if owner is None else owner[a * rows * cols : b * rows * cols]
+            stack = grid.data[a:b].reshape(last - first, -1, rows, cols, dim)
+            _compress_stack(stack, config, weights, vectors[lo:hi], sizes[lo:hi], inputs, lo)
+    return VisualContext(vectors, sizes, owner, offsets[:-1], [n * rows * cols for n in lengths])
 
 
 def conservation_residual(inputs: TokenGrid, context: VisualContext) -> float:
@@ -597,10 +595,11 @@ def conservation_residual(inputs: TokenGrid, context: VisualContext) -> float:
     flat = inputs.data.reshape(-1, inputs.dim)
     # With two or more columns the sum runs row by row into float64
     # accumulators, so it matches summing a widened copy bit for bit without
-    # making one. A single column would be summed pairwise inside numpy's
-    # 8,192-value cast buffers instead, so it is widened first.
-    if inputs.dim == 1:
-        flat = flat.astype(np.float64)
+    # making one. A single column, or a column-major grid, would be summed
+    # pairwise inside numpy's 8,192-value cast buffers instead, so it is
+    # widened first.
+    if inputs.dim == 1 or not flat.flags.c_contiguous:
+        flat = flat.astype(np.float64, copy=False)
     in_sum = flat.sum(axis=0, dtype=np.float64)
     out_sum = (context.sizes[:, None] * context.vectors()).sum(axis=0)
     denom = max(float(np.linalg.norm(in_sum)), 1e-30)

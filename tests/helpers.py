@@ -113,22 +113,25 @@ class RefToken:
         return min(self.sources)
 
 
-def clip_tokens(clips: list[compressor.CompressedClip]) -> list[RefToken]:
-    """The clips' output tokens in order, each with the (frame, row, col)
-    sources its clip's ``owner`` gives it (the whole clip for WHOLE_CLIP)."""
+def clip_tokens(context: compressor.VisualContext, shape) -> list[RefToken]:
+    """The context's output tokens in order, each with the (frame, row, col)
+    sources its ``owner`` gives it over a grid of `shape` (frames, rows,
+    cols). A resampler context has no owner: each output's sources are its
+    whole clip, whose frames follow the previous clip's, and whose input
+    count is the size of its rows."""
+    sizes = context.sizes
+    if context.owner is None:
+        ends = [*context.clip_offsets[1:], len(sizes)]
+        members, first = [], 0
+        for start, end in zip(context.clip_offsets, ends):
+            members += [np.arange(first, first + sizes[start])] * (end - start)
+            first += sizes[start]
+    else:
+        members = [np.flatnonzero(context.owner == j) for j in range(len(sizes))]
     out = []
-    for clip in clips:
-        start, end = clip.frame_span
-        shape = (end - start, *clip.frame_shape)
-        for j, (vector, size) in enumerate(zip(clip.vectors, clip.sizes)):
-            members = (
-                np.arange(math.prod(shape))
-                if clip.owner is compressor.WHOLE_CLIP
-                else np.flatnonzero(clip.owner == j)
-            )
-            f, r, c = np.unravel_index(members, shape)
-            sources = frozenset(zip((f + start).tolist(), r.tolist(), c.tolist()))
-            out.append(RefToken(vector, int(size), sources))
+    for vector, size, inputs in zip(context.vectors(), sizes, members):
+        f, r, c = np.unravel_index(inputs, shape)
+        out.append(RefToken(vector, int(size), frozenset(zip(f.tolist(), r.tolist(), c.tolist()))))
     return out
 
 
