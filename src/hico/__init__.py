@@ -3,7 +3,8 @@
 Submodules: sampler (duration-based frame sampling), compressor (clip
 segmentation + connectors), dropout (progressive visual dropout + toy
 decoder), costmodel (FLOPs/memory estimates), niah (haystack benchmark
-generator/oracle/scorer), io (embedding files, synthetic grids, config).
+generator/oracle/scorer), io (embedding files, synthetic grids, the output
+writer), cli (the command line and its settings).
 """
 
 from . import compressor, costmodel, dropout, io, niah, sampler

@@ -1,55 +1,194 @@
-"""Command-line front end.
+"""Command-line front end, and the one list of its settings.
 
-Every command is deterministic given its flags and --seed: no wall-clock or
-OS entropy is consumed anywhere. Reports are stable key=value or CSV text.
-Exit codes: 0 success, 2 domain/config error, 3 I/O error.
+Every command is deterministic given its flags and --seed: neither the
+wall clock nor OS entropy reaches any output. Reports are stable key=value
+or CSV text. Exit codes: 0 success, 2 domain/config error, 3 I/O error.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from . import compressor, costmodel, dropout, io, niah, sampler
-from .errors import DomainError, FileFormatError
+from .compressor import CONNECTOR_KINDS, ConnectorConfig
+from .costmodel import GIB, PRESETS
+from .dropout import DecoderGeometry, DropSchedule
+from .errors import ConfigError, DomainError, FileFormatError
 
 ENV_CONFIG = "HICO_CONFIG"
 
+_ECHO_CHARS = 40  # of a bad value's text, echoed in its one-line error
 
-def _load_config(args) -> io.ToolConfig:
-    path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG)
+
+def _clip(text: str) -> str:
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "…"
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", _parse_bool: "a boolean"}
+
+
+def _at_least(low: int):
+    return lambda value: None if value >= low else f"must be >= {low}"
+
+
+def _one_of(names):
+    return lambda value: None if value in names else f"must be one of {', '.join(sorted(names))}"
+
+
+def _positive(value: float) -> str | None:
+    return None if value > 0 else "must be > 0"  # NaN fails it too
+
+
+def _finite_and(check):
+    return lambda value: check(value) if math.isfinite(value) else "must be finite"
+
+
+def _schedule(text: str) -> str | None:
+    try:
+        DropSchedule.parse(text)
+    except ConfigError as exc:
+        return f"must be a drop schedule ({_clip(str(exc))})"
+    return None
+
+
+def _placeholder_once(marker: str):
+    return lambda text: None if text.count(marker) == 1 else f"must contain {marker} exactly once"
+
+
+class ConfigRow(NamedTuple):
+    """How one config key's text is parsed, its value when unset, a check that
+    returns a complaint about a bad value, or None, and its flag, if it has one."""
+
+    parse: Callable[[str], Any]
+    default: Any
+    check: Callable[[Any], str | None] = lambda value: None
+    flag: str | None = None
+
+
+# The one list of config keys; each key's flag is built from its row.
+CONFIG_SCHEMA: dict[str, ConfigRow] = {
+    "seed": ConfigRow(int, 0, _at_least(0), "--seed"),
+    "sampler.t_min": ConfigRow(int, sampler.SamplingPolicy.t_min, _at_least(1), "--tmin"),
+    "sampler.t_max": ConfigRow(int, sampler.SamplingPolicy.t_max, _at_least(1), "--tmax"),
+    "sampler.fps": ConfigRow(float, 1.0, _finite_and(_positive), "--fps"),
+    "connector.kind": ConfigRow(str, ConnectorConfig.kind, _one_of(CONNECTOR_KINDS), "--connector"),
+    "connector.budget": ConfigRow(int, ConnectorConfig.budget, _at_least(1), "--budget"),
+    "connector.clip_len": ConfigRow(int, ConnectorConfig.clip_len, _at_least(1), "--clip-len"),
+    "connector.st_temperature": ConfigRow(
+        float, ConnectorConfig.st_temperature, _positive, "--st-temperature"
+    ),
+    "connector.factor": ConfigRow(int, ConnectorConfig.factor, _at_least(1), "--factor"),
+    "connector.f_first": ConfigRow(int, ConnectorConfig.f_first, _at_least(1), "--f-first"),
+    "connector.f_rest": ConfigRow(int, ConnectorConfig.f_rest, _at_least(1), "--f-rest"),
+    "connector.queries": ConfigRow(int, ConnectorConfig.queries, _at_least(1), "--queries"),
+    "connector.temperature": ConfigRow(
+        float, ConnectorConfig.temperature, _positive, "--temperature"
+    ),
+    "connector.weights_path": ConfigRow(str, ConnectorConfig.weights_path, flag="--weights"),
+    "dropout.schedule": ConfigRow(str, "", _schedule, "--schedule"),
+    # The paper's 28-layer decoders, not DecoderGeometry's 4-layer toy.
+    "dropout.layers": ConfigRow(int, 28, _at_least(1), "--layers"),
+    "dropout.hidden_dim": ConfigRow(int, DecoderGeometry.hidden_dim, _at_least(1), "--hidden-dim"),
+    "dropout.heads": ConfigRow(int, DecoderGeometry.heads, _at_least(1), "--heads"),
+    # An attention drop ranks tokens by a text query, so keep some text.
+    "dropout.text_tokens": ConfigRow(int, 8, _at_least(1), "--text-tokens"),
+    "costmodel.shape": ConfigRow(str, "7b", _one_of(PRESETS), "--shape"),
+    # Unset: the preset's own parameter count and bytes per parameter.
+    "costmodel.nonembed_params": ConfigRow(float, None, _finite_and(_at_least(1))),
+    "costmodel.bytes_per_param": ConfigRow(int, None, _at_least(1)),
+    "costmodel.cache_bytes_per_value": ConfigRow(int, 2, _at_least(1), "--cache-bytes"),
+    "costmodel.overhead_bytes": ConfigRow(int, 2 * GIB, _at_least(0), "--overhead-bytes"),
+    "costmodel.tokens_per_frame": ConfigRow(int, 16, _at_least(1), "--tokens-per-frame"),
+    "niah.clue_template": ConfigRow(str, niah.CLUE_TEMPLATE, _placeholder_once("{next_caption}")),
+    "niah.start_template": ConfigRow(str, niah.START_TEMPLATE, _placeholder_once("{caption}")),
+    "niah.q1_text": ConfigRow(str, niah.Q1_TEXT),
+    "niah.hops": ConfigRow(int, 3, _at_least(1), "--hops"),
+    "niah.distractors": ConfigRow(int, 1, _at_least(0), "--distractors"),
+    "niah.ordered": ConfigRow(_parse_bool, False, flag="--ordered"),
+}
+
+
+def check_value(key: str, value: Any) -> Any:
+    """Return `value`, or raise ConfigError if it fails `key`'s check."""
+    complaint = CONFIG_SCHEMA[key].check(value)
+    if complaint:
+        raise ConfigError(f"{key} {complaint}, got {_clip(repr(value))}")
+    return value
+
+
+def load_config(path: str | os.PathLike) -> dict[str, Any]:
+    """Parse a key=value config file with dotted section names into each
+    key's typed, checked value.
+
+    Blank lines and '#' comments are ignored; unknown keys and values that
+    fail their key's validation are rejected at load time, so typos fail
+    loudly before any command runs.
+    """
+    try:
+        text = niah.read_text(path)
+    except FileFormatError:
+        raise ConfigError(f"{path}: config file is not UTF-8 text") from None
+    values = {}
+    for lineno, line in enumerate(text.split("\n"), 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key not in CONFIG_SCHEMA:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {_clip(repr(key))}")
+        parse = CONFIG_SCHEMA[key].parse
+        try:
+            values[key] = check_value(key, parse(value))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        except ValueError:  # parse's own; a failed check is a ConfigError, caught above
+            complaint = f"{key} must be {_TYPE_NAMES[parse]}, got {_clip(repr(value))}"
+            raise ConfigError(f"{path}:{lineno}: {complaint}") from None
+    return values
+
+
+def resolve_settings(args) -> dict[str, Any]:
+    """Each key's flag if given, else its value in the config file, else its
+    default. The file is loaded and checked first, then every flag given."""
+    settings = {key: row.default for key, row in CONFIG_SCHEMA.items()}
+    path = args.config or os.environ.get(ENV_CONFIG)
     if path:
-        return io.load_config(path)
-    return io.ToolConfig({})
+        settings.update(load_config(path))
+    for key in CONFIG_SCHEMA:
+        if (flag := getattr(args, key, None)) is not None:
+            settings[key] = check_value(key, flag)
+    return settings
 
 
 def _section(prefix: str) -> list[str]:
-    return [key for key in io.CONFIG_SCHEMA if key.startswith(prefix)]
-
-
-def _pick(args, cfg: io.ToolConfig, key: str):
-    """`key`'s flag if given, else its config value or schema default, checked."""
-    flag = getattr(args, key)
-    if flag is None:
-        return cfg.get(key)
-    return io.check_value(key, flag)
+    return [key for key in CONFIG_SCHEMA if key.startswith(prefix)]
 
 
 # ---------------------------------------------------------------------------
 # sample
 
 
-def cmd_sample(args, cfg: io.ToolConfig) -> int:
-    policy = sampler.SamplingPolicy(
-        t_min=_pick(args, cfg, "sampler.t_min"),
-        t_max=_pick(args, cfg, "sampler.t_max"),
-    )
-    fps = _pick(args, cfg, "sampler.fps")
-    meta = sampler.VideoMeta.from_rate(args.duration, fps)
+def cmd_sample(args, settings: dict) -> int:
+    policy = sampler.SamplingPolicy(settings["sampler.t_min"], settings["sampler.t_max"])
+    meta = sampler.VideoMeta.from_rate(args.duration, settings["sampler.fps"])
     plan = sampler.build_plan(meta, policy)
     print(f"frame_count={plan.frame_count}")
     print(f"density={plan.density:.6f}")
@@ -63,16 +202,16 @@ def cmd_sample(args, cfg: io.ToolConfig) -> int:
 # compress
 
 
-def _connector_config(args, cfg: io.ToolConfig) -> compressor.ConnectorConfig:
+def _connector_config(settings: dict) -> compressor.ConnectorConfig:
     # Every connector.* key names the ConnectorConfig field it sets.
     return compressor.ConnectorConfig(
-        **{key.removeprefix("connector."): _pick(args, cfg, key) for key in _section("connector.")},
-        query_seed=_pick(args, cfg, "seed"),
+        **{key.removeprefix("connector."): settings[key] for key in _section("connector.")},
+        query_seed=settings["seed"],
     )
 
 
-def cmd_compress(args, cfg: io.ToolConfig) -> int:
-    config = _connector_config(args, cfg)
+def cmd_compress(args, settings: dict) -> int:
+    config = _connector_config(settings)
     grid = io.read_embeddings(args.infile)
     context = compressor.compress_video(grid, config)
     vectors = context.vectors()
@@ -96,30 +235,28 @@ def cmd_compress(args, cfg: io.ToolConfig) -> int:
 # estimate
 
 
-def _model_shape(name: str, cfg: io.ToolConfig) -> costmodel.ModelShape:
+def _model_shape(name: str, settings: dict) -> costmodel.ModelShape:
     overrides = {}
-    nonembed = cfg.get("costmodel.nonembed_params")
-    if nonembed is not None:
-        overrides["nonembed_params"] = int(nonembed)
-    bpp = cfg.get("costmodel.bytes_per_param")
-    if bpp is not None:
-        overrides["bytes_per_param"] = bpp
+    if settings["costmodel.nonembed_params"] is not None:
+        overrides["nonembed_params"] = int(settings["costmodel.nonembed_params"])
+    if settings["costmodel.bytes_per_param"] is not None:
+        overrides["bytes_per_param"] = settings["costmodel.bytes_per_param"]
     return costmodel.preset(name, **overrides)
 
 
-def cmd_estimate(args, cfg: io.ToolConfig) -> int:
-    name = _pick(args, cfg, "costmodel.shape")
-    shape = _model_shape(name, cfg)
-    tokens_per_frame = _pick(args, cfg, "costmodel.tokens_per_frame")
+def cmd_estimate(args, settings: dict) -> int:
+    name = settings["costmodel.shape"]
+    shape = _model_shape(name, settings)
+    tokens_per_frame = settings["costmodel.tokens_per_frame"]
     tokens = costmodel.tokens_for_video(args.frames, tokens_per_frame)
-    cache_bytes = _pick(args, cfg, "costmodel.cache_bytes_per_value")
-    overhead = _pick(args, cfg, "costmodel.overhead_bytes")
+    cache_bytes = settings["costmodel.cache_bytes_per_value"]
+    overhead = settings["costmodel.overhead_bytes"]
     report = costmodel.memory_estimate(tokens, shape, cache_bytes, overhead)
     # Every check runs before the first line, so an exit 2 prints no report.
-    schedule_text = _pick(args, cfg, "dropout.schedule")
-    text_tokens = _pick(args, cfg, "dropout.text_tokens")  # checked even when unused
+    schedule_text = settings["dropout.schedule"]
     if schedule_text:
         schedule = dropout.DropSchedule.parse(schedule_text)
+        text_tokens = settings["dropout.text_tokens"]
         flops = costmodel.flops_with_schedule(tokens, schedule, shape, text_tokens)
     print(f"shape={name}")
     print(f"frames={args.frames}")
@@ -143,23 +280,23 @@ def cmd_estimate(args, cfg: io.ToolConfig) -> int:
 # dropout
 
 
-def cmd_dropout(args, cfg: io.ToolConfig) -> int:
-    schedule = dropout.DropSchedule.parse(_pick(args, cfg, "dropout.schedule"))
+def cmd_dropout(args, settings: dict) -> int:
+    schedule = dropout.DropSchedule.parse(settings["dropout.schedule"])
     geometry = dropout.DecoderGeometry(
-        layers=_pick(args, cfg, "dropout.layers"),
-        hidden_dim=_pick(args, cfg, "dropout.hidden_dim"),
-        heads=_pick(args, cfg, "dropout.heads"),
+        layers=settings["dropout.layers"],
+        hidden_dim=settings["dropout.hidden_dim"],
+        heads=settings["dropout.heads"],
     )
     if args.scale_from is not None:
         schedule = dropout.scale_schedule(schedule, geometry.layers, args.scale_from)
     grid = io.read_embeddings(args.infile)
     visual = grid.data.reshape(-1, grid.dim)
     run = dropout.toy_decoder_run(
-        text_tokens=_pick(args, cfg, "dropout.text_tokens"),
+        text_tokens=settings["dropout.text_tokens"],
         visual=visual,
         geometry=geometry,
         schedule=schedule,
-        seed=_pick(args, cfg, "seed"),
+        seed=settings["seed"],
     )
     print("layer,count")
     for layer, kept in enumerate(run.kept):
@@ -172,18 +309,18 @@ def cmd_dropout(args, cfg: io.ToolConfig) -> int:
 # niah
 
 
-def _library(args, cfg: io.ToolConfig) -> list[niah.NeedleItem]:
+def _library(args, settings: dict) -> list[niah.NeedleItem]:
     if args.synth_library is not None:
-        return niah.synth_library(args.synth_library, seed=_pick(args, cfg, "seed"))
+        return niah.synth_library(args.synth_library, seed=settings["seed"])
     if args.library:
         return niah.load_library(args.library)
     raise DomainError("provide --library PATH or --synth-library SIZE")
 
 
-def _templates(cfg: io.ToolConfig) -> dict[str, str]:
+def _templates(settings: dict) -> dict[str, str]:
     return {
-        "clue_template": cfg.get("niah.clue_template"),
-        "start_template": cfg.get("niah.start_template"),
+        "clue_template": settings["niah.clue_template"],
+        "start_template": settings["niah.start_template"],
     }
 
 
@@ -208,40 +345,38 @@ def _instance_paths(paths: list[str]) -> list[Path]:
     return out
 
 
-def cmd_niah_gen(args, cfg: io.ToolConfig) -> int:
+def cmd_niah_gen(args, settings: dict) -> int:
     if args.count < 1:
         raise DomainError(f"--count must be >= 1, got {args.count}")
-    library = _library(args, cfg)
-    tpl = _templates(cfg)
-    q1 = cfg.get("niah.q1_text")
-    seed = _pick(args, cfg, "seed")
+    library = _library(args, settings)
+    seed = settings["seed"]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng_pick = random.Random(seed)
+    needle_rng = random.Random(seed)
     for i in range(args.count):
         inst_seed = seed + i
         if args.mode == "single":
-            needle = library[rng_pick.randrange(len(library))]
+            needle = library[needle_rng.randrange(len(library))]
             inst = niah.gen_single_hop(
                 args.length,
                 args.depth,
                 needle,
                 seed=inst_seed,
-                start_template=tpl["start_template"],
-                q1_text=q1,
+                start_template=settings["niah.start_template"],
+                q1_text=settings["niah.q1_text"],
             )
         else:
             try:
                 inst = niah.gen_multi_hop(
                     args.length,
-                    _pick(args, cfg, "niah.hops"),
-                    _pick(args, cfg, "niah.distractors"),
+                    settings["niah.hops"],
+                    settings["niah.distractors"],
                     library,
                     seed=inst_seed,
-                    ordered=_pick(args, cfg, "niah.ordered"),
-                    clue_template=tpl["clue_template"],
-                    start_template=tpl["start_template"],
-                    q1_text=q1,
+                    ordered=settings["niah.ordered"],
+                    clue_template=settings["niah.clue_template"],
+                    start_template=settings["niah.start_template"],
+                    q1_text=settings["niah.q1_text"],
                 )
             except niah.LibraryTooSmall as exc:
                 if not args.library:
@@ -253,9 +388,9 @@ def cmd_niah_gen(args, cfg: io.ToolConfig) -> int:
     return 0
 
 
-def cmd_niah_validate(args, cfg: io.ToolConfig) -> int:
-    library = _library(args, cfg)
-    tpl = _templates(cfg)
+def cmd_niah_validate(args, settings: dict) -> int:
+    library = _library(args, settings)
+    tpl = _templates(settings)
     failures = 0
     count = 0
     for path in _instance_paths(args.paths):
@@ -270,9 +405,9 @@ def cmd_niah_validate(args, cfg: io.ToolConfig) -> int:
     return 2 if failures else 0
 
 
-def cmd_niah_solve(args, cfg: io.ToolConfig) -> int:
-    library = _library(args, cfg)
-    tpl = _templates(cfg)
+def cmd_niah_solve(args, settings: dict) -> int:
+    library = _library(args, settings)
+    tpl = _templates(settings)
     responses = []
     for path in _instance_paths(args.paths):
         inst = niah.load_instance(path)
@@ -285,7 +420,7 @@ def cmd_niah_solve(args, cfg: io.ToolConfig) -> int:
     return 0
 
 
-def cmd_niah_score(args, cfg: io.ToolConfig) -> int:
+def cmd_niah_score(args, settings: dict) -> int:
     paths = _instance_paths(args.paths)
     instances = [niah.load_instance(p) for p in paths]
     first: dict[str, Path] = {}
@@ -312,13 +447,12 @@ def _csv(text: str, kind: type, what: str) -> list:
     return [_number(x, kind, what) for x in text.split(",") if x.strip()]
 
 
-def cmd_niah_heatmap(args, cfg: io.ToolConfig) -> int:
-    library = _library(args, cfg)
-    seed = _pick(args, cfg, "seed")
+def cmd_niah_heatmap(args, settings: dict) -> int:
+    library = _library(args, settings)
     lengths = _csv(args.lengths, int, "--lengths entry")
     cells = niah.heatmap_grid(
-        lengths, _csv(args.depths, float, "--depths entry"), library, seed,
-        start_template=cfg.get("niah.start_template"), q1_text=cfg.get("niah.q1_text"),
+        lengths, _csv(args.depths, float, "--depths entry"), library, settings["seed"],
+        start_template=settings["niah.start_template"], q1_text=settings["niah.q1_text"],
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -332,7 +466,7 @@ def cmd_niah_heatmap(args, cfg: io.ToolConfig) -> int:
     return 0
 
 
-def cmd_niah_heatmap_score(args, cfg: io.ToolConfig) -> int:
+def cmd_niah_heatmap_score(args, settings: dict) -> int:
     grid = args.grid
     grid_lines = niah.read_text(grid).strip().splitlines()
     if not grid_lines or grid_lines[0] != "length,depth,instance":
@@ -363,9 +497,8 @@ def cmd_niah_heatmap_score(args, cfg: io.ToolConfig) -> int:
     return 0
 
 
-def cmd_niah_synth_library(args, cfg: io.ToolConfig) -> int:
-    seed = _pick(args, cfg, "seed")
-    items = niah.synth_library(args.size, seed=seed)
+def cmd_niah_synth_library(args, settings: dict) -> int:
+    items = niah.synth_library(args.size, seed=settings["seed"])
     io.write_output(args.out, [niah.dump_library(items).encode()])
     print(f"items={len(items)}")
     return 0
@@ -382,10 +515,9 @@ def _parse_shape(text: str) -> tuple[int, int, int, int]:
     return tuple(_number(p, int, "shape entry") for p in parts)  # type: ignore[return-value]
 
 
-def cmd_synth(args, cfg: io.ToolConfig) -> int:
-    seed = _pick(args, cfg, "seed")
+def cmd_synth(args, settings: dict) -> int:
     grid = io.synth_grid(
-        args.kind, _parse_shape(args.shape), seed=seed, k=args.k, noise=args.noise
+        args.kind, _parse_shape(args.shape), seed=settings["seed"], k=args.k, noise=args.noise
     )
     io.write_embeddings(grid, args.out)
     print(f"shape={grid.frames}x{grid.rows}x{grid.cols}x{grid.dim}")
@@ -401,7 +533,7 @@ def _add_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
     """Add the flag of each key that has one, as its schema row spells and types it.
     Unset, it reads None; a boolean knob's flag is a switch that only turns it on."""
     for key in keys:
-        row = io.CONFIG_SCHEMA[key]
+        row = CONFIG_SCHEMA[key]
         if row.flag is None:
             continue
         if isinstance(row.default, bool):
@@ -520,11 +652,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
+        settings = resolve_settings(args)
         # numpy's overflow and invalid-value warnings would print ahead of the
         # one-line error; every command checks its arrays for non-finite values.
         with np.errstate(all="ignore"):
-            return args.func(args, cfg)
+            return args.func(args, settings)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

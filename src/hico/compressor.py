@@ -469,15 +469,14 @@ def _resampler_weights(
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """The video's (queries, wk, wv), with ``config.queries`` query rows.
 
-    First refuses, before allocating, queries whose arrays would pass
-    BYTES_CAP; ``counts`` are the clips' output rows. The check counts the
-    video's queries, four (queries, tokens) arrays for the largest clip, a
-    bound above the one scores array the in-place softmax holds, and the
-    output twice, a bound above the context's rows and one clip's output.
+    Refuses, before drawing queries or allocating any output, queries whose
+    arrays would pass BYTES_CAP; ``counts`` are the clips' output rows. The
+    check counts the video's queries, four (queries, tokens) arrays for the
+    largest clip, a bound above the one scores array the in-place softmax
+    holds, and the output twice, a bound above the context's rows and one
+    clip's output, at the width of a weights file's ``wv``, else the grid's.
     """
-    tokens = min(config.clip_len, grid.frames) * grid.rows * grid.cols
-    needed = 8 * (config.queries * grid.dim + 4 * counts[0] * tokens + 2 * sum(counts) * grid.dim)
-    check_bytes(needed, f"--queries {config.queries} on clips of {tokens} tokens")
+    queries = wk = wv = None
     if config.weights_path is not None:
         path = config.weights_path
         queries, wk, wv = _read_weights(path)
@@ -492,10 +491,14 @@ def _resampler_weights(
                 f"weights file {path} holds queries of {queries.shape[1]} columns,"
                 f" need the key dim {key_dim}"
             )
-        return queries, wk, wv
-    rng = np.random.default_rng(config.query_seed)
-    queries = rng.standard_normal((config.queries, grid.dim)) / math.sqrt(grid.dim)
-    return queries, None, None
+    tokens = min(config.clip_len, grid.frames) * grid.rows * grid.cols
+    width = grid.dim if wv is None else wv.shape[1]
+    needed = 8 * (config.queries * grid.dim + 4 * counts[0] * tokens + 2 * sum(counts) * width)
+    check_bytes(needed, f"--queries {config.queries} on clips of {tokens} tokens")
+    if queries is None:
+        rng = np.random.default_rng(config.query_seed)
+        queries = rng.standard_normal((config.queries, grid.dim)) / math.sqrt(grid.dim)
+    return queries, wk, wv
 
 
 def _clip_outputs(config: ConnectorConfig, frames: int, rows: int, cols: int) -> int:

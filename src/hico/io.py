@@ -1,4 +1,4 @@
-"""Binary embedding files, synthetic test grids, and config loading.
+"""Binary embedding files, synthetic test grids, and the one output writer.
 
 Embedding file layout (little-endian throughout):
 
@@ -19,17 +19,13 @@ import math
 import os
 import stat
 import struct
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .compressor import CONNECTOR_KINDS, ConnectorConfig, TokenGrid
-from .costmodel import GIB, PRESETS
-from .dropout import DecoderGeometry, DropSchedule
-from .errors import ConfigError, DomainError, FileFormatError, check_bytes
-from .niah import CLUE_TEMPLATE, Q1_TEXT, START_TEMPLATE
-from .sampler import SamplingPolicy
+from . import errors
+from .compressor import TokenGrid
+from .errors import DomainError, FileFormatError, check_bytes
 
 MAGIC = b"HICO"
 VERSION = 1
@@ -61,11 +57,12 @@ class NonFiniteDataError(EmbeddingFormatError):
     pass
 
 
-def _parse_header(header: bytes, size: int) -> tuple[int, int, int, int]:
+def _parse_header(header: bytes, size: int | None) -> tuple[int, int, int, int]:
     """The (frames, rows, cols, dim) of an embedding file of `size` bytes
-    whose first bytes are `header`, once the sizes agree and fit BYTES_CAP."""
-    if size < _HEADER.size:
-        raise TruncatedFileError(f"file too short for header: {size} < {_HEADER.size} bytes")
+    whose first bytes are `header`, once the sizes agree and fit BYTES_CAP;
+    with `size` None, as for a stream, once the header alone is good."""
+    if len(header) < _HEADER.size:
+        raise TruncatedFileError(f"file too short for header: {len(header)} < {_HEADER.size} bytes")
     magic, version, frames, rows, cols, dim = _HEADER.unpack_from(header)
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}")
@@ -75,6 +72,8 @@ def _parse_header(header: bytes, size: int) -> tuple[int, int, int, int]:
         raise SizeMismatchError(
             f"non-positive dimension in header: {(frames, rows, cols, dim)}"
         )
+    if size is None:
+        return frames, rows, cols, dim
     expected = frames * rows * cols * dim * 4
     payload = size - _HEADER.size
     if payload < expected:
@@ -122,19 +121,32 @@ def encode_embeddings(grid: TokenGrid) -> bytes:
 _CHANGED_SIZE = "file changed size while it was read"
 
 
+def _read_stream(f) -> TokenGrid:
+    """Decode the embedding file a pipe or device `f` reads: the header first, then
+    the payload only if it fits BYTES_CAP; further bytes are counted, not kept."""
+    header = f.read(_HEADER.size)
+    shape = _parse_header(header, None)
+    data = np.empty(shape, "<f4") if 8 * math.prod(shape) <= errors.BYTES_CAP else None
+    payload = 0 if data is None else f.readinto(data)
+    while chunk := f.read(4 * _CHUNK_VALUES):
+        payload += len(chunk)
+    _parse_header(header, _HEADER.size + payload)  # the size checks a file of these bytes gets
+    return _grid(data.astype(np.float32, copy=False))
+
+
 def read_embeddings(path: str | os.PathLike) -> TokenGrid:
     """Read and decode an embedding file; a format error names the file.
 
     A regular file is sized with fstat and checked as decode_embeddings
     checks a blob, then its payload is read straight into the grid, with no
-    bytes copy of the file. Anything else, such as a pipe, is read whole and
-    decoded.
+    bytes copy of the file. Anything else, such as a pipe, is read by
+    _read_stream.
     """
     try:
         with open(path, "rb") as f:
             info = os.fstat(f.fileno())
             if not stat.S_ISREG(info.st_mode):
-                return decode_embeddings(f.read())
+                return _read_stream(f)
             header = f.read(_HEADER.size)
             if len(header) != min(info.st_size, _HEADER.size):
                 raise EmbeddingFormatError(_CHANGED_SIZE)
@@ -256,164 +268,7 @@ def synth_grid(
         for i in range(lo * k // n, (hi - 1) * k // n + 1):
             chunk[max(bounds[i], lo) - lo : min(bounds[i + 1], hi) - lo] += centroids[i]
         data[lo:hi] = chunk
-        if not np.isfinite(data[lo:hi]).all():
-            raise DomainError(f"--noise {noise} overflows the float32 grid")
-    return TokenGrid(data.reshape(shape))
-
-
-_ECHO_CHARS = 40  # of a bad value's text, echoed in its one-line error
-
-
-def _clip(text: str) -> str:
-    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "…"
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
-
-
-_TYPE_NAMES = {int: "an integer", float: "a number", _parse_bool: "a boolean"}
-
-
-def _at_least(low: int):
-    return lambda value: None if value >= low else f"must be >= {low}"
-
-
-def _one_of(names):
-    return lambda value: None if value in names else f"must be one of {', '.join(sorted(names))}"
-
-
-def _positive(value: float) -> str | None:
-    return None if value > 0 else "must be > 0"  # NaN fails it too
-
-
-def _finite_and(check):
-    return lambda value: check(value) if math.isfinite(value) else "must be finite"
-
-
-def _schedule(text: str) -> str | None:
     try:
-        DropSchedule.parse(text)
-    except ConfigError as exc:
-        return f"must be a drop schedule ({_clip(str(exc))})"
-    return None
-
-
-def _placeholder_once(marker: str):
-    return lambda text: None if text.count(marker) == 1 else f"must contain {marker} exactly once"
-
-
-class ConfigRow(NamedTuple):
-    """How one config key's text is parsed, its value when unset, a check that
-    returns a complaint about a bad value, or None, and its flag, if it has one."""
-
-    parse: Callable[[str], Any]
-    default: Any
-    check: Callable[[Any], str | None] = lambda value: None
-    flag: str | None = None
-
-
-# The one list of config keys; the CLI builds each key's flag from its row.
-CONFIG_SCHEMA: dict[str, ConfigRow] = {
-    "seed": ConfigRow(int, 0, _at_least(0), "--seed"),
-    "sampler.t_min": ConfigRow(int, SamplingPolicy.t_min, _at_least(1), "--tmin"),
-    "sampler.t_max": ConfigRow(int, SamplingPolicy.t_max, _at_least(1), "--tmax"),
-    "sampler.fps": ConfigRow(float, 1.0, _finite_and(_positive), "--fps"),
-    "connector.kind": ConfigRow(str, ConnectorConfig.kind, _one_of(CONNECTOR_KINDS), "--connector"),
-    "connector.budget": ConfigRow(int, ConnectorConfig.budget, _at_least(1), "--budget"),
-    "connector.clip_len": ConfigRow(int, ConnectorConfig.clip_len, _at_least(1), "--clip-len"),
-    "connector.st_temperature": ConfigRow(
-        float, ConnectorConfig.st_temperature, _positive, "--st-temperature"
-    ),
-    "connector.factor": ConfigRow(int, ConnectorConfig.factor, _at_least(1), "--factor"),
-    "connector.f_first": ConfigRow(int, ConnectorConfig.f_first, _at_least(1), "--f-first"),
-    "connector.f_rest": ConfigRow(int, ConnectorConfig.f_rest, _at_least(1), "--f-rest"),
-    "connector.queries": ConfigRow(int, ConnectorConfig.queries, _at_least(1), "--queries"),
-    "connector.temperature": ConfigRow(
-        float, ConnectorConfig.temperature, _positive, "--temperature"
-    ),
-    "connector.weights_path": ConfigRow(str, ConnectorConfig.weights_path, flag="--weights"),
-    "dropout.schedule": ConfigRow(str, "", _schedule, "--schedule"),
-    # The paper's 28-layer decoders, not DecoderGeometry's 4-layer toy.
-    "dropout.layers": ConfigRow(int, 28, _at_least(1), "--layers"),
-    "dropout.hidden_dim": ConfigRow(int, DecoderGeometry.hidden_dim, _at_least(1), "--hidden-dim"),
-    "dropout.heads": ConfigRow(int, DecoderGeometry.heads, _at_least(1), "--heads"),
-    # An attention drop ranks tokens by a text query, so keep some text.
-    "dropout.text_tokens": ConfigRow(int, 8, _at_least(1), "--text-tokens"),
-    "costmodel.shape": ConfigRow(str, "7b", _one_of(PRESETS), "--shape"),
-    # Unset: the preset's own parameter count and bytes per parameter.
-    "costmodel.nonembed_params": ConfigRow(float, None, _finite_and(_at_least(1))),
-    "costmodel.bytes_per_param": ConfigRow(int, None, _at_least(1)),
-    "costmodel.cache_bytes_per_value": ConfigRow(int, 2, _at_least(1), "--cache-bytes"),
-    "costmodel.overhead_bytes": ConfigRow(int, 2 * GIB, _at_least(0), "--overhead-bytes"),
-    "costmodel.tokens_per_frame": ConfigRow(int, 16, _at_least(1), "--tokens-per-frame"),
-    "niah.clue_template": ConfigRow(str, CLUE_TEMPLATE, _placeholder_once("{next_caption}")),
-    "niah.start_template": ConfigRow(str, START_TEMPLATE, _placeholder_once("{caption}")),
-    "niah.q1_text": ConfigRow(str, Q1_TEXT),
-    "niah.hops": ConfigRow(int, 3, _at_least(1), "--hops"),
-    "niah.distractors": ConfigRow(int, 1, _at_least(0), "--distractors"),
-    "niah.ordered": ConfigRow(_parse_bool, False, flag="--ordered"),
-}
-
-
-def check_value(key: str, value: Any) -> Any:
-    """Return `value`, or raise ConfigError if it fails `key`'s check."""
-    complaint = CONFIG_SCHEMA[key].check(value)
-    if complaint:
-        raise ConfigError(f"{key} {complaint}, got {_clip(repr(value))}")
-    return value
-
-
-@dataclass
-class ToolConfig:
-    """Flat dotted-key configuration, typed and checked by CONFIG_SCHEMA."""
-
-    values: dict[str, str]
-
-    def get(self, key: str) -> Any:
-        """The typed, checked value of `key`, or its schema default when unset."""
-        row = CONFIG_SCHEMA[key]
-        text = self.values.get(key)
-        if text is None:
-            return row.default
-        try:
-            value = row.parse(text)
-        except ValueError:
-            raise ConfigError(f"{key} must be {_TYPE_NAMES[row.parse]}, got {_clip(repr(text))}") from None
-        return check_value(key, value)
-
-
-def load_config(path: str | os.PathLike) -> ToolConfig:
-    """Parse a key=value config file with dotted section names.
-
-    Blank lines and '#' comments are ignored; unknown keys and values that
-    fail their key's validation are rejected at load time, so typos fail
-    loudly before any command runs.
-    """
-    cfg = ToolConfig({})
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = list(f)
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: config file is not UTF-8 text") from None
-    for lineno, line in enumerate(lines, 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {_clip(repr(key))}")
-        cfg.values[key] = value.strip()
-        try:
-            cfg.get(key)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    return cfg
+        return TokenGrid(data.reshape(shape))
+    except DomainError:  # its finiteness scan, which only a noisy clusters grid can fail
+        raise DomainError(f"--noise {noise} overflows the float32 grid") from None

@@ -20,8 +20,8 @@ import os
 import random
 import string
 from dataclasses import dataclass, field
-from pathlib import Path
 
+from . import errors
 from .errors import CapacityError, DomainError, FileFormatError
 
 CLUE_TEMPLATE = "The clue in this image points to the item titled '{next_caption}'."
@@ -579,9 +579,16 @@ def instance_to_dict(instance: NiahInstance) -> dict:
 
 
 def read_text(path: str | os.PathLike) -> str:
-    """The UTF-8 text of a library, instance, responses or grid file."""
+    """The UTF-8 text of a library, instance, responses, grid or config file, with
+    universal newlines. Reads at most BYTES_CAP + 1 bytes; a longer input is refused."""
+    data, cap = bytearray(), errors.BYTES_CAP
+    with open(path, "rb") as f:
+        while len(data) <= cap and (part := f.read(min(1 << 20, cap + 1 - len(data)))):
+            data += part
+    if len(data) > cap:
+        raise DomainError(f"{path}: file is over the {cap}-byte cap")
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
 

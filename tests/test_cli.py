@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import warnings
 
 import numpy as np
@@ -328,6 +329,23 @@ def test_resampler_weights_shape_errors_name_the_file(tmp_path, capsys, arrays, 
     code, out, err = resampler_with_weights(tmp_path, capsys, **arrays)
     assert code == 2 and out == ""
     assert err == f"error: weights file {tmp_path / 'w.npz'} {message}\n"
+
+
+def test_resampler_output_is_counted_at_the_width_of_wv(tmp_path, capsys, monkeypatch):
+    # One clip of 4 outputs: 2,816 bytes at the grid's 8 columns, 66,304 at wv's 1,000.
+    grid = synth(tmp_path, shape="4x2x2x8")
+    rng = np.random.default_rng(0)
+    queries, wv = rng.standard_normal((4, 8)), rng.standard_normal((8, 1000))
+    monkeypatch.setattr(errors, "BYTES_CAP", 20_000)
+    argv = ["compress", "--in", str(grid), "--out", str(tmp_path / "c.bin"),
+            "--connector", "resampler", "--queries", "4", "--weights", str(tmp_path / "w.npz")]
+    np.savez(tmp_path / "w.npz", queries=queries)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    np.savez(tmp_path / "w.npz", queries=queries, wv=wv)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --queries 4 on clips of 16 tokens needs about 66304 bytes, over the 20000-byte cap\n"
 
 
 # ---------------------------------------------------------------------------
@@ -891,13 +909,13 @@ def command_argv(command, tmp_path, grid="grid.bin"):
 
 
 def flag_argv(key, value):
-    return [io.CONFIG_SCHEMA[key].flag] + ([] if value is None else [value])
+    return [cli.CONFIG_SCHEMA[key].flag] + ([] if value is None else [value])
 
 
 def declared_keys(command):
     # An undeclared flag leaves no attribute; a declared one reads None until given.
     args = cli.build_parser().parse_args(command_argv(command, "tmp"))
-    return [key for key in io.CONFIG_SCHEMA if key in vars(args)]
+    return [key for key in cli.CONFIG_SCHEMA if key in vars(args)]
 
 
 FLAGGED = [(command, key) for command in COMMANDS for key in declared_keys(command)]
@@ -905,7 +923,7 @@ FLAGGED = [(command, key) for command in COMMANDS for key in declared_keys(comma
 
 def flag_id(case):
     command, key = case
-    return f"{'-'.join(command)}{io.CONFIG_SCHEMA[key].flag}"
+    return f"{'-'.join(command)}{cli.CONFIG_SCHEMA[key].flag}"
 
 
 def subcommands(parser, prefix=()):
@@ -918,10 +936,10 @@ def subcommands(parser, prefix=()):
 
 
 def test_flag_cases_cover_the_schema_and_the_parser():
-    flagged_rows = {key for key, row in io.CONFIG_SCHEMA.items() if row.flag}
+    flagged_rows = {key for key, row in cli.CONFIG_SCHEMA.items() if row.flag}
     checked_rows = {
         key for key in flagged_rows
-        if io.CONFIG_SCHEMA[key].check is not io.ConfigRow._field_defaults["check"]
+        if cli.CONFIG_SCHEMA[key].check is not cli.ConfigRow._field_defaults["check"]
     }
     assert {key for _, key in FLAGGED} == flagged_rows == set(FLAG_AND_CONFIG)
     assert checked_rows == set(FAILS_CHECK)
@@ -931,16 +949,15 @@ def test_flag_cases_cover_the_schema_and_the_parser():
 
 @pytest.mark.parametrize("command,key", FLAGGED, ids=map(flag_id, FLAGGED))
 def test_flag_wins_over_config_file(tmp_path, command, key):
-    row = io.CONFIG_SCHEMA[key]
+    row = cli.CONFIG_SCHEMA[key]
     flag_value, config_value = FLAG_AND_CONFIG[key]
     argv = ["--config", config_file(tmp_path, f"{key} = {config_value}\n")]
     argv += command_argv(command, tmp_path)
     from_config = cli.build_parser().parse_args(argv)
     from_flag = cli.build_parser().parse_args(argv + flag_argv(key, flag_value))
-    cfg = cli._load_config(from_config)
     expected = True if flag_value is None else row.parse(flag_value)
-    assert cli._pick(from_flag, cfg, key) == expected
-    assert cli._pick(from_config, cfg, key) == row.parse(config_value) != expected
+    assert cli.resolve_settings(from_flag)[key] == expected
+    assert cli.resolve_settings(from_config)[key] == row.parse(config_value) != expected
 
 
 CHECKED = [(command, key) for command, key in FLAGGED if key in FAILS_CHECK]
@@ -1290,6 +1307,44 @@ def test_negative_seed_flag_is_domain_error(tmp_path, capsys, command):
     code, _, err = run(capsys, *argv, "--seed", "-1")
     assert one_line_error(code, err)
     assert "seed must be >= 0" in err
+
+
+def test_flag_is_checked_where_its_command_does_not_read_it(tmp_path, capsys):
+    # Single-hop generation reads no hop count; the flag is still refused, as
+    # the same value in a config file is.
+    code, out, err = run(
+        capsys, "niah", "gen", "--mode", "single", "--hops", "0", "--synth-library", "5",
+        "--length", "20", "--out-dir", str(tmp_path / "inst"),
+    )
+    assert (code, out, err) == (2, "", "error: niah.hops must be >= 1, got 0\n")
+    assert not (tmp_path / "inst").exists()
+
+
+def test_bad_flag_is_refused_before_a_missing_input(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "dropout", "--in", str(tmp_path / "missing.bin"), "--text-tokens", "0"
+    )
+    assert (code, out, err) == (2, "", "error: dropout.text_tokens must be >= 1, got 0\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("argv", [
+    ["--config", "/dev/zero", "sample", "--duration", "10"],
+    ["niah", "validate", "/dev/zero", "--synth-library", "5"],
+], ids=["config", "niah-instance"])
+def test_text_inputs_over_the_byte_cap_are_refused(capsys, monkeypatch, argv):
+    # At most BYTES_CAP + 1 bytes are read, so a stream that never ends is refused too.
+    monkeypatch.setattr(errors, "BYTES_CAP", 1000)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: /dev/zero: file is over the 1000-byte cap\n")
+
+
+def test_config_file_at_the_byte_cap_is_read(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(errors, "BYTES_CAP", 1000)
+    path = tmp_path / "tool.cfg"
+    for size, code in ((1000, 0), (1001, 2)):
+        path.write_text("costmodel.shape = toy #".ljust(size - 1, "#") + "\n", encoding="utf-8")
+        assert run(capsys, "--config", str(path), "estimate", "--frames", "4")[0] == code
 
 
 def test_negative_seed_config_is_domain_error(tmp_path, capsys):

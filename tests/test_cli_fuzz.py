@@ -23,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import hico
 from helpers import json_slots
-from hico import cli, io
+from hico import cli, compressor, io
 from hico.errors import ConfigError, DomainError
 
 VALUES = ["0", "-1", "nan", "inf", "1e400", "1e-320", "1000000000000", "1" + "0" * 400]
@@ -54,14 +54,14 @@ def test_every_command_has_numeric_flags():
 
 
 class Child:
-    def __init__(self, tmp, **env_vars):
+    def __init__(self, tmp, address_space=ADDRESS_SPACE, **env_vars):
         self.tmp = tmp
         src = str(Path(hico.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         env.pop(cli.ENV_CONFIG, None)
         env.update(env_vars)
         self.proc = subprocess.Popen(
-            [sys.executable, str(Path(__file__).with_name("cli_child.py")), str(ADDRESS_SPACE)],
+            [sys.executable, str(Path(__file__).with_name("cli_child.py")), str(address_space)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env, cwd=tmp,
         )
 
@@ -96,7 +96,7 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(BASE)))
     argv = [command, *BASE[command]]
     if command == "compress":
-        argv += ["--connector", draw(st.sampled_from(io.CONNECTOR_KINDS))]
+        argv += ["--connector", draw(st.sampled_from(compressor.CONNECTOR_KINDS))]
     flags = draw(st.lists(st.sampled_from(FLAGS[command]), min_size=1, max_size=3, unique=True))
     for flag in flags:
         argv += [flag, draw(st.sampled_from(VALUES))]
@@ -268,8 +268,9 @@ def test_read_embeddings_matches_decode_embeddings(tmp_path_factory, damage, tai
 
 @pytest.mark.parametrize("damage", [None, ("truncate", 100)], ids=["valid", "truncated"])
 def test_compress_reads_a_pipe_as_it_reads_a_file(tmp_path, damage):
-    # A pipe has no size to check before reading, so it is read whole and
-    # decoded; the stdout, stderr, exit code and output file are the file's.
+    # A pipe has no size to check before reading, so its header is checked
+    # and then its payload read; the stdout, stderr, exit code and output
+    # file are the file's.
     blob = io.encode_embeddings(EMBEDDING_GRID)
     if damage is not None:
         blob = damaged_embeddings(blob, damage)
@@ -288,6 +289,39 @@ def test_compress_reads_a_pipe_as_it_reads_a_file(tmp_path, damage):
     assert by_pipe.stderr == by_file.stderr.replace(str(tmp_path / "e.bin").encode(), b"/dev/stdin")
     if damage is None:
         assert (tmp_path / "pipe.out").read_bytes() == (tmp_path / "file.out").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_compress_reads_dev_zero_in_bounded_memory(tmp_path):
+    # A reader that kept what it read would run out of the 512 MiB the child
+    # caps itself at; the header alone refuses the stream of zeros.
+    proc = Child(tmp_path, address_space=512 << 20)
+    try:
+        result = proc.run(["compress", "--in", "/dev/zero", "--out", str(tmp_path / "c.bin")])
+    finally:
+        proc.close()
+    assert result == {"code": 3, "stderr": "io error: /dev/zero: bad magic b'\\x00\\x00\\x00\\x00'\n"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(damage=embedding_damages, tail=st.binary(max_size=9))
+@example(damage=("truncate", 1 << 12), tail=b"")  # a valid file
+@example(damage=("truncate", 1 << 12), tail=b"\x00\x00\x00\x00")  # trailing bytes
+@example(damage=("sizes", [(1 << 32) - 1] * 4), tail=b"")  # a payload over the cap, counted
+def test_stream_read_matches_decode_embeddings(damage, tail):
+    # A stream has no size to check first: its header is checked, its payload
+    # read and any further bytes counted. The grid, or the error class and
+    # message, are those of the same bytes decoded whole.
+    blob = damaged_embeddings(io.encode_embeddings(EMBEDDING_GRID), damage) + tail
+    try:
+        want = io.decode_embeddings(blob)
+    except (io.EmbeddingFormatError, DomainError) as exc:
+        with pytest.raises(type(exc)) as got:
+            io._read_stream(bytes_io.BytesIO(blob))
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        got = io._read_stream(bytes_io.BytesIO(blob))
+        assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
 
 
 # Config-file fuzz: a damaged config file reaches the CLI through --config or
@@ -309,7 +343,7 @@ CONFIG_VALUES = [
 ]
 config_lines = st.one_of(
     st.tuples(
-        st.sampled_from(sorted(io.CONFIG_SCHEMA) + ["connector.kinds", "seed.x", "", "Seed"]),
+        st.sampled_from(sorted(cli.CONFIG_SCHEMA) + ["connector.kinds", "seed.x", "", "Seed"]),
         st.sampled_from(CONFIG_VALUES),
     ).map(lambda kv: f"{kv[0]} = {kv[1]}"),
     st.sampled_from(["# comment", "", "no equals sign", "= 1"]),
@@ -382,7 +416,7 @@ def test_config_files_exit_cleanly(config_child, command, via, lines, damage):
     assert "Traceback" not in err, (argv, lines, damage, err)
     # Whatever fails to load must fail the command, in a line that names the file.
     try:
-        io.load_config(path)
+        cli.load_config(path)
     except (ConfigError, OSError):
         assert result["code"] in (2, 3) and str(path) in err, (argv, lines, damage, err)
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import re
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import traced_peak
-from hico import costmodel, io
+from hico import cli, costmodel, io
 from hico.compressor import TokenGrid, tome_merge
 from hico.errors import ConfigError, DomainError
 
@@ -273,7 +274,7 @@ def test_encode_embeddings_peak_memory():
 
 
 # ---------------------------------------------------------------------------
-# config
+# config: cli.load_config and the schema
 
 
 def test_config_parse(tmp_path):
@@ -288,34 +289,39 @@ niah.ordered = true
 """,
         encoding="utf-8",
     )
-    cfg = io.load_config(path)
-    assert cfg.get("sampler.t_min") == 32
-    assert cfg.get("sampler.t_max") == 128
-    assert cfg.get("connector.kind") == "spatial"
-    assert cfg.get("niah.ordered") is True
-    assert cfg.get("dropout.layers") == 28
+    cfg = cli.load_config(path)
+    assert cfg == {
+        "sampler.t_min": 32, "sampler.t_max": 128, "connector.kind": "spatial", "niah.ordered": True,
+    }
+    assert cfg["niah.ordered"] is True
+    settings = cli.resolve_settings(argparse.Namespace(config=str(path)))
+    assert settings["sampler.t_min"] == 32
+    assert settings["dropout.layers"] == 28
 
 
 def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "tool.cfg"
     path.write_text("sampler.t_mni = 32\n", encoding="utf-8")
     with pytest.raises(ConfigError):
-        io.load_config(path)
+        cli.load_config(path)
 
 
 def test_config_rejects_bad_types_at_load(tmp_path):
     path = tmp_path / "tool.cfg"
     path.write_text("\nsampler.t_min = lots\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=":2: sampler.t_min must be an integer"):
-        io.load_config(path)
+        cli.load_config(path)
 
 
-def test_config_typed_getters_reject_bad_values():
-    cfg = io.ToolConfig({"sampler.t_min": "lots", "niah.ordered": "maybe"})
-    with pytest.raises(ConfigError):
-        cfg.get("sampler.t_min")
-    with pytest.raises(ConfigError):
-        cfg.get("niah.ordered")
+def test_config_typed_getters_reject_bad_values(tmp_path):
+    path = tmp_path / "tool.cfg"
+    for body, message in (
+        ("sampler.t_min = lots", ":1: sampler.t_min must be an integer, got 'lots'"),
+        ("niah.ordered = maybe", ":1: niah.ordered must be a boolean, got 'maybe'"),
+    ):
+        path.write_text(body + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            cli.load_config(path)
 
 
 def test_config_validates_presets_and_schedules(tmp_path):
@@ -331,7 +337,7 @@ def test_config_validates_presets_and_schedules(tmp_path):
         path = tmp_path / "tool.cfg"
         path.write_text(body, encoding="utf-8")
         with pytest.raises(ConfigError):
-            io.load_config(path)
+            cli.load_config(path)
 
 
 @pytest.mark.parametrize(
@@ -350,7 +356,7 @@ def test_config_error_echoes_at_most_40_characters(tmp_path, body, message):
     path = tmp_path / "tool.cfg"
     path.write_text(body + "\n", encoding="utf-8")
     with pytest.raises(ConfigError) as exc:
-        io.load_config(path)
+        cli.load_config(path)
     assert str(exc.value).split(": ", 1)[1] == message
 
 
@@ -358,20 +364,21 @@ def test_config_rejects_missing_equals(tmp_path):
     path = tmp_path / "tool.cfg"
     path.write_text("just some words\n", encoding="utf-8")
     with pytest.raises(ConfigError):
-        io.load_config(path)
+        cli.load_config(path)
 
 
-@pytest.mark.parametrize("key", sorted(io.CONFIG_SCHEMA))
-def test_config_schema_defaults_pass_their_checks(key):
-    default = io.ToolConfig({}).get(key)
-    assert default == io.CONFIG_SCHEMA[key].default
+@pytest.mark.parametrize("key", sorted(cli.CONFIG_SCHEMA))
+def test_config_schema_defaults_pass_their_checks(monkeypatch, key):
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    default = cli.resolve_settings(argparse.Namespace(config=None))[key]
+    assert default == cli.CONFIG_SCHEMA[key].default
     if default is not None:
-        assert io.check_value(key, default) == default
+        assert cli.check_value(key, default) == default
 
 
 CONFIG_LINES = st.one_of(
     st.tuples(
-        st.sampled_from(sorted(io.CONFIG_SCHEMA)) | st.text(st.characters(codec="utf-8"), max_size=12),
+        st.sampled_from(sorted(cli.CONFIG_SCHEMA)) | st.text(st.characters(codec="utf-8"), max_size=12),
         st.one_of(
             st.text(st.characters(codec="utf-8"), max_size=20),
             st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1", "-9" * 40, "9" * 5000, ""]),
@@ -389,14 +396,14 @@ def test_load_config_fuzz_raises_only_config_error(tmp_path_factory, lines):
     path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     try:
-        cfg = io.load_config(path)
+        cfg = cli.load_config(path)
     except ConfigError as exc:
         # A 5,000-digit value is echoed cut short, so the error stays one
         # short line after its file and line number.
         assert len(str(exc)) <= len(f"{path}:6: ") + 160, str(exc)
         return
-    for key in cfg.values:
-        cfg.get(key)
+    for key, value in cfg.items():
+        assert cli.check_value(key, value) is value
 
 
 def test_readme_library_example_runs():
@@ -419,5 +426,5 @@ def test_readme_documents_every_config_key():
     type_names = {"_parse_bool": "bool"}
     assert rows == [
         (key, row.flag or "", type_names.get(row.parse.__name__, row.parse.__name__))
-        for key, row in io.CONFIG_SCHEMA.items()
+        for key, row in cli.CONFIG_SCHEMA.items()
     ]
