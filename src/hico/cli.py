@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import random
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -352,39 +351,28 @@ def cmd_niah_gen(args, settings: dict) -> int:
     seed = settings["seed"]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    needle_rng = random.Random(seed)
-    for i in range(args.count):
-        inst_seed = seed + i
-        if args.mode == "single":
-            needle = library[needle_rng.randrange(len(library))]
-            inst = niah.gen_single_hop(
-                args.length,
-                args.depth,
-                needle,
-                seed=inst_seed,
-                start_template=settings["niah.start_template"],
-                q1_text=settings["niah.q1_text"],
+    texts = {"start_template": settings["niah.start_template"], "q1_text": settings["niah.q1_text"]}
+    if args.mode == "single":
+        cells = ((args.length, args.depth) for _ in range(args.count))
+        instances = niah.gen_single_hops(cells, library, seed, **texts)
+    else:
+        hops, distractors = settings["niah.hops"], settings["niah.distractors"]
+        instances = (
+            niah.gen_multi_hop(
+                args.length, hops, distractors, library, seed + i, ordered=settings["niah.ordered"],
+                clue_template=settings["niah.clue_template"], **texts,
             )
-        else:
-            try:
-                inst = niah.gen_multi_hop(
-                    args.length,
-                    settings["niah.hops"],
-                    settings["niah.distractors"],
-                    library,
-                    seed=inst_seed,
-                    ordered=settings["niah.ordered"],
-                    clue_template=settings["niah.clue_template"],
-                    start_template=settings["niah.start_template"],
-                    q1_text=settings["niah.q1_text"],
-                )
-            except niah.LibraryTooSmall as exc:
-                if not args.library:
-                    raise
-                raise niah.LibraryTooSmall(f"{args.library}: {exc}") from None
-        name = f"{inst.instance_id}.json"
-        io.write_output(out_dir / name, [niah.dump_instance(inst).encode()])
-        print(f"wrote {name}")
+            for i in range(args.count)
+        )
+    try:
+        for inst in instances:
+            name = f"{inst.instance_id}.json"
+            io.write_output(out_dir / name, [niah.dump_instance(inst).encode()])
+            print(f"wrote {name}")
+    except niah.LibraryTooSmall as exc:
+        if not args.library:
+            raise
+        raise niah.LibraryTooSmall(f"{args.library}: {exc}") from None
     return 0
 
 

@@ -9,9 +9,13 @@ Embedding file layout (little-endian throughout):
                   row-major (C order)
 
 Declared sizes must match the payload length exactly and every float must
-be finite. Every output goes through write_output, which replaces a regular
-file atomically and writes through to a pipe or device. A payload is written
-in float32 chunks of 64K values, so a float64 grid is never copied whole.
+be finite. One reader decodes a blob, a file or a pipe: with a known size
+every check runs before the payload is read; a stream's header is checked
+first, its payload read under BYTES_CAP, and its trailing bytes counted up
+to the cap. Every output goes through write_output, which replaces a
+regular file atomically and writes through to a pipe or device; a payload
+is written in float32 chunks of 64K values, so a float64 grid is never
+copied whole.
 """
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ import math
 import os
 import stat
 import struct
+from io import BytesIO
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -87,21 +92,10 @@ def _parse_header(header: bytes, size: int | None) -> tuple[int, int, int, int]:
     return frames, rows, cols, dim
 
 
-def _grid(data: np.ndarray) -> TokenGrid:
-    try:
-        return TokenGrid(data)
-    except DomainError:  # its finiteness scan: the one check a 4-D grid of this shape can fail
-        raise NonFiniteDataError("payload contains NaN or infinity") from None
-
-
 def decode_embeddings(blob: bytes) -> TokenGrid:
     """Parse an embedding blob, rejecting any size/payload inconsistency."""
-    shape = _parse_header(blob, len(blob))
-    # The grid is one float32 copy of the payload, not a view: the payload
-    # starts at byte 22, so a view would be misaligned and read-only, and
-    # would keep the whole blob alive.
-    data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).astype(np.float32)
-    return _grid(data.reshape(shape))
+    # BytesIO shares the bytes of a bytes blob, so the grid is its one copy.
+    return _read(BytesIO(blob), len(blob))
 
 
 def _file_chunks(grid: TokenGrid) -> Iterator:
@@ -121,39 +115,43 @@ def encode_embeddings(grid: TokenGrid) -> bytes:
 _CHANGED_SIZE = "file changed size while it was read"
 
 
-def _read_stream(f) -> TokenGrid:
-    """Decode the embedding file a pipe or device `f` reads: the header first, then
-    the payload only if it fits BYTES_CAP; further bytes are counted, not kept."""
+def _read(f, size: int | None) -> TokenGrid:
+    """Decode the embedding file the binary file `f` reads: `size` bytes, or
+    None for a pipe or device (see the module docstring). A file that ends
+    early or runs on once its checks have passed changed size while read."""
     header = f.read(_HEADER.size)
-    shape = _parse_header(header, None)
+    if size is not None and len(header) != min(size, _HEADER.size):
+        raise EmbeddingFormatError(_CHANGED_SIZE)
+    shape = _parse_header(header, size)
     data = np.empty(shape, "<f4") if 8 * math.prod(shape) <= errors.BYTES_CAP else None
-    payload = 0 if data is None else f.readinto(data)
-    while chunk := f.read(4 * _CHUNK_VALUES):
-        payload += len(chunk)
-    _parse_header(header, _HEADER.size + payload)  # the size checks a file of these bytes gets
-    return _grid(data.astype(np.float32, copy=False))
+    got = 0 if data is None else f.readinto(data)
+    # 64 KiB reads: a file's read(n) allocates n bytes even at its end.
+    while chunk := f.read(1 << 16):
+        if size is not None:
+            raise EmbeddingFormatError(_CHANGED_SIZE)
+        got += len(chunk)
+        if got > errors.BYTES_CAP:
+            raise SizeMismatchError(f"more than {errors.BYTES_CAP} bytes after the header")
+    if size is None:
+        _parse_header(header, _HEADER.size + got)
+    elif got != data.nbytes:
+        raise EmbeddingFormatError(_CHANGED_SIZE)
+    try:
+        return TokenGrid(data.astype(np.float32, copy=False))
+    except DomainError:  # its finiteness scan: the one check a 4-D grid of this shape can fail
+        raise NonFiniteDataError("payload contains NaN or infinity") from None
 
 
 def read_embeddings(path: str | os.PathLike) -> TokenGrid:
     """Read and decode an embedding file; a format error names the file.
 
-    A regular file is sized with fstat and checked as decode_embeddings
-    checks a blob, then its payload is read straight into the grid, with no
-    bytes copy of the file. Anything else, such as a pipe, is read by
-    _read_stream.
+    A regular file is sized with fstat, so it is checked as decode_embeddings
+    checks a blob; anything else, such as a pipe, is read as a stream.
     """
     try:
         with open(path, "rb") as f:
             info = os.fstat(f.fileno())
-            if not stat.S_ISREG(info.st_mode):
-                return _read_stream(f)
-            header = f.read(_HEADER.size)
-            if len(header) != min(info.st_size, _HEADER.size):
-                raise EmbeddingFormatError(_CHANGED_SIZE)
-            data = np.empty(_parse_header(header, info.st_size), "<f4")
-            if f.readinto(data) != data.nbytes or f.read(1):
-                raise EmbeddingFormatError(_CHANGED_SIZE)
-            return _grid(data.astype(np.float32, copy=False))
+            return _read(f, info.st_size if stat.S_ISREG(info.st_mode) else None)
     except EmbeddingFormatError as exc:
         raise type(exc)(f"{os.fspath(path)}: {exc}") from None
 

@@ -19,7 +19,9 @@ import math
 import os
 import random
 import string
+import sys
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from . import errors
 from .errors import CapacityError, DomainError, FileFormatError
@@ -248,6 +250,14 @@ def _instance(
     )
 
 
+def _check_haystack_len(haystack_len: int) -> None:
+    if haystack_len < 1:
+        raise DomainError("haystack_len must be >= 1")
+    # Positions are drawn from a range and computed in floats: a length fits a C ssize_t.
+    if haystack_len > sys.maxsize:
+        raise DomainError(f"haystack_len must be <= {sys.maxsize}")
+
+
 def gen_single_hop(
     haystack_len: int,
     depth: float,
@@ -258,14 +268,26 @@ def gen_single_hop(
     q1_text: str = Q1_TEXT,
 ) -> NiahInstance:
     """One needle at relative depth in [0, 1], no clue chain, no distractors."""
-    if haystack_len < 1:
-        raise DomainError("haystack_len must be >= 1")
+    _check_haystack_len(haystack_len)
     if not (0.0 <= depth <= 1.0):
         raise DomainError("depth must be in [0, 1]")
     position = math.floor(depth * (haystack_len - 1) + 0.5)
     return _instance(
         seed, haystack_len, [([needle], [position])], CLUE_TEMPLATE, start_template, q1_text
     )
+
+
+def gen_single_hops(
+    cells: Iterable[tuple[int, float]], library: list[NeedleItem], seed: int = 0, **texts: str
+) -> Iterator[NiahInstance]:
+    """A single-hop instance per (length, depth) cell, made when asked for: one
+    Random(seed) draws every needle, and cell i's instance is seeded seed + i.
+    `texts` are gen_single_hop's start_template and q1_text."""
+    if not library:
+        raise DomainError("library must be non-empty")
+    rng = random.Random(seed)
+    for i, (length, depth) in enumerate(cells):
+        yield gen_single_hop(length, depth, library[rng.randrange(len(library))], seed + i, **texts)
 
 
 class LibraryTooSmall(CapacityError):
@@ -297,6 +319,7 @@ def gen_multi_hop(
     without replacement, so every hop slot is globally distinct and no two
     paths share an item. With ordered=True each path's hop positions ascend.
     """
+    _check_haystack_len(haystack_len)
     if hops < 1:
         raise DomainError("hops must be >= 1")
     if distractor_count < 0:
@@ -517,20 +540,9 @@ def heatmap_grid(
     """One single-hop instance per (length, depth) cell, row-major order."""
     if not lengths or not depths:
         raise DomainError("lengths and depths must be non-empty")
-    if not library:
-        raise DomainError("library must be non-empty")
-    rng = random.Random(seed)
-    cells = []
-    index = 0
-    for length in lengths:
-        for depth in depths:
-            needle = library[rng.randrange(len(library))]
-            instance = gen_single_hop(
-                length, depth, needle, seed + index, start_template=start_template, q1_text=q1_text
-            )
-            cells.append(HeatmapCell(length=length, depth=depth, instance=instance))
-            index += 1
-    return cells
+    cells = [(length, depth) for length in lengths for depth in depths]
+    instances = gen_single_hops(cells, library, seed, start_template=start_template, q1_text=q1_text)
+    return [HeatmapCell(*cell, instance) for cell, instance in zip(cells, instances)]
 
 
 def heatmap_scores(

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -762,6 +763,22 @@ def test_niah_gen_zero_synth_library_is_size_error(tmp_path, capsys):
         )
         assert code == 2
         assert err == "error: library size must be in [1, 4096]\n"
+
+
+@pytest.mark.parametrize("length", [str(2**63), str(10**400)], ids=["2**63", "10**400"])
+@pytest.mark.parametrize("command", ["gen-multi", "gen-single", "heatmap"])
+def test_niah_haystack_length_over_ssize_t_is_domain_error(tmp_path, capsys, command, length):
+    # Such lengths once overflowed in rng.sample or in the depth arithmetic.
+    out = tmp_path / "out"
+    argv = {
+        "gen-multi": ["gen", "--length", length],
+        "gen-single": ["gen", "--mode", "single", "--length", length],
+        "heatmap": ["heatmap", "--lengths", length, "--depths", "0.5", "--grid", str(out / "g.csv")],
+    }[command]
+    code, stdout, err = run(capsys, "niah", *argv, "--synth-library", "50", "--out-dir", str(out))
+    assert (code, stdout) == (2, "") and one_line_error(code, err)
+    assert err == f"error: haystack_len must be <= {sys.maxsize}\n"
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
 
 
 def test_synth_non_integer_shape(tmp_path, capsys):

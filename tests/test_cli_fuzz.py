@@ -1,5 +1,5 @@
-"""Input fuzz: numeric flags of synth, compress, dropout, estimate and sample
-set to edge values, mutated resampler `--weights` archives, damaged
+"""Input fuzz: numeric flags of synth, compress, dropout, estimate, sample and
+niah gen set to edge values, mutated resampler `--weights` archives, damaged
 embedding files, damaged config files and damaged niah library, instance,
 responses and grid files must end in exit 0, 2 or 3 with at most one stderr
 line and no traceback. Commands run in a child process under
@@ -37,16 +37,20 @@ BASE = {
     "dropout": ["--in", "{tmp}/grid.bin", "--schedule", "uni:1:0.5,attn:2:0.5", "--layers", "4"],
     "estimate": ["--frames", "64", "--schedule", "uni:4:0.75,attn:18:0.25"],
     "sample": ["--duration", "60"],
+    "niah gen": ["--length", "60", "--synth-library", "20", "--out-dir", "{tmp}/niah-gen"],
 }
 
 
 def numeric_flags(command):
     parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return [a.option_strings[0] for a in sub.choices[command]._actions if a.type in (int, float)]
+    for word in command.split():
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[word]
+    return [a.option_strings[0] for a in parser._actions if a.type in (int, float)]
 
 
-FLAGS = {command: numeric_flags(command) for command in BASE}
+# A huge --count is a long run that writes that many files, not a fault.
+FLAGS = {command: [f for f in numeric_flags(command) if f != "--count"] for command in BASE}
 
 
 def test_every_command_has_numeric_flags():
@@ -94,9 +98,11 @@ def child(tmp_path_factory):
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(BASE)))
-    argv = [command, *BASE[command]]
+    argv = [*command.split(), *BASE[command]]
     if command == "compress":
         argv += ["--connector", draw(st.sampled_from(compressor.CONNECTOR_KINDS))]
+    if command == "niah gen":
+        argv += ["--mode", draw(st.sampled_from(["single", "multi"]))]
     flags = draw(st.lists(st.sampled_from(FLAGS[command]), min_size=1, max_size=3, unique=True))
     for flag in flags:
         argv += [flag, draw(st.sampled_from(VALUES))]
@@ -111,6 +117,10 @@ def argvs(draw):
 @example(argv=["sample", *BASE["sample"], "--tmin", "1000000000000", "--tmax", "1000000000000"])
 # A 400-digit byte count once overflowed a float after the report had printed.
 @example(argv=["estimate", *BASE["estimate"], "--overhead-bytes", "1" + "0" * 400])
+# Haystack lengths past a C ssize_t once overflowed in rng.sample or in the
+# depth arithmetic.
+@example(argv=["niah", "gen", *BASE["niah gen"], "--mode", "multi", "--length", str(2**63)])
+@example(argv=["niah", "gen", *BASE["niah gen"], "--mode", "single", "--length", "1" + "0" * 400])
 def test_numeric_flag_edge_values_exit_cleanly(child, argv):
     argv = [a.format(tmp=child.tmp) for a in argv]
     result = child.run(argv)
@@ -317,10 +327,10 @@ def test_stream_read_matches_decode_embeddings(damage, tail):
         want = io.decode_embeddings(blob)
     except (io.EmbeddingFormatError, DomainError) as exc:
         with pytest.raises(type(exc)) as got:
-            io._read_stream(bytes_io.BytesIO(blob))
+            io._read(bytes_io.BytesIO(blob), None)
         assert type(got.value) is type(exc) and str(got.value) == str(exc)
     else:
-        got = io._read_stream(bytes_io.BytesIO(blob))
+        got = io._read(bytes_io.BytesIO(blob), None)
         assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
 
 

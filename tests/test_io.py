@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io as bytes_io
 import os
 import re
 import struct
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import traced_peak
-from hico import cli, costmodel, io
+from hico import cli, costmodel, errors, io
 from hico.compressor import TokenGrid, tome_merge
 from hico.errors import ConfigError, DomainError
 
@@ -263,6 +264,48 @@ def test_read_refuses_a_file_that_changes_size_while_read(tmp_path, monkeypatch,
         io.read_embeddings(path)
     assert type(exc.value) is io.EmbeddingFormatError
     assert str(exc.value) == f"{path}: file changed size while it was read"
+
+
+class EndlessZeros(bytes_io.RawIOBase):
+    """A pipe that serves `header`, then zeros without end, and fails the
+    test once it has served `limit` bytes; `fd` is the pipe fstat sees."""
+
+    def __init__(self, header, fd, limit):
+        self.header, self.fd, self.limit, self.served = header, fd, limit, 0
+
+    def readable(self):
+        return True
+
+    def fileno(self):
+        return self.fd
+
+    def readinto(self, buf):
+        view = memoryview(buf).cast("B")
+        n = len(view)
+        assert self.served + n <= self.limit, f"read {self.served + n} bytes of an endless stream"
+        head = self.header[self.served : self.served + n]
+        view[: len(head)] = head
+        view[len(head) :] = bytes(n - len(head))
+        self.served += n
+        return n
+
+
+def test_read_refuses_a_stream_that_runs_past_the_byte_cap(monkeypatch):
+    # A valid 4x16x16x8 header, its 32 KiB payload, then zeros: counting them
+    # all would never end, so the count stops once the cap is passed.
+    monkeypatch.setattr(errors, "BYTES_CAP", 1 << 20)
+    header = io._HEADER.pack(io.MAGIC, io.VERSION, 4, 16, 16, 8)
+    r, w = os.pipe()
+    stream = bytes_io.BufferedReader(EndlessZeros(header, r, 64 << 20))
+    monkeypatch.setattr(io, "open", lambda path, mode: stream, raising=False)
+    try:
+        with pytest.raises(io.SizeMismatchError) as exc:
+            io.read_embeddings("/dev/stdin")
+    finally:
+        os.close(r)
+        os.close(w)
+    assert str(exc.value) == f"/dev/stdin: more than {1 << 20} bytes after the header"
+    assert stream.raw.served <= 2 << 20
 
 
 def test_encode_embeddings_peak_memory():
