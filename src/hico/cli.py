@@ -316,11 +316,17 @@ def _library(args, settings: dict) -> list[niah.NeedleItem]:
     raise DomainError("provide --library PATH or --synth-library SIZE")
 
 
-def _templates(settings: dict) -> dict[str, str]:
-    return {
-        "clue_template": settings["niah.clue_template"],
-        "start_template": settings["niah.start_template"],
-    }
+def _texts(settings: dict) -> niah.Texts:
+    # Each of its fields is the name of a niah.* key.
+    return niah.Texts(**{name: settings["niah." + name] for name in niah.Texts._fields})
+
+
+def _write_instance(out_dir: Path, instance: niah.NiahInstance) -> str:
+    """Write `instance` into `out_dir`, made on first use; return the file's name."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    name = f"{instance.instance_id}.json"
+    io.write_output(out_dir / name, [niah.dump_instance(instance).encode()])
+    return name
 
 
 def _naming(path, call, *args, **kwargs):
@@ -348,27 +354,22 @@ def cmd_niah_gen(args, settings: dict) -> int:
     if args.count < 1:
         raise DomainError(f"--count must be >= 1, got {args.count}")
     library = _library(args, settings)
-    seed = settings["seed"]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    texts = {"start_template": settings["niah.start_template"], "q1_text": settings["niah.q1_text"]}
+    seed, texts = settings["seed"], _texts(settings)
     if args.mode == "single":
         cells = ((args.length, args.depth) for _ in range(args.count))
-        instances = niah.gen_single_hops(cells, library, seed, **texts)
+        instances = niah.gen_single_hops(cells, library, seed, texts)
     else:
         hops, distractors = settings["niah.hops"], settings["niah.distractors"]
         instances = (
             niah.gen_multi_hop(
                 args.length, hops, distractors, library, seed + i, ordered=settings["niah.ordered"],
-                clue_template=settings["niah.clue_template"], **texts,
+                texts=texts,
             )
             for i in range(args.count)
         )
     try:
         for inst in instances:
-            name = f"{inst.instance_id}.json"
-            io.write_output(out_dir / name, [niah.dump_instance(inst).encode()])
-            print(f"wrote {name}")
+            print(f"wrote {_write_instance(Path(args.out_dir), inst)}")
     except niah.LibraryTooSmall as exc:
         if not args.library:
             raise
@@ -377,13 +378,12 @@ def cmd_niah_gen(args, settings: dict) -> int:
 
 
 def cmd_niah_validate(args, settings: dict) -> int:
-    library = _library(args, settings)
-    tpl = _templates(settings)
+    library, texts = _library(args, settings), _texts(settings)
     failures = 0
     count = 0
     for path in _instance_paths(args.paths):
         inst = niah.load_instance(path)
-        report = niah.validate_instance(inst, library, **tpl)
+        report = niah.validate_instance(inst, library, texts=texts)
         count += 1
         for code, msg in report.failures:
             failures += 1
@@ -394,12 +394,11 @@ def cmd_niah_validate(args, settings: dict) -> int:
 
 
 def cmd_niah_solve(args, settings: dict) -> int:
-    library = _library(args, settings)
-    tpl = _templates(settings)
+    library, texts = _library(args, settings), _texts(settings)
     responses = []
     for path in _instance_paths(args.paths):
         inst = niah.load_instance(path)
-        needle_id, answer = _naming(path, niah.oracle_solve, inst, library, **tpl)
+        needle_id, answer = _naming(path, niah.oracle_solve, inst, library, texts=texts)
         responses.append(
             niah.Response(instance_id=inst.instance_id, needle_id=needle_id, answer=answer)
         )
@@ -440,14 +439,11 @@ def cmd_niah_heatmap(args, settings: dict) -> int:
     lengths = _csv(args.lengths, int, "--lengths entry")
     cells = niah.heatmap_grid(
         lengths, _csv(args.depths, float, "--depths entry"), library, settings["seed"],
-        start_template=settings["niah.start_template"], q1_text=settings["niah.q1_text"],
+        texts=_texts(settings),
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["length,depth,instance"]
     for cell in cells:
-        path = out_dir / f"{cell.instance.instance_id}.json"
-        io.write_output(path, [niah.dump_instance(cell.instance).encode()])
+        _write_instance(Path(args.out_dir), cell.instance)
         lines.append(f"{cell.length},{cell.depth:g},{cell.instance.instance_id}")
     io.write_output(args.grid, ["\n".join(lines).encode(), b"\n"])
     print(f"cells={len(cells)}")

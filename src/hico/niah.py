@@ -11,6 +11,8 @@ also requires the needle to be found, so QA <= CAP always).
 Library items, instances, and responses all have JSON representations with
 fixed key order, so serialization is byte-deterministic per seed; the dump_*
 functions give their text, and io.write_output writes it.
+One `Texts` value holds the templates and question that instances are
+written with, and that validation and the oracle read them back through.
 """
 from __future__ import annotations
 
@@ -21,14 +23,27 @@ import random
 import string
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from . import errors
 from .errors import CapacityError, DomainError, FileFormatError
 
 CLUE_TEMPLATE = "The clue in this image points to the item titled '{next_caption}'."
 START_TEMPLATE = "The reasoning path starts at the item titled '{caption}'."
 Q1_TEXT = "Following the textual clues from the starting image, which item is the needle?"
+
+
+class Texts(NamedTuple):
+    """Each hop's clue, naming the next hop's caption; the start hint, naming
+    the first caption; and the needle question."""
+
+    clue_template: str = CLUE_TEMPLATE
+    start_template: str = START_TEMPLATE
+    q1_text: str = Q1_TEXT
+
+
+# Most bytes of a text input; far below errors.BYTES_CAP (1 GiB), so a stream
+# without end, such as /dev/zero, is refused before it fills memory.
+TEXT_CAP = 64 << 20
 
 CHECK_POSITIONS = "positions"
 CHECK_CHAIN = "chain"
@@ -223,16 +238,14 @@ def _instance(
     seed: int,
     haystack_len: int,
     paths: list[tuple[list[NeedleItem], list[int]]],
-    clue_template: str,
-    start_template: str,
-    q1_text: str,
+    texts: Texts,
 ) -> NiahInstance:
     """The instance whose reasoning paths hold these (items, positions), the
     first path the correct one; each hop's clue names the next hop's caption."""
     built = []
     for n, (items, positions) in enumerate(paths):
         hops = [
-            Hop(item.id, pos, render_template(clue_template, "next_caption", nxt.caption))
+            Hop(item.id, pos, render_template(texts.clue_template, "next_caption", nxt.caption))
             for item, nxt, pos in zip(items, items[1:], positions)
         ]
         hops.append(Hop(items[-1].id, positions[-1], None))
@@ -243,8 +256,8 @@ def _instance(
         haystack_len=haystack_len,
         correct_path=built[0],
         distractors=tuple(built[1:]),
-        start_hint=render_template(start_template, "caption", start.caption),
-        q1=q1_text,
+        start_hint=render_template(texts.start_template, "caption", start.caption),
+        q1=texts.q1_text,
         q2=needle.question,
         ground_truth=(needle.id, needle.answer),
     )
@@ -264,30 +277,28 @@ def gen_single_hop(
     needle: NeedleItem,
     seed: int = 0,
     *,
-    start_template: str = START_TEMPLATE,
-    q1_text: str = Q1_TEXT,
+    texts: Texts = Texts(),
 ) -> NiahInstance:
     """One needle at relative depth in [0, 1], no clue chain, no distractors."""
     _check_haystack_len(haystack_len)
     if not (0.0 <= depth <= 1.0):
         raise DomainError("depth must be in [0, 1]")
     position = math.floor(depth * (haystack_len - 1) + 0.5)
-    return _instance(
-        seed, haystack_len, [([needle], [position])], CLUE_TEMPLATE, start_template, q1_text
-    )
+    return _instance(seed, haystack_len, [([needle], [position])], texts)
 
 
 def gen_single_hops(
-    cells: Iterable[tuple[int, float]], library: list[NeedleItem], seed: int = 0, **texts: str
+    cells: Iterable[tuple[int, float]], library: list[NeedleItem], seed: int = 0,
+    texts: Texts = Texts(),
 ) -> Iterator[NiahInstance]:
     """A single-hop instance per (length, depth) cell, made when asked for: one
-    Random(seed) draws every needle, and cell i's instance is seeded seed + i.
-    `texts` are gen_single_hop's start_template and q1_text."""
+    Random(seed) draws every needle, and cell i's instance is seeded seed + i."""
     if not library:
         raise DomainError("library must be non-empty")
     rng = random.Random(seed)
     for i, (length, depth) in enumerate(cells):
-        yield gen_single_hop(length, depth, library[rng.randrange(len(library))], seed + i, **texts)
+        needle = library[rng.randrange(len(library))]
+        yield gen_single_hop(length, depth, needle, seed + i, texts=texts)
 
 
 class LibraryTooSmall(CapacityError):
@@ -309,9 +320,7 @@ def gen_multi_hop(
     seed: int = 0,
     *,
     ordered: bool = False,
-    clue_template: str = CLUE_TEMPLATE,
-    start_template: str = START_TEMPLATE,
-    q1_text: str = Q1_TEXT,
+    texts: Texts = Texts(),
 ) -> NiahInstance:
     """Seeded multi-hop instance with `distractor_count` decoy paths.
 
@@ -341,7 +350,7 @@ def gen_multi_hop(
     for lo in range(0, needed, hops):
         ps = positions[lo : lo + hops]
         paths.append((items[lo : lo + hops], sorted(ps) if ordered else ps))
-    return _instance(seed, haystack_len, paths, clue_template, start_template, q1_text)
+    return _instance(seed, haystack_len, paths, texts)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +403,7 @@ def validate_instance(
     instance: NiahInstance,
     library: list[NeedleItem],
     *,
-    clue_template: str = CLUE_TEMPLATE,
-    start_template: str = START_TEMPLATE,
+    texts: Texts = Texts(),
 ) -> ValidationReport:
     """Check an instance is solvable and its distractors are safe.
 
@@ -424,16 +432,14 @@ def validate_instance(
 
     try:
         _, captions = _caption_map(instance, library)
-        start_caption = extract_from_template(
-            start_template, "caption", instance.start_hint
-        )
+        start_caption = extract_from_template(texts.start_template, "caption", instance.start_hint)
         start_id = captions.get(start_caption)
         if start_id is None:
             report.failures.append(
                 (CHECK_CHAIN, f"start hint names unknown caption {start_caption!r}")
             )
         else:
-            visited = _traverse(start_id, instance, captions, clue_template)
+            visited = _traverse(start_id, instance, captions, texts.clue_template)
             if visited[-1] != needle_id:
                 report.failures.append(
                     (CHECK_CHAIN, f"correct chain ends at {visited[-1]!r}, not the needle")
@@ -455,7 +461,7 @@ def validate_instance(
         if captions is None:
             continue
         try:
-            visited = _traverse(path.hops[0].item_id, instance, captions, clue_template)
+            visited = _traverse(path.hops[0].item_id, instance, captions, texts.clue_template)
         except DomainError as exc:
             report.failures.append((CHECK_DISTRACTOR, f"distractor {i}: {exc}"))
             continue
@@ -470,16 +476,15 @@ def oracle_solve(
     instance: NiahInstance,
     library: list[NeedleItem],
     *,
-    clue_template: str = CLUE_TEMPLATE,
-    start_template: str = START_TEMPLATE,
+    texts: Texts = Texts(),
 ) -> tuple[str, str]:
     """Perfect-perception reference solver: follow the clues, answer from the library."""
     by_id, captions = _caption_map(instance, library)
-    start_caption = extract_from_template(start_template, "caption", instance.start_hint)
+    start_caption = extract_from_template(texts.start_template, "caption", instance.start_hint)
     start_id = captions.get(start_caption)
     if start_id is None:
         raise DomainError(f"start hint names unknown caption {start_caption!r}")
-    visited = _traverse(start_id, instance, captions, clue_template)
+    visited = _traverse(start_id, instance, captions, texts.clue_template)
     terminal = visited[-1]
     return terminal, by_id[terminal].answer
 
@@ -534,14 +539,13 @@ def heatmap_grid(
     library: list[NeedleItem],
     seed: int = 0,
     *,
-    start_template: str = START_TEMPLATE,
-    q1_text: str = Q1_TEXT,
+    texts: Texts = Texts(),
 ) -> list[HeatmapCell]:
     """One single-hop instance per (length, depth) cell, row-major order."""
     if not lengths or not depths:
         raise DomainError("lengths and depths must be non-empty")
     cells = [(length, depth) for length in lengths for depth in depths]
-    instances = gen_single_hops(cells, library, seed, start_template=start_template, q1_text=q1_text)
+    instances = gen_single_hops(cells, library, seed, texts)
     return [HeatmapCell(*cell, instance) for cell, instance in zip(cells, instances)]
 
 
@@ -592,8 +596,8 @@ def instance_to_dict(instance: NiahInstance) -> dict:
 
 def read_text(path: str | os.PathLike) -> str:
     """The UTF-8 text of a library, instance, responses, grid or config file, with
-    universal newlines. Reads at most BYTES_CAP + 1 bytes; a longer input is refused."""
-    data, cap = bytearray(), errors.BYTES_CAP
+    universal newlines. Reads at most TEXT_CAP + 1 bytes; a longer input is refused."""
+    data, cap = bytearray(), TEXT_CAP
     with open(path, "rb") as f:
         while len(data) <= cap and (part := f.read(min(1 << 20, cap + 1 - len(data)))):
             data += part

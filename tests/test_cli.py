@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hico import cli, compressor, dropout, errors, io
+from hico import cli, compressor, dropout, errors, io, niah
 from hico.cli import main
 
 
@@ -114,89 +114,6 @@ def test_compress_resampler_skips_residual(tmp_path, capsys):
     assert code == 0
     assert "conservation_residual=n/a" in out
     assert "output_tokens=5" in out
-
-
-# sha256 of the output file and of stdout, produced by the per-token
-# implementation that preceded the columnar one. Any change to merge order,
-# tie-breaking, summation order or the report breaks them.
-GOLDEN = {
-    "merge": (
-        ["--connector", "merge", "--budget", "12"],
-        "a09b248177db1db79817eb19d8e43b261caea0d628f92c59589fbb5af2da39a8",
-        "60ebae1c98322c11759ec1af5bd03fbb754be3d2ac3dcad9152be8dcdc1df046",
-    ),
-    "merge-st": (
-        ["--connector", "merge", "--budget", "12", "--st-temperature", "0.5"],
-        "2dbf6056c0c111ef4278f7764363084c888ae2639703254cb83bcdf51b94410f",
-        "072b93daa33c95ebcb06d15adc10a476fbab3d9dc9a146f91897f6b2a0bda809",
-    ),
-    "spatial": (
-        ["--connector", "spatial", "--factor", "2"],
-        "59fa6413a0b662c64fdbce97301fe0b4b7ed6569c2ac1474d34660c46fd7390a",
-        "a94119ae26ffb9fa1735018277908cf6f0c8c88ef62db221594dbd9704cc76e4",
-    ),
-    "uneven": (
-        ["--connector", "uneven", "--f-first", "2", "--f-rest", "4"],
-        "4a9f738e75ef2c49df2d155da2d7c3d7ece61021b2514f894cb1a5d397f748ed",
-        "ccf9474a36fecc2e0a782505521b657124cef72694720f96ffd16fd130b93007",
-    ),
-    "resampler": (
-        ["--connector", "resampler", "--queries", "6", "--seed", "7"],
-        "73bfc680255c1ad47d86ec55044cee70e74121e072f6260673200d3ed33cab40",
-        "3542eaf4e1fc99583aa1dc91c5777a4de5e3211db4a7549e42fc26ea7a32dc1f",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_compress_golden_digests(tmp_path, capsys, case):
-    # 10 frames in clips of 4: the last clip is short and gets a scaled budget.
-    grid = synth(tmp_path, kind="clusters", shape="10x8x8x16", seed="3", k=4, noise=0.1)
-    digest = hashlib.sha256(grid.read_bytes()).hexdigest()
-    assert digest == "9233a3c040cf414c15f07aee617a6d129a936701ecda1aac7df5ae2bdb19a97b"
-    flags, file_digest, stdout_digest = GOLDEN[case]
-    out_path = tmp_path / "c.bin"
-    code, out, _ = run(
-        capsys, "compress", "--in", str(grid), "--out", str(out_path), "--clip-len", "4", *flags
-    )
-    assert code == 0
-    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == file_digest
-    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
-
-
-# sha256 of the output file and of stdout, produced by the clip-at-a-time
-# merge that preceded the lockstep stack. 18 frames in clips of 4 give four
-# equal clips, merged as one stack, and a short 2-frame clip; noise 0 makes
-# every cluster's tokens exact duplicates, so ties decide most matches.
-STACK_GOLDEN = {
-    "merge": (
-        ["--budget", "10"],
-        "9868531241ef897074ddab57804d6d602259f26fab1123650d60c6869607f5b7",
-        "7f37f9563b31d44ace4d13b780829d532692ee72825ecb6eb282693b325bb045",
-    ),
-    "merge-st": (
-        ["--budget", "10", "--st-temperature", "0.5"],
-        "d49491f8ce0df1837b025ebe5639a10b2ea9ab0fb8921233043868ddc289e869",
-        "2b15a6b6b316aa316198cfdd33397e93a762cca18d174e33937f4a657059a98d",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(STACK_GOLDEN))
-def test_compress_stacked_clips_golden_digests(tmp_path, capsys, case):
-    grid = synth(tmp_path, kind="clusters", shape="18x6x6x8", seed="11", k=3, noise=0.0)
-    digest = hashlib.sha256(grid.read_bytes()).hexdigest()
-    assert digest == "bc7db741d72ce4f2dd0b5031d39fdf2642d66d63f4b2e85b53a6d2526f34e9f6"
-    flags, file_digest, stdout_digest = STACK_GOLDEN[case]
-    out_path = tmp_path / "c.bin"
-    code, out, _ = run(
-        capsys, "compress", "--in", str(grid), "--out", str(out_path),
-        "--connector", "merge", "--clip-len", "4", *flags,
-    )
-    assert code == 0
-    assert "clips=5" in out and "clip_offsets=0,10,20,30,40" in out
-    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == file_digest
-    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
 
 
 def test_compress_missing_input_is_io_error(tmp_path, capsys):
@@ -458,27 +375,6 @@ def test_dropout_scale_from(tmp_path, capsys):
     assert out.splitlines()[1] == "0,24"  # ceil(32 * 0.75) at scaled layer 0
 
 
-# sha256 of stdout, produced by the full-square attention that preceded the
-# row-blocked softmax. kept_final depends on every attention-guided drop.
-DROPOUT_GOLDEN = {
-    "uni:4:0.75,attn:18:0.25": "519a935b3d63c8771f3cb45da4c244606b4f13b5e47a20f28b6e2cc4b88d2dde",
-    "uni:2:0.6,attn:3:0.5,attn:20:0.3": "dae61f0d7d8b240959af19f5d51bda27528d03ecb3b8ce18fe658cbe805cd12c",
-}
-
-
-@pytest.mark.parametrize("layers", [["--layers", "28"], []], ids=["layers-28", "default-layers"])
-@pytest.mark.parametrize("schedule", sorted(DROPOUT_GOLDEN))
-def test_dropout_golden_digests(tmp_path, capsys, schedule, layers):
-    grid = synth(tmp_path, kind="clusters", shape="10x8x8x16", seed="3", k=4, noise=0.1)
-    digest = hashlib.sha256(grid.read_bytes()).hexdigest()
-    assert digest == "9233a3c040cf414c15f07aee617a6d129a936701ecda1aac7df5ae2bdb19a97b"
-    code, out, _ = run(
-        capsys, "dropout", "--in", str(grid), "--schedule", schedule, "--seed", "5", *layers
-    )
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == DROPOUT_GOLDEN[schedule]
-
-
 # sha256 of toy_decoder_run's final states and of every snapshot's scores and
 # text_scores, in layer order, from the row-blocked base-2 attention that
 # skips the row max shift under its score bound, takes the row sums from the
@@ -499,6 +395,7 @@ DECODER_GOLDEN = {
 }
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("schedule", sorted(DECODER_GOLDEN))
 def test_decoder_states_and_scores_golden_digests(tmp_path, schedule):
     grid = synth(tmp_path, kind="clusters", shape="10x8x8x16", seed="3", k=4, noise=0.1)
@@ -839,8 +736,8 @@ def test_non_utf8_config_is_config_error(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# flags built from the config schema: every flagged row, on every subcommand
-# that declares its flag
+# config keys: test values for every key of the schema, and each flag built
+# from it, on every subcommand that declares the flag
 
 # Each subcommand with the arguments it requires. Only dropout reads a file
 # ({grid}) before it checks a flag.
@@ -861,63 +758,66 @@ COMMANDS = {
     ("niah", "synth-library"): ["--size", "4", "--out", "{tmp}/l.json"],
 }
 
-# A flag value and a different config value for every flagged key; None is
-# a switch flag, which takes no value.
-FLAG_AND_CONFIG = {
-    "seed": ("3", "5"),
-    "sampler.t_min": ("16", "32"),
-    "sampler.t_max": ("48", "96"),
-    "sampler.fps": ("2.5", "0.5"),
-    "connector.kind": ("spatial", "uneven"),
-    "connector.budget": ("8", "16"),
-    "connector.clip_len": ("2", "3"),
-    "connector.st_temperature": ("0.5", "2.0"),
-    "connector.factor": ("4", "1"),
-    "connector.f_first": ("1", "3"),
-    "connector.f_rest": ("2", "8"),
-    "connector.queries": ("4", "12"),
-    "connector.temperature": ("0.25", "3.0"),
+# Test values for every config key, in the schema's order: a flag value (None
+# for a key without a flag, or for a switch flag, which takes no value) and a
+# config value that resolves to something else; for a key with a check, also
+# a value that fails it and the error that value gives, from a flag or, after
+# the file and line, from a config file.
+KEY_VALUES = {
+    # Random(-1) seeds exactly like Random(1), so -1 would repeat seed 1.
+    "seed": ("3", "5", "-1", "seed must be >= 0, got -1"),
+    "sampler.t_min": ("16", "32", "0", "sampler.t_min must be >= 1, got 0"),
+    "sampler.t_max": ("48", "96", "-1", "sampler.t_max must be >= 1, got -1"),
+    "sampler.fps": ("2.5", "0.5", "nan", "sampler.fps must be finite, got nan"),
+    "connector.kind": (
+        "spatial", "uneven", "sparkle",
+        "connector.kind must be one of merge, resampler, spatial, uneven, got 'sparkle'",
+    ),
+    "connector.budget": ("8", "16", "0", "connector.budget must be >= 1, got 0"),
+    "connector.clip_len": ("2", "3", "0", "connector.clip_len must be >= 1, got 0"),
+    "connector.st_temperature": (
+        "0.5", "2.0", "0", "connector.st_temperature must be > 0, got 0.0"
+    ),
+    "connector.factor": ("4", "1", "0", "connector.factor must be >= 1, got 0"),
+    "connector.f_first": ("1", "3", "0", "connector.f_first must be >= 1, got 0"),
+    "connector.f_rest": ("2", "8", "-2", "connector.f_rest must be >= 1, got -2"),
+    "connector.queries": ("4", "12", "0", "connector.queries must be >= 1, got 0"),
+    "connector.temperature": ("0.25", "3.0", "nan", "connector.temperature must be > 0, got nan"),
     "connector.weights_path": ("a.npz", "b.npz"),
-    "dropout.schedule": ("uni:2:0.5", "attn:3:0.25"),
-    "dropout.layers": ("6", "12"),
-    "dropout.hidden_dim": ("32", "16"),
-    "dropout.heads": ("2", "8"),
-    "dropout.text_tokens": ("4", "16"),
-    "costmodel.shape": ("2b", "toy"),
-    "costmodel.cache_bytes_per_value": ("1", "4"),
-    "costmodel.overhead_bytes": ("0", "1024"),
-    "costmodel.tokens_per_frame": ("8", "32"),
-    "niah.hops": ("2", "4"),
-    "niah.distractors": ("0", "2"),
+    "dropout.schedule": (
+        "uni:2:0.5", "attn:3:0.25", "uni:4",
+        "dropout.schedule must be a drop schedule (bad schedule entry 'uni:4'), got 'uni:4'",
+    ),
+    "dropout.layers": ("6", "12", "0", "dropout.layers must be >= 1, got 0"),
+    "dropout.hidden_dim": ("32", "16", "-1", "dropout.hidden_dim must be >= 1, got -1"),
+    "dropout.heads": ("2", "8", "0", "dropout.heads must be >= 1, got 0"),
+    "dropout.text_tokens": ("4", "16", "0", "dropout.text_tokens must be >= 1, got 0"),
+    "costmodel.shape": ("2b", "toy", "13b", "costmodel.shape must be one of 2b, 7b, toy, got '13b'"),
+    "costmodel.nonembed_params": (
+        None, "7.07e9", "1e400", "costmodel.nonembed_params must be finite, got inf"
+    ),
+    "costmodel.bytes_per_param": (
+        None, "1", "-3", "costmodel.bytes_per_param must be >= 1, got -3"
+    ),
+    "costmodel.cache_bytes_per_value": (
+        "1", "4", "0", "costmodel.cache_bytes_per_value must be >= 1, got 0"
+    ),
+    "costmodel.overhead_bytes": ("0", "1024", "-1", "costmodel.overhead_bytes must be >= 0, got -1"),
+    "costmodel.tokens_per_frame": (
+        "8", "32", "0", "costmodel.tokens_per_frame must be >= 1, got 0"
+    ),
+    "niah.clue_template": (
+        None, "Next: {next_caption}", "no placeholder here",
+        "niah.clue_template must contain {next_caption} exactly once, got 'no placeholder here'",
+    ),
+    "niah.start_template": (
+        None, "From {caption}", "{caption} and {caption}",
+        "niah.start_template must contain {caption} exactly once, got '{caption} and {caption}'",
+    ),
+    "niah.q1_text": (None, "Which one?"),
+    "niah.hops": ("2", "4", "0", "niah.hops must be >= 1, got 0"),
+    "niah.distractors": ("0", "2", "-1", "niah.distractors must be >= 0, got -1"),
     "niah.ordered": (None, "false"),
-}
-
-# A value that fails the row's check, for every flagged row that has one.
-FAILS_CHECK = {
-    "seed": "-1",
-    "sampler.t_min": "0",
-    "sampler.t_max": "-1",
-    "sampler.fps": "nan",
-    "connector.kind": "bogus",
-    "connector.budget": "0",
-    "connector.clip_len": "0",
-    "connector.st_temperature": "0",
-    "connector.factor": "0",
-    "connector.f_first": "0",
-    "connector.f_rest": "-2",
-    "connector.queries": "0",
-    "connector.temperature": "nan",
-    "dropout.schedule": "uni:x",
-    "dropout.layers": "0",
-    "dropout.hidden_dim": "-1",
-    "dropout.heads": "0",
-    "dropout.text_tokens": "0",
-    "costmodel.shape": "13b",
-    "costmodel.cache_bytes_per_value": "0",
-    "costmodel.overhead_bytes": "-1",
-    "costmodel.tokens_per_frame": "0",
-    "niah.hops": "0",
-    "niah.distractors": "-1",
 }
 
 
@@ -940,7 +840,7 @@ FLAGGED = [(command, key) for command in COMMANDS for key in declared_keys(comma
 
 def flag_id(case):
     command, key = case
-    return f"{'-'.join(command)}{cli.CONFIG_SCHEMA[key].flag}"
+    return "-".join(command) + (cli.CONFIG_SCHEMA[key].flag or f"-{key}")
 
 
 def subcommands(parser, prefix=()):
@@ -953,13 +853,13 @@ def subcommands(parser, prefix=()):
 
 
 def test_flag_cases_cover_the_schema_and_the_parser():
+    assert list(KEY_VALUES) == list(cli.CONFIG_SCHEMA)
     flagged_rows = {key for key, row in cli.CONFIG_SCHEMA.items() if row.flag}
-    checked_rows = {
-        key for key in flagged_rows
-        if cli.CONFIG_SCHEMA[key].check is not cli.ConfigRow._field_defaults["check"]
-    }
-    assert {key for _, key in FLAGGED} == flagged_rows == set(FLAG_AND_CONFIG)
-    assert checked_rows == set(FAILS_CHECK)
+    assert {key for _, key in FLAGGED} == flagged_rows
+    assert {key for key, values in KEY_VALUES.items() if values[0] is not None} <= flagged_rows
+    no_check = cli.ConfigRow(str, None).check
+    checked_rows = {key for key, row in cli.CONFIG_SCHEMA.items() if row.check is not no_check}
+    assert checked_rows == {key for key, values in KEY_VALUES.items() if len(values) == 4}
     leaves = {c for c in subcommands(cli.build_parser()) if c not in ((), ("niah",))}
     assert leaves == set(COMMANDS)
 
@@ -967,7 +867,7 @@ def test_flag_cases_cover_the_schema_and_the_parser():
 @pytest.mark.parametrize("command,key", FLAGGED, ids=map(flag_id, FLAGGED))
 def test_flag_wins_over_config_file(tmp_path, command, key):
     row = cli.CONFIG_SCHEMA[key]
-    flag_value, config_value = FLAG_AND_CONFIG[key]
+    flag_value, config_value = KEY_VALUES[key][:2]
     argv = ["--config", config_file(tmp_path, f"{key} = {config_value}\n")]
     argv += command_argv(command, tmp_path)
     from_config = cli.build_parser().parse_args(argv)
@@ -977,20 +877,34 @@ def test_flag_wins_over_config_file(tmp_path, command, key):
     assert cli.resolve_settings(from_config)[key] == row.parse(config_value) != expected
 
 
-CHECKED = [(command, key) for command, key in FLAGGED if key in FAILS_CHECK]
+# The keys without a flag, which only a config file sets.
+CONFIG_ONLY = [key for key, row in cli.CONFIG_SCHEMA.items() if row.flag is None]
+
+
+@pytest.mark.parametrize("key", CONFIG_ONLY)
+def test_config_only_key_is_read_from_the_file(tmp_path, key):
+    row, config_value = cli.CONFIG_SCHEMA[key], KEY_VALUES[key][1]
+    args = argparse.Namespace(config=config_file(tmp_path, f"{key} = {config_value}\n"))
+    assert cli.resolve_settings(args)[key] == row.parse(config_value) != row.default
+
+
+# Every checked key: a flagged one on each command that declares its flag, a
+# config-only one on estimate, since a config file is checked before any
+# command runs.
+CHECKED = [(command, key) for command, key in FLAGGED if len(KEY_VALUES[key]) == 4] + [
+    (("estimate",), key) for key in CONFIG_ONLY if len(KEY_VALUES[key]) == 4
+]
 
 
 @pytest.mark.parametrize("command,key", CHECKED, ids=map(flag_id, CHECKED))
 def test_value_failing_check_is_same_error_from_flag_or_config(tmp_path, capsys, command, key):
     grid = synth(tmp_path, shape="2x4x4x8")
     argv = command_argv(command, tmp_path, grid)
-    code, out, err = run(capsys, *argv, *flag_argv(key, FAILS_CHECK[key]))
-    assert one_line_error(code, err) and out == ""
-    assert err.startswith(f"error: {key} ")
-    cfg = config_file(tmp_path, f"{key} = {FAILS_CHECK[key]}\n")
-    code, out, err_config = run(capsys, "--config", cfg, *argv)
-    assert one_line_error(code, err_config) and out == ""
-    assert err_config == err.replace("error: ", f"error: {cfg}:1: ", 1)
+    bad, error = KEY_VALUES[key][2:]
+    if cli.CONFIG_SCHEMA[key].flag:
+        assert run(capsys, *argv, *flag_argv(key, bad)) == (2, "", f"error: {error}\n")
+    cfg = config_file(tmp_path, f"{key} = {bad}\n")
+    assert run(capsys, "--config", cfg, *argv) == (2, "", f"error: {cfg}:1: {error}\n")
 
 
 @pytest.mark.parametrize(
@@ -1038,9 +952,10 @@ def test_synth_and_compress_deterministic(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# goldens for the commands whose defaults come from the config schema: sha256
-# of stdout, then of each output file (a directory's files in name order).
-# Pinned from the code that wrote each default as a literal at its call site.
+# goldens: every byte-identity check on the CLI, in one table. A row is keyed
+# by the id of the test that checks it: (config body or None, the commands run
+# in order, their outputs under tmp) -> sha256 of the last command's stdout,
+# then of each output file (a directory's files in name order).
 
 
 def digests(out, *paths):
@@ -1058,54 +973,23 @@ def config_file(tmp_path, body):
     return str(path)
 
 
-ESTIMATE_GOLDEN = {
-    "default": (
-        ["--frames", "64"],
-        "9cf7136e4db160bbf047c2d76e6cb1014c5c4c7ff20129e31a5082a6fa03a17f",
-    ),
-    "schedule-text-64": (
-        ["--frames", "10000", "--schedule", "uni:4:0.75,attn:18:0.25", "--text-tokens", "64"],
-        "6344ad1f28c07d07d66a21650959cb81f80c8132af068690a808226b079a1fae",
-    ),
-    # No --text-tokens: counts the 8 text tokens `hico dropout` runs with, so
-    # this is the digest of the same command with --text-tokens 8. It counted
-    # 0 before the schema gave dropout.text_tokens one default.
-    "schedule-default-text": (
-        ["--frames", "10000", "--schedule", "uni:4:0.75,attn:18:0.25"],
-        "4d61236136dc41a2d0a2fc52bfbecb53935111f9c87e90d1d4d9de83f07e11a2",
-    ),
-}
-
-
-def test_sample_default_golden(capsys):
-    code, out, _ = run(capsys, "sample", "--duration", "90")
-    assert code == 0
-    assert digests(out) == ["d9b24df5e0d1849507b6e8d54aba8656b46ce8bdc61abb5777e4af5b64a6e22c"]
-
-
-@pytest.mark.parametrize("case", sorted(ESTIMATE_GOLDEN))
-def test_estimate_default_goldens(capsys, case):
-    flags, stdout_digest = ESTIMATE_GOLDEN[case]
-    code, out, _ = run(capsys, "estimate", *flags)
-    assert code == 0
-    assert digests(out) == [stdout_digest]
-
-
-def test_niah_gen_default_hops_golden(tmp_path, capsys):
-    out_dir = tmp_path / "inst"
-    code, out, _ = run(
-        capsys, "niah", "gen", "--mode", "multi", "--length", "300", "--count", "3",
-        "--seed", "4", "--synth-library", "40", "--out-dir", str(out_dir),
-    )
-    assert code == 0
-    assert digests(out, out_dir) == [
-        "01e2fc02c4bb4e45e8a506b2666c813c93d397b9172755e194df041af22c644c",
-        "10dc7f6ec63e715559b13b1497d5280b12f68b34a59ab23382969aaf2f4960db",
-        "b186a087cadf78f52bb0c8434b8ac214c34b26bf44ac5fb0c875cb68a004881c",
-        "07ceae05a3a7b699a8d3ec7eca90ca021203ce244ebc07c12ff15e06f3140404",
-    ]
-
-
+# 10 frames in clips of 4: the last clip is short and gets a scaled budget.
+SYNTH_10 = ["synth", "--kind", "clusters", "--shape", "10x8x8x16", "--seed", "3", "--k", "4",
+            "--noise", "0.1", "--out", "{tmp}/grid.bin"]
+GRID_10 = "9233a3c040cf414c15f07aee617a6d129a936701ecda1aac7df5ae2bdb19a97b"
+# 18 frames in clips of 4 give four equal clips, merged as one stack, and a
+# short 2-frame clip (clips=5, clip_offsets=0,10,20,30,40); noise 0 makes every
+# cluster's tokens exact duplicates, so ties decide most matches.
+SYNTH_18 = ["synth", "--kind", "clusters", "--shape", "18x6x6x8", "--seed", "11", "--k", "3",
+            "--noise", "0.0", "--out", "{tmp}/grid.bin"]
+GRID_18 = "bc7db741d72ce4f2dd0b5031d39fdf2642d66d63f4b2e85b53a6d2526f34e9f6"
+COMPRESS = ["compress", "--in", "{tmp}/grid.bin", "--out", "{tmp}/c.bin"]
+DROPOUT = ["dropout", "--in", "{tmp}/grid.bin", "--seed", "5", "--schedule"]
+SCHEDULE_1, SCHEDULE_2 = "uni:4:0.75,attn:18:0.25", "uni:2:0.6,attn:3:0.5,attn:20:0.3"
+GEN_SINGLE = ["niah", "gen", "--mode", "single", "--length", "200", "--depth", "0.3",
+              "--count", "3", "--synth-library", "30", "--out-dir", "{tmp}/out"]
+HEATMAP = ["niah", "heatmap", "--lengths", "40,90", "--depths", "0,0.4,1", "--synth-library",
+           "30", "--out-dir", "{tmp}/out", "--grid", "{tmp}/grid.csv"]
 NIAH_CONFIG = """\
 seed = 11
 niah.clue_template = Next, look for '{next_caption}'.
@@ -1115,46 +999,163 @@ niah.hops = 4
 niah.distractors = 2
 niah.ordered = yes
 """
+CONNECTOR_CONFIG = """\
+seed = 9
+connector.kind = {kind}
+connector.budget = 10
+connector.clip_len = 3
+connector.st_temperature = 0.25
+connector.factor = 4
+connector.f_first = 1
+connector.f_rest = 2
+connector.queries = 7
+connector.temperature = 0.5
+"""
 
-
-def test_niah_gen_config_golden(tmp_path, capsys):
-    out_dir = tmp_path / "inst"
-    code, out, _ = run(
-        capsys, "--config", config_file(tmp_path, NIAH_CONFIG), "niah", "gen",
-        "--length", "300", "--count", "2", "--synth-library", "40",
-        "--out-dir", str(out_dir),
-    )
-    assert code == 0
-    assert digests(out, out_dir) == [
-        "503f449a8b36eb577e58c5aefb4892af03371c88d3dd8e6d876a1dac99cab597",
-        "d3f1b69c7b6d5de6e1ecb95b8acbbd6da5f514e2c717c1499996874595fc40bf",
-        "d65a8088380c2f76c0b6f176362f532c1cec423a0031ee5871d68ac6d77c56bb",
-    ]
-
-
-# Niah outputs no golden above covers: (config body or None, the commands run
-# in order, the last command's outputs under tmp) -> sha256 of its stdout, then
-# of each output file. Pinned from the code in which gen_single_hop and
-# gen_multi_hop each built their instances by hand; heatmap-config from the
-# code in which heatmap first honoured the configured templates.
-GEN_SINGLE = ["niah", "gen", "--mode", "single", "--length", "200", "--depth", "0.3",
-              "--count", "3", "--synth-library", "30", "--out-dir", "{tmp}/out"]
-HEATMAP = ["niah", "heatmap", "--lengths", "40,90", "--depths", "0,0.4,1", "--synth-library",
-           "30", "--out-dir", "{tmp}/out", "--grid", "{tmp}/grid.csv"]
-NIAH_GOLDEN = {
-    "gen-single": (None, [GEN_SINGLE + ["--seed", "5"]], ["out"], [
+CLI_GOLDEN = {
+    # compress: from the per-token implementation that preceded the columnar
+    # one. Any change to merge order, tie-breaking, summation order or the
+    # report breaks them.
+    "test_compress_golden_digests[merge]": (
+        None, [SYNTH_10, COMPRESS + ["--clip-len", "4", "--connector", "merge", "--budget", "12"]],
+        ["grid.bin", "c.bin"], [
+            "60ebae1c98322c11759ec1af5bd03fbb754be3d2ac3dcad9152be8dcdc1df046", GRID_10,
+            "a09b248177db1db79817eb19d8e43b261caea0d628f92c59589fbb5af2da39a8",
+        ],
+    ),
+    "test_compress_golden_digests[merge-st]": (
+        None, [SYNTH_10, COMPRESS + ["--clip-len", "4", "--connector", "merge", "--budget", "12",
+                                     "--st-temperature", "0.5"]],
+        ["grid.bin", "c.bin"], [
+            "072b93daa33c95ebcb06d15adc10a476fbab3d9dc9a146f91897f6b2a0bda809", GRID_10,
+            "2dbf6056c0c111ef4278f7764363084c888ae2639703254cb83bcdf51b94410f",
+        ],
+    ),
+    "test_compress_golden_digests[spatial]": (
+        None, [SYNTH_10, COMPRESS + ["--clip-len", "4", "--connector", "spatial", "--factor", "2"]],
+        ["grid.bin", "c.bin"], [
+            "a94119ae26ffb9fa1735018277908cf6f0c8c88ef62db221594dbd9704cc76e4", GRID_10,
+            "59fa6413a0b662c64fdbce97301fe0b4b7ed6569c2ac1474d34660c46fd7390a",
+        ],
+    ),
+    "test_compress_golden_digests[uneven]": (
+        None, [SYNTH_10, COMPRESS + ["--clip-len", "4", "--connector", "uneven", "--f-first", "2",
+                                     "--f-rest", "4"]],
+        ["grid.bin", "c.bin"], [
+            "ccf9474a36fecc2e0a782505521b657124cef72694720f96ffd16fd130b93007", GRID_10,
+            "4a9f738e75ef2c49df2d155da2d7c3d7ece61021b2514f894cb1a5d397f748ed",
+        ],
+    ),
+    "test_compress_golden_digests[resampler]": (
+        None, [SYNTH_10, COMPRESS + ["--clip-len", "4", "--connector", "resampler", "--queries",
+                                     "6", "--seed", "7"]],
+        ["grid.bin", "c.bin"], [
+            "3542eaf4e1fc99583aa1dc91c5777a4de5e3211db4a7549e42fc26ea7a32dc1f", GRID_10,
+            "73bfc680255c1ad47d86ec55044cee70e74121e072f6260673200d3ed33cab40",
+        ],
+    ),
+    # compress of clips merged as a stack: from the clip-at-a-time merge that
+    # preceded the lockstep stack.
+    "test_compress_stacked_clips_golden_digests[merge]": (
+        None, [SYNTH_18, COMPRESS + ["--connector", "merge", "--clip-len", "4", "--budget", "10"]],
+        ["grid.bin", "c.bin"], [
+            "7f37f9563b31d44ace4d13b780829d532692ee72825ecb6eb282693b325bb045", GRID_18,
+            "9868531241ef897074ddab57804d6d602259f26fab1123650d60c6869607f5b7",
+        ],
+    ),
+    "test_compress_stacked_clips_golden_digests[merge-st]": (
+        None, [SYNTH_18, COMPRESS + ["--connector", "merge", "--clip-len", "4", "--budget", "10",
+                                     "--st-temperature", "0.5"]],
+        ["grid.bin", "c.bin"], [
+            "2b15a6b6b316aa316198cfdd33397e93a762cca18d174e33937f4a657059a98d", GRID_18,
+            "d49491f8ce0df1837b025ebe5639a10b2ea9ab0fb8921233043868ddc289e869",
+        ],
+    ),
+    # compress with every connector knob from a config file.
+    "test_compress_config_golden[merge]": (
+        CONNECTOR_CONFIG.format(kind="merge"), [SYNTH_10, COMPRESS], ["grid.bin", "c.bin"], [
+            "795edc023bde3569fb5c07a42a5598bdc2030a9cb4a005b2514b433882aacdc4", GRID_10,
+            "323488e04c8599c19cd77fe5c6a7ab4fbbf9470afc2101003ef2f6c2b67b1c49",
+        ],
+    ),
+    "test_compress_config_golden[resampler]": (
+        CONNECTOR_CONFIG.format(kind="resampler"), [SYNTH_10, COMPRESS], ["grid.bin", "c.bin"], [
+            "0bfad13f64397d9ca0deb530f27325e2b160911e27f45ce8083a19c99969f2b0", GRID_10,
+            "7c680c91000b6c27d8d4e944da96f210471707f474b1bc17d3edd0afca572f41",
+        ],
+    ),
+    # dropout: from the full-square attention that preceded the row-blocked
+    # softmax. kept_final depends on every attention-guided drop.
+    f"test_dropout_golden_digests[{SCHEDULE_1}-layers-28]": (
+        None, [SYNTH_10, DROPOUT + [SCHEDULE_1, "--layers", "28"]], ["grid.bin"],
+        ["519a935b3d63c8771f3cb45da4c244606b4f13b5e47a20f28b6e2cc4b88d2dde", GRID_10],
+    ),
+    f"test_dropout_golden_digests[{SCHEDULE_1}-default-layers]": (
+        None, [SYNTH_10, DROPOUT + [SCHEDULE_1]], ["grid.bin"],
+        ["519a935b3d63c8771f3cb45da4c244606b4f13b5e47a20f28b6e2cc4b88d2dde", GRID_10],
+    ),
+    f"test_dropout_golden_digests[{SCHEDULE_2}-layers-28]": (
+        None, [SYNTH_10, DROPOUT + [SCHEDULE_2, "--layers", "28"]], ["grid.bin"],
+        ["dae61f0d7d8b240959af19f5d51bda27528d03ecb3b8ce18fe658cbe805cd12c", GRID_10],
+    ),
+    f"test_dropout_golden_digests[{SCHEDULE_2}-default-layers]": (
+        None, [SYNTH_10, DROPOUT + [SCHEDULE_2]], ["grid.bin"],
+        ["dae61f0d7d8b240959af19f5d51bda27528d03ecb3b8ce18fe658cbe805cd12c", GRID_10],
+    ),
+    # The commands whose defaults come from the config schema: from the code
+    # that wrote each default as a literal at its call site.
+    "test_sample_default_golden": (
+        None, [["sample", "--duration", "90"]], [],
+        ["d9b24df5e0d1849507b6e8d54aba8656b46ce8bdc61abb5777e4af5b64a6e22c"],
+    ),
+    "test_estimate_default_goldens[default]": (
+        None, [["estimate", "--frames", "64"]], [],
+        ["9cf7136e4db160bbf047c2d76e6cb1014c5c4c7ff20129e31a5082a6fa03a17f"],
+    ),
+    "test_estimate_default_goldens[schedule-text-64]": (
+        None, [["estimate", "--frames", "10000", "--schedule", SCHEDULE_1, "--text-tokens", "64"]],
+        [], ["6344ad1f28c07d07d66a21650959cb81f80c8132af068690a808226b079a1fae"],
+    ),
+    # No --text-tokens: counts the 8 text tokens `hico dropout` runs with, so
+    # this is the digest of the same command with --text-tokens 8. It counted
+    # 0 before the schema gave dropout.text_tokens one default.
+    "test_estimate_default_goldens[schedule-default-text]": (
+        None, [["estimate", "--frames", "10000", "--schedule", SCHEDULE_1]], [],
+        ["4d61236136dc41a2d0a2fc52bfbecb53935111f9c87e90d1d4d9de83f07e11a2"],
+    ),
+    "test_niah_gen_default_hops_golden": (
+        None, [["niah", "gen", "--mode", "multi", "--length", "300", "--count", "3", "--seed", "4",
+                "--synth-library", "40", "--out-dir", "{tmp}/inst"]], ["inst"], [
+            "01e2fc02c4bb4e45e8a506b2666c813c93d397b9172755e194df041af22c644c",
+            "10dc7f6ec63e715559b13b1497d5280b12f68b34a59ab23382969aaf2f4960db",
+            "b186a087cadf78f52bb0c8434b8ac214c34b26bf44ac5fb0c875cb68a004881c",
+            "07ceae05a3a7b699a8d3ec7eca90ca021203ce244ebc07c12ff15e06f3140404",
+        ],
+    ),
+    "test_niah_gen_config_golden": (
+        NIAH_CONFIG, [["niah", "gen", "--length", "300", "--count", "2", "--synth-library", "40",
+                       "--out-dir", "{tmp}/inst"]], ["inst"], [
+            "503f449a8b36eb577e58c5aefb4892af03371c88d3dd8e6d876a1dac99cab597",
+            "d3f1b69c7b6d5de6e1ecb95b8acbbd6da5f514e2c717c1499996874595fc40bf",
+            "d65a8088380c2f76c0b6f176362f532c1cec423a0031ee5871d68ac6d77c56bb",
+        ],
+    ),
+    # niah outputs: from the code in which gen_single_hop and gen_multi_hop
+    # each built their instances by hand; heatmap-config from the code in
+    # which heatmap first honoured the configured templates.
+    "test_niah_output_goldens[gen-single]": (None, [GEN_SINGLE + ["--seed", "5"]], ["out"], [
         "a2bc17c38c37deab0f264e20e6178c159eb75ae6994a08d1ffd0d1a73bdefdb5",
         "e9dcfdfafe79bd81485c47d03f5f972a42f46141ecab3b46c2492aee7f43f14c",
         "88222a1cf18a64c95de49ba67893110533c4150f5f5059d6ab2553dd00da8496",
         "33c3b145e96cf62b62ad3b417d158ad58dd1c8627fca282110d85217dac940be",
     ]),
-    "gen-single-config": (NIAH_CONFIG, [GEN_SINGLE], ["out"], [
+    "test_niah_output_goldens[gen-single-config]": (NIAH_CONFIG, [GEN_SINGLE], ["out"], [
         "17c3a5a887d343d6a9ac014f7947bf10ca945a946d3b3620696f975ccba960a8",
         "a4c957f74bf474eb8ad7c3b6f4f2aaa5a80653ba8cbc90c86e0b967dd3d77fe7",
         "d4244cb246baa4424329f8ec70de5944bc269b736175b2d00f2e99e09c1f5c7f",
         "463315c8f5aaedd8268fcfbaa7a4c3c3623894da3729042db0fdb25fd3fc5e98",
     ]),
-    "heatmap": (None, [HEATMAP + ["--seed", "6"]], ["grid.csv", "out"], [
+    "test_niah_output_goldens[heatmap]": (None, [HEATMAP + ["--seed", "6"]], ["grid.csv", "out"], [
         "e1e6869d9753fcf2567179dc299584fc493d1ca3e985dc2d3ef10ede7b2e2812",
         "5c9e27146fef28913363677b5c680c5fd18c66dd12bc1115b9420019711b3ec8",
         "2cf44608e5a662fb0a35a9187c1c6c82a909e8887cc3357c26c42c2a6abacf38",
@@ -1164,7 +1165,7 @@ NIAH_GOLDEN = {
         "40d2d0ca095072d72b63227bfbfb9bc93ba0ab36c50f25709c7b920c30207bca",
         "1aa04b2d89ff6d962adee861fbf2ad7420c07c26f1f2565b3a44287a7c7fc785",
     ]),
-    "heatmap-config": (NIAH_CONFIG, [HEATMAP], ["grid.csv", "out"], [
+    "test_niah_output_goldens[heatmap-config]": (NIAH_CONFIG, [HEATMAP], ["grid.csv", "out"], [
         "e1e6869d9753fcf2567179dc299584fc493d1ca3e985dc2d3ef10ede7b2e2812",
         "0d5edf7e41bd018a731ad282a92a9daa05d83e6fbbadc9e4c653332d8670db39",
         "385e54faa496e50614cc5c17b5467a76d20f929793d3fab1d143adff1b9ea069",
@@ -1174,14 +1175,14 @@ NIAH_GOLDEN = {
         "b77d7a2943905e50ea26a3cca9221f6bb9d84c5dcf72c8a47b0e0be6b3d58436",
         "26e4ac00615607c7260cd0f5e6d2c4ca0383eeeaca94af162859951ba1022d23",
     ]),
-    "synth-library": (
+    "test_niah_output_goldens[synth-library]": (
         None, [["niah", "synth-library", "--size", "25", "--seed", "8", "--out", "{tmp}/lib.json"]],
         ["lib.json"], [
             "983b637ff112d7cc80aa7c0ce87e3ab00adfa6392f12a4c5319a36e26080b444",
             "eefd7dd71fb7ef615e279f581f939be789d0d992dfda960904069420b8c7647e",
         ],
     ),
-    "solve": (
+    "test_niah_output_goldens[solve]": (
         None,
         [["niah", "gen", "--length", "300", "--count", "4", "--seed", "2", "--synth-library", "30",
           "--out-dir", "{tmp}/inst"],
@@ -1192,17 +1193,115 @@ NIAH_GOLDEN = {
             "7d577a4063a096f28746d22b5c9168ff44ce49bcc0a9daae24b848ab5d843045",
         ],
     ),
+    # The heatmap its test then scores, with one response edited.
+    "test_niah_heatmap_score_golden": (
+        None,
+        [["niah", "synth-library", "--size", "40", "--seed", "2", "--out", "{tmp}/lib.json"],
+         ["niah", "heatmap", "--lengths", "60,120", "--depths", "0,0.25,1", "--library",
+          "{tmp}/lib.json", "--out-dir", "{tmp}/cells", "--grid", "{tmp}/grid.csv"]],
+        ["grid.csv", "cells"], [
+            "e1e6869d9753fcf2567179dc299584fc493d1ca3e985dc2d3ef10ede7b2e2812",
+            "48510aa2818e1b8fd65afa5da38dbaa4a7224f10bc35b975098d497ac697f4e2",
+            "dc16b51f1ff94e8a070e59fd9624676f8710b8484f3859c89028d03763c29943",
+            "f4995d332412bf8dc3a6cfbcc158ca79656ae6520f3bb60c7e98a81bfb19fa3d",
+            "eeeb3175eda52a6dbe783a6ddb267797184cc4299db95b28f7ebc421226c26b9",
+            "ae4afe325d61645b0ec637756484db56d795abb97949fd693dcf31fbf5f315d6",
+            "f0b8f8c8be1043d561ca72b49d9a11fc5b8aa7becba68a0ed7d384e8d75540f8",
+            "f9ee0ffb0e1a0899ff0222fd5220ce91c243b16769f7eaec7bef76020f53c4f7",
+        ],
+    ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(NIAH_GOLDEN))
-def test_niah_output_goldens(tmp_path, capsys, case):
-    config, commands, outputs, golden = NIAH_GOLDEN[case]
+def check_golden(tmp_path, capsys, test_id):
+    config, commands, outputs, golden = CLI_GOLDEN[test_id]
     prefix = [] if config is None else ["--config", config_file(tmp_path, config)]
     for argv in commands:
         code, out, _ = run(capsys, *prefix, *(a.format(tmp=tmp_path) for a in argv))
         assert code == 0
     assert digests(out, *(tmp_path / name for name in outputs)) == golden
+
+
+def golden(test):
+    """Mark `test` golden, run once per CLI_GOLDEN row keyed by its name plus a
+    [case] id, or once if its name alone is a key."""
+    cases = sorted(key[len(test.__name__) + 1 : -1] for key in CLI_GOLDEN
+                   if key.startswith(test.__name__ + "["))
+    test = pytest.mark.golden(test)
+    return pytest.mark.parametrize("case", cases)(test) if cases else test
+
+
+@golden
+def test_compress_golden_digests(tmp_path, capsys, request, case):
+    check_golden(tmp_path, capsys, request.node.name)
+
+
+@golden
+def test_compress_stacked_clips_golden_digests(tmp_path, capsys, request, case):
+    check_golden(tmp_path, capsys, request.node.name)
+
+
+@golden
+def test_compress_config_golden(tmp_path, capsys, request, case):
+    check_golden(tmp_path, capsys, request.node.name)
+
+
+@golden
+def test_dropout_golden_digests(tmp_path, capsys, request, case):
+    check_golden(tmp_path, capsys, request.node.name)
+
+
+@golden
+def test_sample_default_golden(tmp_path, capsys, request):
+    check_golden(tmp_path, capsys, request.node.name)
+
+
+@golden
+def test_estimate_default_goldens(tmp_path, capsys, request, case):
+    check_golden(tmp_path, capsys, request.node.name)
+
+
+@golden
+def test_niah_gen_default_hops_golden(tmp_path, capsys, request):
+    check_golden(tmp_path, capsys, request.node.name)
+
+
+@golden
+def test_niah_gen_config_golden(tmp_path, capsys, request):
+    check_golden(tmp_path, capsys, request.node.name)
+
+
+@golden
+def test_niah_output_goldens(tmp_path, capsys, request, case):
+    check_golden(tmp_path, capsys, request.node.name)
+
+
+@golden
+def test_niah_heatmap_score_golden(tmp_path, capsys, request):
+    check_golden(tmp_path, capsys, request.node.name)
+    # A wrong needle id in one response makes its cell score 0.
+    cells, grid_csv, responses = tmp_path / "cells", tmp_path / "grid.csv", tmp_path / "resp.jsonl"
+    main(["niah", "solve", str(cells), "--library", str(tmp_path / "lib.json"),
+          "--out", str(responses)])
+    lines = responses.read_text().splitlines()
+    first = json.loads(lines[0])
+    first["needle_id"] = "nope"
+    responses.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+    heat_csv = tmp_path / "heat.csv"
+    code, out, _ = run(
+        capsys, "niah", "heatmap-score", str(cells), "--grid", str(grid_csv),
+        "--responses", str(responses), "--out", str(heat_csv),
+    )
+    assert code == 0
+    assert digests(out, heat_csv) == [
+        "db5e06e54c499f063e756ec04af5dc0655ddf88d7056ab5ce5e89200edebe193",
+        "ad8b04b314a73c57613b65c3e4106020cd9f7c9f1b88d87f99fb1d5e028ab36a",
+    ]
+
+
+def test_every_golden_row_has_its_test():
+    # A row whose key names no test would never run.
+    assert all(key.split("[")[0] in globals() for key in CLI_GOLDEN)
 
 
 def test_niah_heatmap_honours_config_templates(tmp_path, capsys):
@@ -1227,80 +1326,6 @@ def test_niah_heatmap_honours_config_templates(tmp_path, capsys):
     assert len(rows) == 7 and all(row.endswith(",1.0000") for row in rows[1:])
 
 
-CONNECTOR_CONFIG = """\
-seed = 9
-connector.kind = {kind}
-connector.budget = 10
-connector.clip_len = 3
-connector.st_temperature = 0.25
-connector.factor = 4
-connector.f_first = 1
-connector.f_rest = 2
-connector.queries = 7
-connector.temperature = 0.5
-"""
-CONNECTOR_CONFIG_GOLDEN = {
-    "merge": [
-        "795edc023bde3569fb5c07a42a5598bdc2030a9cb4a005b2514b433882aacdc4",
-        "323488e04c8599c19cd77fe5c6a7ab4fbbf9470afc2101003ef2f6c2b67b1c49",
-    ],
-    "resampler": [
-        "0bfad13f64397d9ca0deb530f27325e2b160911e27f45ce8083a19c99969f2b0",
-        "7c680c91000b6c27d8d4e944da96f210471707f474b1bc17d3edd0afca572f41",
-    ],
-}
-
-
-@pytest.mark.parametrize("kind", sorted(CONNECTOR_CONFIG_GOLDEN))
-def test_compress_config_golden(tmp_path, capsys, kind):
-    grid = synth(tmp_path, kind="clusters", shape="10x8x8x16", seed="3", k=4, noise=0.1)
-    out_path = tmp_path / "c.bin"
-    code, out, _ = run(
-        capsys, "--config", config_file(tmp_path, CONNECTOR_CONFIG.format(kind=kind)),
-        "compress", "--in", str(grid), "--out", str(out_path),
-    )
-    assert code == 0
-    assert digests(out, out_path) == CONNECTOR_CONFIG_GOLDEN[kind]
-
-
-def test_niah_heatmap_score_golden(tmp_path, capsys):
-    lib = tmp_path / "lib.json"
-    main(["niah", "synth-library", "--size", "40", "--seed", "2", "--out", str(lib)])
-    cells, grid_csv = tmp_path / "cells", tmp_path / "grid.csv"
-    code, out, _ = run(
-        capsys, "niah", "heatmap", "--lengths", "60,120", "--depths", "0,0.25,1",
-        "--library", str(lib), "--out-dir", str(cells), "--grid", str(grid_csv),
-    )
-    assert code == 0
-    assert digests(out, grid_csv, cells) == [
-        "e1e6869d9753fcf2567179dc299584fc493d1ca3e985dc2d3ef10ede7b2e2812",
-        "48510aa2818e1b8fd65afa5da38dbaa4a7224f10bc35b975098d497ac697f4e2",
-        "dc16b51f1ff94e8a070e59fd9624676f8710b8484f3859c89028d03763c29943",
-        "f4995d332412bf8dc3a6cfbcc158ca79656ae6520f3bb60c7e98a81bfb19fa3d",
-        "eeeb3175eda52a6dbe783a6ddb267797184cc4299db95b28f7ebc421226c26b9",
-        "ae4afe325d61645b0ec637756484db56d795abb97949fd693dcf31fbf5f315d6",
-        "f0b8f8c8be1043d561ca72b49d9a11fc5b8aa7becba68a0ed7d384e8d75540f8",
-        "f9ee0ffb0e1a0899ff0222fd5220ce91c243b16769f7eaec7bef76020f53c4f7",
-    ]
-    # A wrong needle id in one response makes its cell score 0.
-    responses = tmp_path / "resp.jsonl"
-    main(["niah", "solve", str(cells), "--library", str(lib), "--out", str(responses)])
-    lines = responses.read_text().splitlines()
-    first = json.loads(lines[0])
-    first["needle_id"] = "nope"
-    responses.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
-    heat_csv = tmp_path / "heat.csv"
-    code, out, _ = run(
-        capsys, "niah", "heatmap-score", str(cells), "--grid", str(grid_csv),
-        "--responses", str(responses), "--out", str(heat_csv),
-    )
-    assert code == 0
-    assert digests(out, heat_csv) == [
-        "db5e06e54c499f063e756ec04af5dc0655ddf88d7056ab5ce5e89200edebe193",
-        "ad8b04b314a73c57613b65c3e4106020cd9f7c9f1b88d87f99fb1d5e028ab36a",
-    ]
-
-
 # ---------------------------------------------------------------------------
 # inputs that used to end in a traceback: exit 2 with one stderr line
 
@@ -1317,7 +1342,6 @@ def test_negative_seed_flag_is_domain_error(tmp_path, capsys, command):
         "dropout": ["dropout", "--in", str(grid)],
         "compress": ["compress", "--in", str(grid), "--out", str(tmp_path / "c.bin"),
                      "--connector", "resampler"],
-        # Random(-1) seeds exactly like Random(1), so -1 would repeat seed 1.
         "niah-gen": ["niah", "gen", "--length", "100", "--synth-library", "20",
                      "--out-dir", str(tmp_path / "n")],
     }[command]
@@ -1337,6 +1361,20 @@ def test_flag_is_checked_where_its_command_does_not_read_it(tmp_path, capsys):
     assert not (tmp_path / "inst").exists()
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["--length", str(2**63)], f"haystack_len must be <= {sys.maxsize}"),
+    (["--length", "5", "--hops", "3", "--distractors", "2"],
+     "haystack of 5 cannot host 9 hop positions"),
+], ids=["length-over-ssize_t", "too-many-hops"])
+def test_niah_gen_refused_before_its_first_instance_makes_no_out_dir(tmp_path, capsys, argv, error):
+    out_dir = tmp_path / "o"
+    code, out, err = run(
+        capsys, "niah", "gen", *argv, "--synth-library", "50", "--out-dir", str(out_dir)
+    )
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+    assert not out_dir.exists()
+
+
 def test_bad_flag_is_refused_before_a_missing_input(tmp_path, capsys):
     code, out, err = run(
         capsys, "dropout", "--in", str(tmp_path / "missing.bin"), "--text-tokens", "0"
@@ -1350,26 +1388,18 @@ def test_bad_flag_is_refused_before_a_missing_input(tmp_path, capsys):
     ["niah", "validate", "/dev/zero", "--synth-library", "5"],
 ], ids=["config", "niah-instance"])
 def test_text_inputs_over_the_byte_cap_are_refused(capsys, monkeypatch, argv):
-    # At most BYTES_CAP + 1 bytes are read, so a stream that never ends is refused too.
-    monkeypatch.setattr(errors, "BYTES_CAP", 1000)
+    # At most TEXT_CAP + 1 bytes are read, so a stream that never ends is refused too.
+    monkeypatch.setattr(niah, "TEXT_CAP", 1000)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: /dev/zero: file is over the 1000-byte cap\n")
 
 
 def test_config_file_at_the_byte_cap_is_read(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(errors, "BYTES_CAP", 1000)
+    monkeypatch.setattr(niah, "TEXT_CAP", 1000)
     path = tmp_path / "tool.cfg"
     for size, code in ((1000, 0), (1001, 2)):
         path.write_text("costmodel.shape = toy #".ljust(size - 1, "#") + "\n", encoding="utf-8")
         assert run(capsys, "--config", str(path), "estimate", "--frames", "4")[0] == code
-
-
-def test_negative_seed_config_is_domain_error(tmp_path, capsys):
-    cfg = config_file(tmp_path, "seed = -1\n")
-    code, _, err = run(
-        capsys, "--config", cfg, "synth", "--shape", "2x4x4x8", "--out", str(tmp_path / "g.bin")
-    )
-    assert one_line_error(code, err)
 
 
 @pytest.mark.parametrize(
@@ -1486,7 +1516,7 @@ def test_non_finite_nonembed_params_is_domain_error(tmp_path, capsys, value):
     assert "finite" in err
 
 
-# The checked rows that have no flag, refused at load as FAILS_CHECK's rows are.
+# Config-only checked keys, refused at load as their KEY_VALUES rows are.
 @pytest.mark.parametrize("key,value,got", [
     ("costmodel.nonembed_params", "0", "0.0"),
     ("costmodel.nonembed_params", "-inf", "-inf"),

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import hico
 from helpers import json_slots
-from hico import cli, compressor, io
+from hico import cli, compressor, io, niah
 from hico.errors import ConfigError, DomainError
 
 VALUES = ["0", "-1", "nan", "inf", "1e400", "1e-320", "1000000000000", "1" + "0" * 400]
@@ -311,6 +311,22 @@ def test_compress_reads_dev_zero_in_bounded_memory(tmp_path):
     finally:
         proc.close()
     assert result == {"code": 3, "stderr": "io error: /dev/zero: bad magic b'\\x00\\x00\\x00\\x00'\n"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_text_inputs_from_dev_zero_are_refused_in_bounded_memory(tmp_path):
+    # Reading up to errors.BYTES_CAP (1 GiB) of text would run out of the
+    # 512 MiB the child caps itself at; TEXT_CAP is far below it.
+    proc = Child(tmp_path, address_space=512 << 20)
+    try:
+        results = [proc.run(argv) for argv in (
+            ["niah", "validate", "/dev/zero", "--synth-library", "5"],
+            ["--config", "/dev/zero", "sample", "--duration", "10"],
+        )]
+    finally:
+        proc.close()
+    error = f"error: /dev/zero: file is over the {niah.TEXT_CAP}-byte cap\n"
+    assert results == [{"code": 2, "stderr": error}] * 2
 
 
 @settings(max_examples=200, deadline=None)

@@ -382,6 +382,7 @@ SHIFTED_GOLDEN = {
 }
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("positions", sorted(SHIFTED_GOLDEN))
 def test_shifted_causal_attention_golden_digests(positions):
     rng = np.random.default_rng(2000)

@@ -312,18 +312,12 @@ def test_oracle_never_visits_distractor_hops():
 
 
 def test_custom_templates_round_trip():
-    clue_tpl = "Next stop: <<{next_caption}>>"
-    start_tpl = "Begin at <<{caption}>>"
-    inst = niah.gen_multi_hop(
-        100, 3, 1, LIB, seed=4, clue_template=clue_tpl, start_template=start_tpl
-    )
-    report = niah.validate_instance(
-        inst, LIB, clue_template=clue_tpl, start_template=start_tpl
-    )
+    texts = niah.Texts(clue_template="Next stop: <<{next_caption}>>",
+                       start_template="Begin at <<{caption}>>")
+    inst = niah.gen_multi_hop(100, 3, 1, LIB, seed=4, texts=texts)
+    report = niah.validate_instance(inst, LIB, texts=texts)
     assert report.ok
-    assert niah.oracle_solve(
-        inst, LIB, clue_template=clue_tpl, start_template=start_tpl
-    ) == inst.ground_truth
+    assert niah.oracle_solve(inst, LIB, texts=texts) == inst.ground_truth
 
 
 # ---------------------------------------------------------------------------

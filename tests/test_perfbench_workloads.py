@@ -26,6 +26,7 @@ FINGERPRINTS = {
 }
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_request_passes_its_checks(name, tmp_path):
     workload = workloads.WORKLOADS[name]("tiny", 1, str(tmp_path))
