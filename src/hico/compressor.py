@@ -262,9 +262,9 @@ def tome_merge(vectors: np.ndarray, target: int, sizes: np.ndarray | None = None
     final output order. owner[i] is the output row that absorbed input row i.
 
     A float32 stack is read as it is: round 1 widens one clip, the survivors
-    and each wave piece's sources where it computes, so no float64 copy of
-    the whole stack is made, and the columns are float64, bit-identical to
-    merging the widened stack. Any other input is read as float64.
+    clip by clip, as every round gathers them, and each wave piece's sources
+    where it computes. No float64 copy of the stack is made, and the float64
+    columns are bit-identical to the widened stack's. Other input is float64.
     """
     vecs = np.asarray(vectors)
     if vecs.dtype != np.float32:
@@ -311,11 +311,8 @@ def tome_merge(vectors: np.ndarray, target: int, sizes: np.ndarray | None = None
         keep = (clip_ids * n + order[:, : n - r]).ravel()
         n -= r
         old, old_sizes = vecs.reshape(-1, dim), sizes.reshape(-1)
-        if old.dtype == new.dtype:
-            old.take(keep, axis=0, out=new)
-        else:  # round 1 of a float32 stack: one clip's survivors widened at a time
-            for lo in range(0, len(keep), n):
-                new[lo : lo + n] = old.take(keep[lo : lo + n], axis=0)
+        for lo in range(0, len(keep), n):  # one clip's survivors, widened if float32
+            new[lo : lo + n] = old.take(keep[lo : lo + n], axis=0)
         new_sizes = old_sizes.take(keep)
         first = first.reshape(-1).take(keep).reshape(clips, n)
         into = (clip_ids * n + np.take_along_axis(position, dst, axis=1)).ravel()
@@ -604,6 +601,21 @@ def conservation_residual(inputs: TokenGrid, context: VisualContext) -> float:
     if inputs.dim == 1 or not flat.flags.c_contiguous:
         flat = flat.astype(np.float64, copy=False)
     in_sum = flat.sum(axis=0, dtype=np.float64)
-    out_sum = (context.sizes[:, None] * context.vectors()).sum(axis=0)
+    vectors, sizes = context.vectors(), context.sizes[:, None]
+    n, dim = vectors.shape
+    if dim == 1:  # summed pairwise, as above, so never in chunks
+        out_sum = (sizes * vectors).sum(axis=0)
+    else:
+        # The products go in row chunks of at most _SCAN_VALUES values, each
+        # behind one row holding the running sum, which numpy adds row by
+        # row as it would sum the whole product array: the same bits, and no
+        # array as large as the context.
+        step = max(1, _SCAN_VALUES // dim)
+        acc = np.zeros((min(step, n) + 1, dim))
+        for lo in range(0, n, step):
+            part = acc[: min(step, n - lo) + 1]
+            np.multiply(sizes[lo : lo + step], vectors[lo : lo + step], out=part[1:])
+            acc[0] = part.sum(axis=0)
+        out_sum = acc[0]
     denom = max(float(np.linalg.norm(in_sum)), 1e-30)
     return float(np.linalg.norm(out_sum - in_sum)) / denom

@@ -120,13 +120,18 @@ class DecoderRun:
     kept: list[list[int]] = field(default_factory=list)
 
 
+def _kept_count(count: int, keep_ratio: float) -> int:
+    """The one count of every drop and plan: ceil(keep_ratio * count), at most count."""
+    return min(count, math.ceil(keep_ratio * count))
+
+
 def uniform_drop(count: int, keep_ratio: float) -> list[int]:
     """Evenly strided kept indices: j -> floor(j * count / m), m = ceil(ratio*count)."""
     if count < 1:
         raise DomainError("count must be >= 1")
     if not (0.0 < keep_ratio <= 1.0):
         raise DomainError("keep_ratio must be in (0, 1]")
-    m = min(count, math.ceil(keep_ratio * count))
+    m = _kept_count(count, keep_ratio)
     return [j * count // m for j in range(m)]
 
 
@@ -142,7 +147,7 @@ def attention_select(scores, keep_ratio: float) -> list[int]:
         raise DomainError("scores contain NaN")
     if not (0.0 < keep_ratio <= 1.0):
         raise DomainError("keep_ratio must be in (0, 1]")
-    m = min(scores.size, math.ceil(keep_ratio * scores.size))
+    m = _kept_count(scores.size, keep_ratio)
     return np.sort(np.argsort(-scores, kind="stable")[:m]).tolist()
 
 
@@ -169,7 +174,7 @@ def plan_schedule(
     pending = next(entries, None)
     for layer in range(total_layers):
         while pending is not None and pending.layer == layer:
-            current = math.ceil(current * pending.keep_ratio)
+            current = _kept_count(current, pending.keep_ratio)
             pending = next(entries, None)
         counts.append(current)
     return counts
@@ -217,7 +222,6 @@ def _layer_norm(x: np.ndarray) -> np.ndarray:
 # stays in a 2 MB L2; it timed faster than 16, 64 and 128 rows (one BLAS
 # thread).
 _ROW_BLOCK = 32
-_BLOCK_UPPER = np.triu(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool), k=1)
 
 # Scores are in log2 units (q carries log2(e)), and those bounded by this in
 # magnitude go into exp2 without the row max shift. exp2 then lies in
@@ -244,11 +248,11 @@ def _causal_attention(
     plain row-major operands, and `v1` is (heads, T, head_dim + 1), the
     values with a last column of ones. `q` carries log2(e)/sqrt(head_dim), so
     q k^T is in log2 units and its exp2 is the softmax's exp. The query at
-    position p attends to keys [:p + 1]. Query rows go _ROW_BLOCK at a time:
-    a block whose last position is r1 - 1 works on key columns [:r1] only,
-    and `buffer` holds at least heads * _ROW_BLOCK * T floats, so each
-    block's (heads, rows, r1) scores are a contiguous view of its front and
-    no (heads, T, T) square is built.
+    position p attends to keys [:p + 1], masked from `pos` in every block.
+    Query rows go _ROW_BLOCK at a time: a block whose last position is r1 - 1
+    works on key columns [:r1] only, and `buffer` holds at least heads *
+    _ROW_BLOCK * T floats, so each block's (heads, rows, r1) scores are a
+    contiguous view of its front and no (heads, T, T) square is built.
     max|q_i|·max|k_j| bounds every score (Cauchy–Schwarz); below _EXP_SAFE
     the row max shift is skipped, and the masked columns are zeroed after
     exp2 rather than set to -inf before it, which exp2 takes slowly; both
@@ -273,10 +277,7 @@ def _causal_attention(
         probs = buffer[: heads * rows * r1].reshape(heads, rows, r1)
         np.matmul(q[:, b0:b1], kt[:, :, :r1], out=probs)
         # Mask the key columns past each row's own position.
-        if r1 - p0 == rows:  # consecutive positions
-            upper = _BLOCK_UPPER[:rows, :rows]
-        else:
-            upper = np.arange(p0, r1) > pos[b0:b1, None]
+        upper = np.arange(p0, r1) > pos[b0:b1, None]
         if shift:
             np.copyto(probs[:, :, p0:], -np.inf, where=upper)
             np.subtract(probs, probs.max(axis=-1, keepdims=True), out=probs)

@@ -604,9 +604,13 @@ def read_text(path: str | os.PathLike) -> str:
     if len(data) > cap:
         raise DomainError(f"{path}: file is over the {cap}-byte cap")
     try:
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    except UnicodeDecodeError as exc:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # its position counts the bytes as read
         raise FileFormatError(f"{path}: {exc}") from None
+    # Each copy is freed before the next is made: at most two are alive.
+    del data
+    text = text.replace("\r\n", "\n")
+    return text.replace("\r", "\n")
 
 
 def _parse_json(text: str, where: str | os.PathLike):

@@ -265,13 +265,22 @@ def _ref_softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def ref_causal_attention(q, k, v, scale):
+def ref_causal_attention(q, k, v, scale, perturb=None):
     """Full-square causal softmax(q k^T / scale) v over (heads, T, head_dim)
-    arrays, and the last query's attention row, (heads, T)."""
+    arrays, and the last query's attention row, (heads, T). With `perturb`,
+    each nonzero probability first moves one ulp: towards `perturb` when it
+    is +inf or -inf, up or down at random when it is a Generator. That is a
+    rounding change of the softmax, whose effect on the outputs measures the
+    reference's own sensitivity to rounding."""
     seq = q.shape[1]
     scores = q @ k.transpose(0, 2, 1) / scale
     causal = np.triu(np.full((seq, seq), -np.inf), k=1)
     probs = _ref_softmax(scores + causal)
+    if perturb is not None:
+        toward = perturb
+        if isinstance(perturb, np.random.Generator):
+            toward = np.where(perturb.random(probs.shape) < 0.5, -np.inf, np.inf)
+        probs = np.where(probs > 0, np.nextafter(probs, toward), probs)
     return probs @ v, probs[:, -1, :]
 
 
@@ -281,7 +290,10 @@ def ref_toy_decoder_run(
     geometry: dropout.DecoderGeometry = dropout.DecoderGeometry(),
     schedule: dropout.DropSchedule = dropout.DropSchedule(),
     seed: int = 0,
+    perturb: float | np.random.Generator | None = None,
 ) -> dropout.DecoderRun:
+    """The full-square decoder; `perturb` perturbs every layer's softmax, as
+    ref_causal_attention does."""
     vis = np.asarray(visual, dtype=np.float64)
     rng = np.random.default_rng(seed)
     h = geometry.hidden_dim
@@ -326,7 +338,7 @@ def ref_toy_decoder_run(
         q = (normed @ w["wq"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
         k = (normed @ w["wk"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
         v = (normed @ w["wv"]).reshape(seq, heads, head_dim).transpose(1, 0, 2)
-        attn, last = ref_causal_attention(q, k, v, math.sqrt(head_dim))
+        attn, last = ref_causal_attention(q, k, v, math.sqrt(head_dim), perturb)
         attn = attn.transpose(1, 0, 2).reshape(seq, geometry.hidden_dim)
         states = states + attn @ w["wo"]
         states = states + np.maximum(ref_layer_norm(states) @ w["w1"], 0.0) @ w["w2"]

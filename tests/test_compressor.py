@@ -755,6 +755,39 @@ def test_conservation_residual_peak_memory():
     assert traced_peak(cp.conservation_residual, grid, context) <= 0.25 * grid.data.nbytes
 
 
+def test_conservation_residual_peak_memory_stays_below_the_context():
+    # The size-weighted output sum runs in row chunks of 64 Ki values: 0.28x
+    # the 2.0 MiB of a spatial context's vectors, one chunk and numpy's cast
+    # buffer. The whole product array read 1.03x.
+    values = np.random.default_rng(0).standard_normal((64, 16, 16, 64))
+    grid = cp.TokenGrid(values.astype(np.float32))
+    context = cp.compress_video(grid, cp.ConnectorConfig(kind="spatial", factor=2))
+    assert traced_peak(cp.conservation_residual, grid, context) <= 0.3 * context.vectors().nbytes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tokens=st.integers(1, 300),
+    dim=st.integers(1, 6),
+    chunk=st.integers(1, 40),
+)
+def test_conservation_residual_in_chunks_matches_the_whole_product_sum(seed, tokens, dim, chunk):
+    # Chunks of a few rows, so most sums cross several chunk boundaries.
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((tokens, dim)) * 10 ** rng.uniform(0, 4, (tokens, 1))
+    sizes = rng.integers(1, 1000, tokens)
+    owner = np.repeat(np.arange(tokens), sizes)
+    context = cp.VisualContext(vectors, sizes, owner, [0], [len(owner)])
+    grid = cp.TokenGrid(rng.standard_normal((1, 1, 3, dim)))
+    in_sum = grid.data.reshape(-1, dim).sum(axis=0)
+    out_sum = (context.sizes[:, None] * context.vectors()).sum(axis=0)
+    want = float(np.linalg.norm(out_sum - in_sum)) / max(float(np.linalg.norm(in_sum)), 1e-30)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cp, "_SCAN_VALUES", chunk)
+        assert cp.conservation_residual(grid, context) == want
+
+
 def test_merge_with_st_temperature_peak_memory():
     # One float64 stack of the mixed clips, one clip's (n, n) scores with its
     # softmax run in place, and the merge of the stack: 6.5x the float32

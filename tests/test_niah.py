@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import json_slots
+from helpers import json_slots, traced_peak
 from hico import io, niah
 from hico.errors import CapacityError, DomainError
 
@@ -438,6 +438,16 @@ def test_library_round_trip(tmp_path):
     io.write_output(path, [niah.dump_library(LIB[:7]).encode()])
     again = niah.load_library(path)
     assert again == LIB[:7]
+
+
+def test_read_text_of_a_crlf_file_holds_at_most_two_copies(tmp_path):
+    # The bytes are freed once decoded, and each newline pass frees the text
+    # before it: 2.13x an 8 MB CRLF file, as for an LF file. Translating
+    # newlines while the bytes were alive read 3.07x.
+    path = tmp_path / "crlf.cfg"
+    path.write_bytes(b"key = value0123\r\n" * 470_000)
+    assert niah.read_text(path) == "key = value0123\n" * 470_000
+    assert traced_peak(niah.read_text, path) <= 2.25 * path.stat().st_size
 
 
 def test_library_rejects_duplicate_ids(tmp_path):
