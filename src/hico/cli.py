@@ -10,6 +10,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -234,13 +235,29 @@ def cmd_compress(args, settings: dict) -> int:
 # estimate
 
 
+def _geometry(settings: dict) -> DecoderGeometry:
+    return DecoderGeometry(
+        layers=settings["dropout.layers"],
+        hidden_dim=settings["dropout.hidden_dim"],
+        heads=settings["dropout.heads"],
+    )
+
+
 def _model_shape(name: str, settings: dict) -> costmodel.ModelShape:
+    if name == "toy":
+        # Refused, as `dropout` refuses it, when its weights alone pass the
+        # byte cap: the schedule plan holds one entry per layer.
+        geometry = _geometry(settings)
+        dropout._check_bytes(geometry)
+        shape = costmodel.toy_shape(geometry)
+    else:
+        shape = PRESETS[name]
     overrides = {}
     if settings["costmodel.nonembed_params"] is not None:
         overrides["nonembed_params"] = int(settings["costmodel.nonembed_params"])
     if settings["costmodel.bytes_per_param"] is not None:
         overrides["bytes_per_param"] = settings["costmodel.bytes_per_param"]
-    return costmodel.preset(name, **overrides)
+    return replace(shape, **overrides)
 
 
 def cmd_estimate(args, settings: dict) -> int:
@@ -281,11 +298,7 @@ def cmd_estimate(args, settings: dict) -> int:
 
 def cmd_dropout(args, settings: dict) -> int:
     schedule = dropout.DropSchedule.parse(settings["dropout.schedule"])
-    geometry = dropout.DecoderGeometry(
-        layers=settings["dropout.layers"],
-        hidden_dim=settings["dropout.hidden_dim"],
-        heads=settings["dropout.heads"],
-    )
+    geometry = _geometry(settings)
     if args.scale_from is not None:
         schedule = dropout.scale_schedule(schedule, geometry.layers, args.scale_from)
     grid = io.read_embeddings(args.infile)
@@ -556,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="prefill FLOPs and inference memory")
     p.add_argument("--frames", type=int, required=True)
-    _add_flags(p, *_section("costmodel."), "dropout.schedule", "dropout.text_tokens")
+    _add_flags(p, *_section("costmodel."), *_section("dropout."))
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("dropout", help="run a drop schedule through the toy decoder")

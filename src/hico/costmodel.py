@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 
-from .dropout import _ROW_BLOCK, DropSchedule, plan_schedule
+from .dropout import _ROW_BLOCK, DecoderGeometry, DropSchedule, plan_schedule
 from .errors import ConfigError, DomainError
 
 GIB = 1024**3
@@ -74,10 +75,24 @@ class ModelShape:
             raise DomainError("kv_heads must divide heads")
 
 
+def toy_shape(geometry: DecoderGeometry) -> ModelShape:
+    """The toy decoder `geometry` describes: its layers' wq…w2, without w_in."""
+    h = geometry.hidden_dim
+    return ModelShape(
+        layers=geometry.layers,
+        hidden_dim=h,
+        heads=geometry.heads,
+        kv_heads=geometry.heads,
+        head_dim=h // geometry.heads,
+        nonembed_params=geometry.layers * geometry.layer_weights,
+    )
+
+
 # 7b mirrors a Qwen2-7B-class decoder: 28 layers, hidden 3584, GQA with 4 KV
 # heads, and 7.07e9 non-embedding parameters (7.62e9 total minus one
-# 152k x 3584 embedding). 2b is a Qwen2-1.5B-class decoder. toy matches the
-# default toy-decoder geometry.
+# 152k x 3584 embedding). 2b is a Qwen2-1.5B-class decoder. toy is the toy
+# decoder at DecoderGeometry's defaults; `hico estimate --shape toy` prices
+# the one its dropout.* settings describe instead.
 PRESETS = {
     "7b": ModelShape(
         layers=28,
@@ -95,14 +110,7 @@ PRESETS = {
         head_dim=128,
         nonembed_params=1_310_000_000,
     ),
-    "toy": ModelShape(
-        layers=4,
-        hidden_dim=64,
-        heads=4,
-        kv_heads=4,
-        head_dim=16,
-        nonembed_params=200_000,
-    ),
+    "toy": toy_shape(DecoderGeometry()),
 }
 
 
@@ -177,15 +185,9 @@ def flops_with_schedule(
     counts = plan_schedule(initial_tokens, schedule, shape.layers)
     # Group contiguous layers with the same token count so the empty-schedule
     # path reduces to the prefill_flops expression bit for bit.
-    runs: list[tuple[int, int]] = []
-    for c in counts:
-        t = text_tokens + c
-        if runs and runs[-1][0] == t:
-            runs[-1] = (t, runs[-1][1] + 1)
-        else:
-            runs.append((t, 1))
     total = 0.0
-    for t, layers in runs:
+    for t, run in groupby(text_tokens + c for c in counts):
+        layers = sum(1 for _ in run)
         tf = float(t)
         total += (2.0 * shape.nonembed_params * tf) * (layers / shape.layers)
         total += 4.0 * layers * tf * tf * shape.hidden_dim

@@ -98,6 +98,11 @@ class DecoderGeometry:
         if self.hidden_dim % self.heads:
             raise DomainError("heads must divide hidden_dim")
 
+    @property
+    def layer_weights(self) -> int:
+        """Weights per layer: wq, wk, wv and wo at h×h, and w1 and w2 at h×2h."""
+        return 8 * self.hidden_dim * self.hidden_dim
+
 
 @dataclass
 class AttentionSnapshot:
@@ -308,11 +313,12 @@ def _attend(
     return q.reshape(len(pos), heads * head_dim), last
 
 
-def _check_bytes(geometry: DecoderGeometry, in_dim: int, text_tokens=0, visual_tokens=0) -> None:
-    """Refuse a model, or a run with the model it reads, that would pass BYTES_CAP."""
+def _check_bytes(geometry: DecoderGeometry, in_dim=0, text_tokens=0, visual_tokens=0) -> None:
+    """Refuse a model, or a run with the model it reads, that would pass BYTES_CAP.
+    With `in_dim` 0, the model is the decoder's layers without `w_in`."""
     h, heads, layers = geometry.hidden_dim, geometry.heads, geometry.layers
     # The weights and a run's zero-padded copy of one layer's value weights.
-    weights = 8 * (in_dim * h + layers * 8 * h * h + h * (h + heads))
+    weights = 8 * (in_dim * h + layers * geometry.layer_weights + h * (h + heads))
     seq = visual_tokens + text_tokens
     # Per token, in floats: states and text; the layer-normed states, keys
     # and queries, which then hold the attention output; the values with
@@ -350,9 +356,9 @@ class ToyModel:
     """A seeded toy decoder's weights, drawn once, read-only and read by every run.
 
     `rng` draws `w_in`, then all layers' wq, wk, wv, wo, w1 and w2 as one
-    (layers, 8·hidden²) array: the stream of one draw per matrix. wq carries
-    the softmax scale and log2(e), so q k^T is in log2 units. Each kind is a
-    (layers, …) view. Raises DomainError, before drawing, when the weights
+    (layers, geometry.layer_weights) array: the stream of one draw per
+    matrix. wq carries the softmax scale and log2(e), so q k^T is in log2
+    units. Each kind is a (layers, …) view. Raises DomainError, before drawing, when the weights
     would pass errors.BYTES_CAP."""
 
     def __init__(self, geometry: DecoderGeometry, in_dim: int, rng: np.random.Generator):
@@ -360,7 +366,7 @@ class ToyModel:
         h, layers = geometry.hidden_dim, geometry.layers
         self.geometry = geometry
         self.w_in = rng.standard_normal((in_dim, h)) / math.sqrt(in_dim)
-        w = rng.standard_normal((layers, 8 * h * h))
+        w = rng.standard_normal((layers, geometry.layer_weights))
         w[:, : 6 * h * h] *= 1.0 / math.sqrt(h)
         w[:, 6 * h * h :] /= math.sqrt(2 * h)
         w[:, : h * h] *= math.log2(math.e) / math.sqrt(h // geometry.heads)

@@ -1,7 +1,8 @@
 """Shared test oracles: exact merge-tree enumeration, cluster fixtures,
 per-token reference implementations of the four connectors, the
-full-square reference of the toy decoder, a tracemalloc peak, and the
-slots of a JSON document that the niah fuzzes damage."""
+full-square reference of the toy decoder, the toy-decoder sizes the cost
+model's toy shape is checked on, a tracemalloc peak, and the slots of a
+JSON document that the niah fuzzes damage."""
 from __future__ import annotations
 
 import math
@@ -243,6 +244,17 @@ def ref_compress_video(grid: compressor.TokenGrid, config) -> list[list[RefToken
             )
         out.append(ref_compress_clip(data, start, cfg))
     return out
+
+
+# Toy-decoder sizes: DecoderGeometry's defaults, the CLI's 28-layer default,
+# and smaller, narrower and single-head ones.
+TOY_GEOMETRIES = [
+    dropout.DecoderGeometry(),
+    dropout.DecoderGeometry(28, 64, 4),
+    dropout.DecoderGeometry(6, 32, 2),
+    dropout.DecoderGeometry(3, 12, 3),
+    dropout.DecoderGeometry(1, 1, 1),
+]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hico import cli, compressor, dropout, errors, io, niah
+from hico import cli, compressor, costmodel, dropout, errors, io, niah
 from hico.cli import main
 
 
@@ -342,6 +342,39 @@ def test_estimate_overflowing_sizes_print_one_line(capsys, flags):
     code, out, err = run(capsys, "estimate", *flags)
     assert out == ""
     assert one_line_error(code, err) and "is not a finite float" in err
+
+
+# `--shape toy` prices the decoder `dropout` builds from the same flags: 28
+# layers of 8·64² weights by default, so the paper's schedule fits it.
+def test_estimate_toy_prices_the_dropout_decoder(capsys):
+    code, out, err = run(capsys, "estimate", "--frames", "64", "--shape", "toy", *SCHEDULE)
+    assert (code, err) == (0, "")
+    report = dict(line.split("=", 1) for line in out.splitlines())
+    assert report["weight_bytes"] == str(2 * 917_504)
+    shape = costmodel.toy_shape(dropout.DecoderGeometry(28, 64, 4))
+    schedule = dropout.DropSchedule.parse(SCHEDULE[1])
+    flops = costmodel.flops_with_schedule(1024, schedule, shape, 8)
+    assert report["schedule_flops"] == f"{flops:.6e}"
+
+
+def test_estimate_toy_follows_the_layers_flag(capsys):
+    code, out, _ = run(capsys, "estimate", "--frames", "64", "--shape", "toy", "--layers", "6")
+    assert code == 0
+    assert f"weight_bytes={2 * 6 * 32_768}" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "flags,complaint",
+    [
+        (["--hidden-dim", "30", "--heads", "4"], "heads must divide hidden_dim"),
+        (["--layers", "1000000000000", *SCHEDULE], "over the 1073741824-byte cap"),
+    ],
+    ids=["heads-not-dividing", "weights-past-cap"],
+)
+def test_estimate_toy_refuses_a_decoder_dropout_refuses(capsys, flags, complaint):
+    code, out, err = run(capsys, "estimate", "--frames", "64", "--shape", "toy", *flags)
+    assert out == ""
+    assert one_line_error(code, err) and complaint in err
 
 
 # ---------------------------------------------------------------------------

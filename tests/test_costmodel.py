@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import TOY_GEOMETRIES
 from hico import costmodel as cm, dropout as dp
 from hico.dropout import DropSchedule
 from hico.errors import ConfigError, DomainError
@@ -32,6 +33,21 @@ def test_preset_lookup():
     assert cm.preset("7b", nonembed_params=5).nonembed_params == 5
     with pytest.raises(ConfigError):
         cm.preset("13b")
+
+
+@pytest.mark.parametrize("geometry", TOY_GEOMETRIES, ids=str)
+def test_toy_shape_counts_the_toy_models_weights(geometry):
+    model = dp.ToyModel(geometry, 8, np.random.default_rng(0))
+    layers = (model.wq, model.wk, model.wv, model.wo, model.w1, model.w2)
+    shape = cm.toy_shape(geometry)
+    assert shape.nonembed_params == sum(w.size for w in layers)
+    assert (shape.layers, shape.hidden_dim, shape.heads) == (
+        geometry.layers, geometry.hidden_dim, geometry.heads
+    )
+
+
+def test_toy_preset_is_the_default_toy_decoder():
+    assert cm.preset("toy") == cm.toy_shape(dp.DecoderGeometry())
 
 
 def test_prefill_zero_tokens():

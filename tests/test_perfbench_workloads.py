@@ -11,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from helpers import TOY_GEOMETRIES
+from hico import costmodel
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import spans  # noqa: E402
@@ -34,3 +37,10 @@ def test_workload_request_passes_its_checks(name, tmp_path):
     out = workload.request(spans.Tracer(False), inp)
     assert workload.check(inp, out) == []
     assert hashlib.sha256(workload.fingerprint(out)).hexdigest() == FINGERPRINTS[name]
+
+
+# perfbench keeps its own copy of costmodel.toy_shape until the next
+# benchmark-maintenance change deletes it; until then the two must agree.
+@pytest.mark.parametrize("geometry", TOY_GEOMETRIES, ids=str)
+def test_workloads_toy_shape_is_the_cost_models(geometry):
+    assert workloads.toy_shape(geometry) == costmodel.toy_shape(geometry)
