@@ -203,10 +203,9 @@ def score_cells(tokens: int, heads: int, survivors=None) -> int:
     left over, that is heads · (B²·n(n+1)/2 + rem·T).
 
     The layer before a drop takes the ascending positions the drop keeps,
-    `survivors`. It runs its final block, rows [s, T) with
-    s = ⌊(T - 1)/B⌋·B, and then the survivors below s in blocks of their own,
-    each working on the columns up to its last survivor:
-    heads · ((T - s)·T + Σ_blocks rows · (last + 1)).
+    `survivors`. It runs its last query alone, over all T columns, and then
+    the survivors in blocks, each working on the columns up to its last
+    survivor: heads · (T + Σ_blocks rows · (last + 1)).
     """
     if tokens < 1 or heads < 1:
         raise DomainError("tokens and heads must be >= 1")
@@ -214,11 +213,10 @@ def score_cells(tokens: int, heads: int, survivors=None) -> int:
     if survivors is None:
         n, rem = divmod(tokens, b)
         return heads * (b * b * n * (n + 1) // 2 + rem * tokens)
-    start = (tokens - 1) // b * b
-    head = [int(p) for p in survivors if p < start]
-    cells = (tokens - start) * tokens
-    for b0 in range(0, len(head), b):
-        block = head[b0 : b0 + b]
+    rows = [int(p) for p in survivors]
+    cells = tokens
+    for b0 in range(0, len(rows), b):
+        block = rows[b0 : b0 + b]
         cells += len(block) * (block[-1] + 1)
     return heads * cells
 

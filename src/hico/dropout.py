@@ -411,10 +411,10 @@ class ToyModel:
             v1 = (normed @ wv_pad.reshape(h, -1)).reshape(seq, heads, head_dim + 1)
             v1[:, :, head_dim] = 1.0
             v1 = v1.transpose(1, 0, 2)
-            # Every row is a key. Before a drop, queries run first for the final row
-            # block alone, whose last row gives the snapshot the drop may read.
+            # Every row is a key. Before a drop, the last query runs alone first:
+            # its row gives the snapshot the drop may read.
             entry = by_layer.get(layer + 1)
-            start = 0 if entry is None else (seq - 1) // _ROW_BLOCK * _ROW_BLOCK
+            start = 0 if entry is None else seq - 1
             attn, last = _attend(normed[start:], np.arange(start, seq), wq, kt, v1, buffer)
 
             last_row = last.mean(axis=0)
@@ -428,19 +428,15 @@ class ToyModel:
 
             if entry is not None:
                 # Only the survivors, the kept visual rows and every text
-                # row, go on; the rest of the layer runs for them alone.
+                # row, go on; the rest of the layer runs for them alone, in
+                # one attention call.
                 if entry.method == UNIFORM:
                     sel = uniform_drop(len(kept), entry.keep_ratio)
                 else:
                     sel = attention_select(snapshots[-1].scores, entry.keep_ratio)
                 rows = np.concatenate([sel, np.arange(len(kept), seq)])
                 kept = [kept[i] for i in sel]
-                split = int(np.searchsorted(rows, start))
-                attn = attn[rows[split:] - start]
-                if split:
-                    head = rows[:split]
-                    head_attn = _attend(normed[head], head, wq, kt, v1, buffer)[0]
-                    attn = np.concatenate([head_attn, attn])
+                attn = _attend(normed[rows], rows, wq, kt, v1, buffer)[0]
                 states = states[rows]
             states = states + attn @ wo
             # Freed before the MLP allocates its activations: a lower peak.
@@ -464,10 +460,10 @@ def toy_decoder_run(
     Before each scheduled layer the matching drop is applied — attention
     entries consume the snapshot of the immediately preceding layer — and
     every layer records an AttentionSnapshot. The layer before a drop
-    computes keys and values for every row, but queries, attention output
-    and MLP only for the rows the drop keeps and for its final row block,
-    whose last row gives the snapshot; the next layer starts from the
-    survivors. Bit-reproducible per seed.
+    computes keys and values for every row and runs its last query alone
+    for the snapshot; then queries, attention output and MLP run only for
+    the rows the drop keeps, in one attention call, and the next layer
+    starts from them. Bit-reproducible per seed.
     Raises DomainError, before allocating, when the weights and the run
     together would need more than errors.BYTES_CAP bytes.
     """

@@ -103,9 +103,13 @@ def build_plan(meta: VideoMeta, policy: SamplingPolicy) -> SamplePlan:
     Index j is floor(j * total_frames / frame_count). When the video has
     fewer frames than requested the stride formula repeats frames rather
     than failing, so tiny synthetic inputs stay usable. Raises DomainError,
-    before allocating, when the plan would pass errors.BYTES_CAP.
+    before allocating, when the plan would pass errors.BYTES_CAP or its
+    density, frames per second, is not finite (a subnormal duration).
     """
     count = compute_frame_count(meta.duration, policy)
+    density = count / meta.duration
+    if not math.isfinite(density):
+        raise DomainError(f"sampling density of {count} frames over {meta.duration:g} s is not finite")
     check_bytes(
         _PLAN_BYTES_PER_FRAME * count,
         f"a sampling plan of {count} frames (t_min={policy.t_min}, t_max={policy.t_max})",
@@ -114,7 +118,7 @@ def build_plan(meta: VideoMeta, policy: SamplingPolicy) -> SamplePlan:
     timestamps = tuple(i / meta.fps for i in indices)
     return SamplePlan(
         frame_count=count,
-        density=count / meta.duration,
+        density=density,
         indices=indices,
         timestamps=timestamps,
     )

@@ -55,6 +55,7 @@ def test_sample_domain_error_exit_code(capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--duration", "nan"), ("--duration", "inf"), ("--fps", "inf"), ("--fps", "nan"),
+    ("--duration", "1e-320"),  # subnormal: finite, but 64 frames over it are not
 ])
 def test_sample_non_finite_is_domain_error(capsys, flag, value):
     argv = {"--duration": "60", "--fps": "1", flag: value}
@@ -412,18 +413,18 @@ def test_dropout_scale_from(tmp_path, capsys):
 # text_scores, in layer order, from the row-blocked base-2 attention that
 # skips the row max shift under its score bound, takes the row sums from the
 # PV matmul, reads the keys transposed, and runs the layer before a drop for
-# its survivors only. Each lies within 2.0e-15·max|ref| of
-# ref_toy_decoder_run, with equal kept indices. stdout above shows only
-# counts and kept indices, so a last-bit change in the attention
-# probabilities shows here and not there.
+# its last query alone and then its survivors in one call. Each lies within
+# 2.1e-15·max|ref| of ref_toy_decoder_run, with equal kept indices. stdout
+# above shows only counts and kept indices, so a last-bit change in the
+# attention probabilities shows here and not there.
 DECODER_GOLDEN = {
     "uni:4:0.75,attn:18:0.25": (
         "4e385a8b34d61fdf3e537cb5d83180da4ad4229bcb580953e06a6330e48f9073",
-        "3f598d91dfa20701c6339afc137e3a0b9bc68c89a60f077df0560a2e7760945f",
+        "a152cf7105562e561b7200a79f1d3bf6615ae67c299cfad601ea6d31435fc2f8",
     ),
     "uni:2:0.6,attn:3:0.5,attn:20:0.3": (
-        "2895aa368b6a8562224bab907f124adac9c9f29deba2e025cbc75f4ade717e05",
-        "83a3f505305a3b4cd38341045662bf08103093debdfa907473a1daa03ced201e",
+        "1bce3ad31567d61d928504b1d3b0777907b7ce931de014f2e9dfecef9a2098bc",
+        "ec5a620bdfbc855876f26379dd3a3303b263be45520bedc945824dab00fc5494",
     ),
 }
 
@@ -1365,22 +1366,6 @@ def test_niah_heatmap_honours_config_templates(tmp_path, capsys):
 
 def one_line_error(code, err):
     return code == 2 and err.startswith("error:") and len(err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("command", ["synth", "dropout", "compress", "niah-gen"])
-def test_negative_seed_flag_is_domain_error(tmp_path, capsys, command):
-    grid = synth(tmp_path, shape="2x4x4x8")
-    argv = {
-        "synth": ["synth", "--shape", "2x4x4x8", "--out", str(tmp_path / "g.bin")],
-        "dropout": ["dropout", "--in", str(grid)],
-        "compress": ["compress", "--in", str(grid), "--out", str(tmp_path / "c.bin"),
-                     "--connector", "resampler"],
-        "niah-gen": ["niah", "gen", "--length", "100", "--synth-library", "20",
-                     "--out-dir", str(tmp_path / "n")],
-    }[command]
-    code, _, err = run(capsys, *argv, "--seed", "-1")
-    assert one_line_error(code, err)
-    assert "seed must be >= 0" in err
 
 
 def test_flag_is_checked_where_its_command_does_not_read_it(tmp_path, capsys):

@@ -168,7 +168,7 @@ def decoder_layer_cells(monkeypatch, text, n, geometry, schedule):
         (29, 4, 2, ""),  # T = 33, just past one
         (1024, 8, 6, "uni:2:0.75,attn:4:0.25"),  # T = 1032, 776 and 200
         (56, 8, 3, "uni:1:0.5,attn:2:0.5"),  # a drop at T = 64 and at T = 36
-        (20, 4, 3, "attn:1:0.5"),  # a drop inside the final block alone
+        (20, 4, 3, "attn:1:0.5"),  # T = 24: the last query alone, then 14 survivors
         (40, 30, 4, "uni:0:0.9,attn:2:1.0"),  # every row survives the drop
     ],
 )
@@ -193,8 +193,8 @@ def test_score_cells_closed_form_is_the_block_sum(tokens, heads):
     full = cm.score_cells(tokens, heads)
     ends = [min(b0 + BLOCK, tokens) for b0 in range(0, tokens, BLOCK)]
     assert full == heads * sum((r1 - b0) * r1 for b0, r1 in zip(range(0, tokens, BLOCK), ends))
-    # A drop that every row survives computes what a full layer does.
-    assert cm.score_cells(tokens, heads, range(tokens)) == full
+    # A drop that every row survives computes a full layer and the last query alone.
+    assert cm.score_cells(tokens, heads, range(tokens)) == full + heads * tokens
 
 
 def test_score_cells_refuses_empty_layers():

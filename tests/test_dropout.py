@@ -459,13 +459,25 @@ def paper_sized_visual(seed=0):
     return np.random.default_rng(seed).standard_normal((1024, 64)) / 4
 
 
-def test_decoder_matches_reference_at_paper_size():
-    # 1024 visual + 8 text tokens; layer 18 runs the attention drop.
-    args = (8, paper_sized_visual(), dp.DecoderGeometry(layers=19), TABLE_SCHEDULE)
+def check_paper_size(schedule, layers):
+    """1024 visual + 8 text tokens through `layers` layers, against the reference."""
+    args = (8, paper_sized_visual(), dp.DecoderGeometry(layers=layers), schedule)
     got = dp.toy_decoder_run(*args, seed=3)
     want = ref_toy_decoder_run(*args, seed=3)
-    assert [len(k) for k in got.kept] == dp.plan_schedule(1024, TABLE_SCHEDULE, 19)
+    assert [len(k) for k in got.kept] == dp.plan_schedule(1024, schedule, layers)
     assert_matches_reference(got, want)
+
+
+def test_decoder_matches_reference_at_paper_size():
+    # Layer 18 runs the attention drop. The 768 visual survivors of layer 3
+    # fill whole row blocks, and the 8 text rows make a block of their own.
+    check_paper_size(TABLE_SCHEDULE, 19)
+
+
+def test_decoder_matches_reference_at_paper_size_on_partial_blocks():
+    # 615 + 8 survivors before layer 2 and 308 + 8 before layer 3: a block
+    # of each survivors' call holds visual and text rows together.
+    check_paper_size(dp.DropSchedule.parse("uni:2:0.6,attn:3:0.5"), 4)
 
 
 def test_one_model_serves_every_run_bit_for_bit_and_is_read_only():
