@@ -327,7 +327,8 @@ def _check_bytes(geometry: DecoderGeometry, in_dim=0, text_tokens=0, visual_toke
     # squared norms and one score block; and 13 for index arrays, the
     # snapshot row, and the kept indices and a drop's selection as Python
     # ints (40 bytes each). A layer before a drop is counted at full length.
-    arrays = 8 * seq * (11 * h + heads * (5 + _ROW_BLOCK) + 13)
+    # Then the float64 copy of the visual input, counted even for float64 input.
+    arrays = 8 * seq * (11 * h + heads * (5 + _ROW_BLOCK) + 13) + 8 * visual_tokens * in_dim
     # Each layer of a run keeps a snapshot and a kept list, 16 bytes a token,
     # and about 2 KiB of objects.
     records = layers * (16 * seq + 2048) if seq else 0
@@ -342,14 +343,13 @@ def _checked(text_tokens: int, visual, geometry: DecoderGeometry, schedule: Drop
     """`visual` as float64, once the run's sizes, schedule and bytes pass."""
     if text_tokens < 1:
         raise DomainError("need at least one text token for the attention query")
-    vis = np.asarray(visual, dtype=np.float64)
-    if vis.ndim != 2 or vis.shape[0] < 1:
+    if np.ndim(visual) != 2 or np.shape(visual)[0] < 1:
         raise DomainError("visual context must be a non-empty (tokens, dim) array")
     _check_depth(schedule, geometry.layers)
     if any(e.method == ATTENTION and e.layer == 0 for e in schedule.entries):
         raise ConfigError("attention drop at layer 0 has no prior snapshot")
-    _check_bytes(geometry, vis.shape[1], text_tokens, vis.shape[0])
-    return vis
+    _check_bytes(geometry, np.shape(visual)[1], text_tokens, np.shape(visual)[0])
+    return np.asarray(visual, dtype=np.float64)
 
 
 class ToyModel:

@@ -29,13 +29,12 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import errors
-from .compressor import TokenGrid
+from .compressor import _SCAN_VALUES, TokenGrid
 from .errors import DomainError, FileFormatError, check_bytes
 
 MAGIC = b"HICO"
 VERSION = 1
 _HEADER = struct.Struct("<4sHIIII")
-_CHUNK_VALUES = 1 << 16  # values drawn, or written, per chunk of rows
 
 
 class EmbeddingFormatError(FileFormatError):
@@ -85,8 +84,8 @@ def _parse_header(header: bytes, size: int | None) -> tuple[int, int, int, int]:
         raise TruncatedFileError(f"payload {payload} bytes, header declares {expected}")
     if payload > expected:
         raise SizeMismatchError(f"{payload - expected} trailing bytes after payload")
-    # The cap counts 8 bytes a value, the float64 copy a connector widens the
-    # grid to.
+    # The cap counts 8 bytes a value: merge with st_temperature stacks its
+    # full clips' mixed tokens in float64, and dropout widens its input.
     shape = f"{frames}x{rows}x{cols}x{dim}"
     check_bytes(8 * frames * rows * cols * dim, f"an embedding file of shape {shape}")
     return frames, rows, cols, dim
@@ -103,7 +102,7 @@ def _file_chunks(grid: TokenGrid) -> Iterator:
     a float32 grid, or one chunk at a time rounded from a float64 one."""
     yield _HEADER.pack(MAGIC, VERSION, grid.frames, grid.rows, grid.cols, grid.dim)
     rows = grid.data.reshape(-1, grid.dim)
-    step = max(1, _CHUNK_VALUES // grid.dim)
+    step = max(1, _SCAN_VALUES // grid.dim)
     for lo in range(0, len(rows), step):
         yield np.ascontiguousarray(rows[lo : lo + step], dtype="<f4")
 
@@ -250,7 +249,7 @@ def synth_grid(
     if kind == "constant":
         data[...] = rng.standard_normal(dim)
         return TokenGrid(data.reshape(shape))
-    step = max(1, _CHUNK_VALUES // dim)
+    step = max(1, _SCAN_VALUES // dim)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         if kind == "gaussian":

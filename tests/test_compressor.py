@@ -746,9 +746,9 @@ def test_tome_merge_of_float32_stack_matches_float64(
 
 
 def test_conservation_residual_peak_memory():
-    # A dim-64 float32 grid is summed straight into float64 accumulators:
-    # the peak, numpy's cast buffers and the compressed context's sums, reads
-    # 0.02x the grid's bytes. Widening the grid first read 2.00x.
+    # A dim-64 float32 grid is widened into float64 a chunk of 64 Ki values
+    # at a time: the peak, one 512 KiB chunk and the compressed context's
+    # sums, reads 0.13x the grid's bytes. Widening the grid first read 2.00x.
     values = np.random.default_rng(0).standard_normal((64, 16, 16, 64))
     grid = cp.TokenGrid(values.astype(np.float32))
     context = cp.compress_video(grid, cp.ConnectorConfig(kind="spatial", factor=16))
@@ -757,12 +757,37 @@ def test_conservation_residual_peak_memory():
 
 def test_conservation_residual_peak_memory_stays_below_the_context():
     # The size-weighted output sum runs in row chunks of 64 Ki values: 0.28x
-    # the 2.0 MiB of a spatial context's vectors, one chunk and numpy's cast
-    # buffer. The whole product array read 1.03x.
+    # the 2.0 MiB of a spatial context's vectors, one chunk at a time.
     values = np.random.default_rng(0).standard_normal((64, 16, 16, 64))
     grid = cp.TokenGrid(values.astype(np.float32))
     context = cp.compress_video(grid, cp.ConnectorConfig(kind="spatial", factor=2))
     assert traced_peak(cp.conservation_residual, grid, context) <= 0.3 * context.vectors().nbytes
+
+
+@pytest.mark.parametrize(
+    "shape, column_major, config, bound",
+    [
+        ((1024, 16, 16, 1), False, cp.ConnectorConfig(kind="spatial", factor=1), 0.75),
+        ((1024, 16, 16, 1), False, cp.ConnectorConfig(kind="merge", budget=16), 0.75),
+        ((1, 1, 65536, 8), True, cp.ConnectorConfig(kind="spatial", factor=1), 0.4),
+    ],
+    ids=["dim-1-spatial", "dim-1-merge", "column-major-spatial"],
+)
+def test_conservation_residual_widens_any_grid_in_chunks(shape, column_major, config, bound):
+    # A one-column or column-major float32 grid is widened a chunk at a time
+    # like any other: 0.57x, 0.50x and 0.28x the grid's bytes. Widening it
+    # whole first read 4.06x, 2.06x and 2.28x.
+    values = np.random.default_rng(0).standard_normal(shape).astype(np.float32)
+    grid = cp.TokenGrid(np.asfortranarray(values) if column_major else values)
+    context = cp.compress_video(grid, config)
+    assert traced_peak(cp.conservation_residual, grid, context) <= bound * grid.data.nbytes
+
+
+def whole_array_residual(grid, context):
+    """The residual with each side summed whole in float64, as numpy sums it."""
+    in_sum = grid.data.reshape(-1, grid.dim).sum(axis=0, dtype=np.float64)
+    out_sum = (context.sizes[:, None] * context.vectors()).sum(axis=0)
+    return float(np.linalg.norm(out_sum - in_sum)) / max(float(np.linalg.norm(in_sum)), 1e-30)
 
 
 @settings(max_examples=60, deadline=None)
@@ -780,12 +805,59 @@ def test_conservation_residual_in_chunks_matches_the_whole_product_sum(seed, tok
     owner = np.repeat(np.arange(tokens), sizes)
     context = cp.VisualContext(vectors, sizes, owner, [0], [len(owner)])
     grid = cp.TokenGrid(rng.standard_normal((1, 1, 3, dim)))
-    in_sum = grid.data.reshape(-1, dim).sum(axis=0)
-    out_sum = (context.sizes[:, None] * context.vectors()).sum(axis=0)
-    want = float(np.linalg.norm(out_sum - in_sum)) / max(float(np.linalg.norm(in_sum)), 1e-30)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cp, "_SCAN_VALUES", chunk)
-        assert cp.conservation_residual(grid, context) == want
+        got = cp.conservation_residual(grid, context)
+    if dim > 1:
+        assert got == whole_array_residual(grid, context)
+        return
+    # numpy sums one column pairwise within each chunk, in another order than
+    # the whole array's. Any order of adding k terms errs by at most
+    # gamma(k - 1)·sum|terms|, so each side is within that of its exactly
+    # rounded sum (fsum, one more rounding), and the residual within those
+    # errors carried through |out - in| / |in|, plus 16 roundings of its own.
+    u = 2.0**-53
+    gamma = lambda k: k * u / (1 - k * u)  # noqa: E731
+    products = sizes * vectors[:, 0]
+    out_exact, in_exact = math.fsum(products), math.fsum(grid.data.ravel())
+    out_err = gamma(tokens) * np.abs(products).sum() + u * abs(out_exact)
+    in_err = gamma(3) * np.abs(grid.data).sum() + u * abs(in_exact)
+    want = abs(out_exact - in_exact) / abs(in_exact)
+    bound = (out_err + in_err) * (1 + want) / (abs(in_exact) - in_err) + 16 * u * want
+    assert abs(got - want) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    frames=st.integers(1, 4),
+    half=st.integers(1, 6),
+    dim=st.integers(2, 8),
+    narrow=st.booleans(),
+    merge=st.booleans(),
+    chunk=st.integers(1, 40),
+)
+def test_conservation_residual_of_grid_in_chunks_matches_the_whole_array_sum(
+    seed, frames, half, dim, narrow, merge, chunk
+):
+    # A C-contiguous grid of two or more columns, float32 or float64, is
+    # widened and summed in chunks of a few rows behind the running sum: the
+    # bits of its whole-array float64 sum, on a context whose residual is
+    # float noise, so any other order of adding the rows shows.
+    rng, side = np.random.default_rng(seed), 2 * half
+    values = rng.standard_normal((frames, side, side, dim)) * 10 ** rng.uniform(
+        0, 4, (frames, side, side, 1)
+    )
+    grid = cp.TokenGrid(values.astype(np.float32) if narrow else values)
+    config = (
+        cp.ConnectorConfig(kind="merge", budget=side, clip_len=2)
+        if merge
+        else cp.ConnectorConfig(kind="spatial", factor=2, clip_len=2)
+    )
+    context = cp.compress_video(grid, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cp, "_SCAN_VALUES", chunk)
+        assert cp.conservation_residual(grid, context) == whole_array_residual(grid, context)
 
 
 def test_merge_with_st_temperature_peak_memory():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hico import dropout as dp
+from hico import errors
 from hico.errors import ConfigError, DomainError
 
 from helpers import ref_causal_attention, ref_layer_norm, ref_toy_decoder_run, traced_peak
@@ -521,16 +522,17 @@ def test_decoder_peak_memory_below_half_a_score_square():
 
 
 @pytest.mark.parametrize(
-    "tokens,hidden_dim,heads,layers,schedule",
+    "tokens,hidden_dim,heads,layers,schedule,in_dim,dtype",
     [
-        (1024, 64, 4, 28, ""),
-        (200, 16, 1, 3, ""),
-        (3000, 8, 8, 2, ""),
-        (64, 256, 2, 2, ""),
-        (1024, 64, 4, 28, "uni:4:0.75,attn:18:0.25"),
-        (4000, 2, 2, 4, "uni:0:0.99,attn:2:0.99,attn:3:0.99"),
-        (2000, 1, 1, 50, ""),
-        (100, 32, 32, 4, "uni:1:0.9"),
+        (1024, 64, 4, 28, "", 16, np.float64),
+        (200, 16, 1, 3, "", 16, np.float64),
+        (3000, 8, 8, 2, "", 16, np.float64),
+        (64, 256, 2, 2, "", 16, np.float64),
+        (1024, 64, 4, 28, "uni:4:0.75,attn:18:0.25", 16, np.float64),
+        (4000, 2, 2, 4, "uni:0:0.99,attn:2:0.99,attn:3:0.99", 16, np.float64),
+        (2000, 1, 1, 50, "", 16, np.float64),
+        (100, 32, 32, 4, "uni:1:0.9", 16, np.float64),
+        (2000, 8, 2, 1, "", 1024, np.float32),
     ],
     ids=[
         "1024-64-4-28",
@@ -541,16 +543,32 @@ def test_decoder_peak_memory_below_half_a_score_square():
         "4000-2-2-4-three-drops",
         "2000-1-1-50",
         "100-32-32-4-uniform",
+        "2000-8-2-1-float32-wide-input",
     ],
 )
 def test_byte_estimate_covers_the_measured_peak(
-    monkeypatch, tokens, hidden_dim, heads, layers, schedule
+    monkeypatch, tokens, hidden_dim, heads, layers, schedule, in_dim, dtype
 ):
+    # A float32 visual is widened to float64 by the run, a copy the estimate
+    # counts: 16.4 MB of the wide input's 18.6 MB peak, estimated at 19.3 MB.
     estimates = []
     monkeypatch.setattr(dp, "check_bytes", lambda needed, what: estimates.append(needed))
-    vis = np.random.default_rng(0).standard_normal((tokens, 16))
+    vis = np.random.default_rng(0).standard_normal((tokens, in_dim)).astype(dtype)
     geometry = dp.DecoderGeometry(layers=layers, hidden_dim=hidden_dim, heads=heads)
     peak = traced_peak(
         dp.toy_decoder_run, 8, vis, geometry, dp.DropSchedule.parse(schedule), seed=0
     )
     assert estimates and peak <= estimates[0]
+
+
+def test_wide_float32_visual_is_refused_before_it_is_widened(monkeypatch):
+    # The run's arrays need about 3 MB, and its float64 copy of the visual
+    # 16.4 MB more: the cap is checked, counting the copy, before it is made.
+    monkeypatch.setattr(errors, "BYTES_CAP", 8 << 20)
+    vis = np.zeros((2000, 1024), np.float32)
+
+    def run():
+        with pytest.raises(DomainError, match="over the 8388608-byte cap"):
+            dp.toy_decoder_run(8, vis, dp.DecoderGeometry(layers=1, hidden_dim=8, heads=2))
+
+    assert traced_peak(run) < vis.nbytes
